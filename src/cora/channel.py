@@ -8,7 +8,7 @@ dechirped-domain symbol generator used to train the collision classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -147,6 +147,12 @@ class TrainConfig:
             raise ValueError(f"smooth_sigma must be >= 0, got {self.smooth_sigma}")
         if not self.smooth_floor > 0:
             raise ValueError(f"smooth_floor must be > 0, got {self.smooth_floor}")
+
+
+# Value type of every TrainConfig field (int, float, or a (low, high)
+# tuple), read off its default: the one key table behind both the CLI's
+# train config and the grid file's config line.
+TRAIN_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def _complex_noise(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:

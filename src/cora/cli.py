@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cora.channel import TrainConfig, etu_like_profile
+from cora.channel import TRAIN_FIELD_TYPES, TrainConfig, etu_like_profile
 from cora.detector import (
     GridFormatError,
     TrainingError,
@@ -25,17 +25,12 @@ from cora.harness import (
     ExperimentConfig,
     ScenarioSpec,
     bench_stages,
+    receive,
     run_experiment,
     simulate_frame,
     write_csv,
 )
-from cora.phy import (
-    ComplexSignal,
-    PhyParams,
-    dechirp,
-    baseline_detect,
-    payload_start,
-)
+from cora.phy import ComplexSignal, PhyParams, payload_start
 
 IQ_MAGIC = "CORA-IQ v1"
 
@@ -116,31 +111,12 @@ def _check_keys(cfg: dict[str, str], allowed: set[str], context: str) -> None:
         )
 
 
-_TRAIN_KEYS = {
-    "n_bins",
-    "n_symbols",
-    "max_interferers",
-    "power_range_db",
-    "frac_freq_range",
-    "interference_samples_per_symbol",
-    "snr_db",
-    "grid_resolution",
-    "smooth_sigma",
-    "smooth_floor",
-    "seed",
-}
+_TRAIN_PARSERS = {int: _as_int, float: _as_float, tuple: _as_pair}
 
 
 def train_config_from_map(cfg: dict[str, str]) -> TrainConfig:
-    _check_keys(cfg, _TRAIN_KEYS, "train config")
-    kwargs = {}
-    for key, value in cfg.items():
-        if key == "power_range_db":
-            kwargs[key] = _as_pair(value, key)
-        elif key in ("frac_freq_range", "snr_db", "smooth_sigma", "smooth_floor"):
-            kwargs[key] = _as_float(value, key)
-        else:
-            kwargs[key] = _as_int(value, key)
+    _check_keys(cfg, set(TRAIN_FIELD_TYPES), "train config")
+    kwargs = {key: _TRAIN_PARSERS[TRAIN_FIELD_TYPES[key]](value, key) for key, value in cfg.items()}
     try:
         return TrainConfig(**kwargs)
     except ValueError as exc:
@@ -498,38 +474,28 @@ def cmd_demod(args: argparse.Namespace) -> int:
     n = phy.n
 
     grid = None
-    state = None
-    expected_peak = None
     if detector == "cora":
         if "grid" not in cfg_map:
             raise ConfigError("detector 'cora' needs a grid path (key 'grid' or --grid)")
         grid = _load_grid_checked(cfg_map["grid"])
-        from cora.detector import ClassifierState, detect_symbol
-
-        state = ClassifierState()
         if len(signal) < preamble_len * n:
             raise IqFormatError(
                 f"{args.iq_path}: too short for a {preamble_len}-symbol preamble"
             )
-        # The stream is target-aligned, so every preamble window lands on
-        # bin 0; reading that bin keeps the estimate on the target even
-        # when an overlapping interferer carries more power.
-        pre = [dechirp(signal.samples[i * n : (i + 1) * n], phy) for i in range(preamble_len)]
-        expected_peak = float(np.mean([w.spectrum.magnitudes[0] for w in pre]))
-
+    try:
+        exp = ExperimentConfig(phy=phy, detector=detector, grid=grid, preamble_len=preamble_len)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    starts = np.array([start for start, _true in rows], dtype=np.int64)
+    outside = starts[(starts < 0) | (starts + n > len(signal))]
+    if outside.size:
+        raise IqFormatError(
+            f"{sidecar}: window at {outside[0]} falls outside the {len(signal)}-sample stream"
+        )
+    bins, scores = receive(signal.samples, starts, exp)
     print("window_start,detected_bin,score")
-    for start, _true in rows:
-        if start < 0 or start + n > len(signal):
-            raise IqFormatError(
-                f"{sidecar}: window at {start} falls outside the {len(signal)}-sample stream"
-            )
-        window = dechirp(signal.samples[start : start + n], phy)
-        if detector == "baseline":
-            bin_ = baseline_detect(window.spectrum)
-            score = float(window.spectrum.magnitudes[bin_])
-        else:
-            bin_, score, state = detect_symbol(window, expected_peak, grid, state)
-        print(f"{start},{bin_},{format(score, '.17g')}")
+    for start, bin_, score in zip(starts, bins, scores):
+        print(f"{start},{bin_},{format(float(score), '.17g')}")
     return 0
 
 

@@ -7,7 +7,8 @@ power deviation (how much the bin's energy changes between window
 halves). A Bayes posterior over a 2-D grid of those features, estimated
 from simulated collisions, scores every bin; the previous window's
 posteriors damp bins that were already occupied, which is what suppresses
-an interferer's repeated preamble symbols.
+an interferer's repeated preamble symbols. Every stage works on the last
+axis, so a frame's K windows go through it as one (K, N) array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from cora.channel import TrainConfig, gen_training_symbol
+from cora.channel import TRAIN_FIELD_TYPES, TrainConfig, gen_training_symbol
 from cora.phy import DechirpedSpectrum, SymbolWindow, baseline_detect
 
 # A training run must keep at least this many baseline-misclassified
@@ -37,7 +38,7 @@ class GridFormatError(ValueError):
 
 @dataclass
 class FeatureField:
-    """Per-bin feature vectors for one window: p (peak deviation), h (half-symbol)."""
+    """Per-bin features p (peak deviation) and h (half-symbol), (N,) or (K, N)."""
 
     p: np.ndarray
     h: np.ndarray
@@ -45,8 +46,8 @@ class FeatureField:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
         self.h = np.asarray(self.h, dtype=np.float64)
-        if self.p.shape != self.h.shape or self.p.ndim != 1 or self.p.size == 0:
-            raise ValueError("p and h must be matching non-empty 1-D arrays")
+        if self.p.shape != self.h.shape or self.p.ndim not in (1, 2) or self.p.size == 0:
+            raise ValueError("p and h must be matching non-empty 1-D or 2-D arrays")
         for name, arr in (("p", self.p), ("h", self.h)):
             # a single range test also rejects NaN and both infinities
             if not ((arr >= 0.0) & (arr <= 1.0)).all():
@@ -150,17 +151,17 @@ def hpd(window: SymbolWindow) -> np.ndarray:
     the whole window cancels out of its own bin, while a tone occupying
     only part of it (a colliding symbol crossing its boundary) leaves
     residue. The feature is min(|X_k|, |Y_k|) / |X_k| with Y the masked
-    transform. Dead bins — |X_k| zero or vanishing next to the window's
-    peak — take the maximum penalty of 1: a ratio of two rounding-noise
-    magnitudes says nothing about waveform completeness.
+    transform. Dead bins — |X_k| zero or vanishing next to their own
+    window's peak — take the maximum penalty of 1: a ratio of two
+    rounding-noise magnitudes says nothing about waveform completeness.
     """
     n = window.n
     if n % 2 != 0:
         raise ValueError(f"window length must be even, got {n}")
-    masked_bins = np.fft.fft(window.time_samples * _half_mask(n))
+    masked_bins = np.fft.fft(window.time_samples * _half_mask(n), axis=-1)
     x_mag = window.spectrum.magnitudes
     z = np.minimum(x_mag, np.abs(masked_bins))
-    live = x_mag > DEAD_BIN_RELATIVE_FLOOR * np.max(x_mag)
+    live = x_mag > DEAD_BIN_RELATIVE_FLOOR * x_mag.max(axis=-1, keepdims=True)
     return np.divide(z, x_mag, out=np.ones_like(z), where=live)
 
 
@@ -197,6 +198,11 @@ def _cell_index(values: np.ndarray, resolution: int) -> np.ndarray:
     return np.minimum(idx, resolution - 1)
 
 
+def _lookup(grid: PosteriorGrid, p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Nearest-cell posterior for features already known to lie in [0, 1]."""
+    return grid.cells[_cell_index(p, grid.resolution), _cell_index(h, grid.resolution)]
+
+
 def posterior_lookup(grid: PosteriorGrid, p, h):
     """Posterior for feature pair(s) (p, h) via nearest grid cell.
 
@@ -210,48 +216,51 @@ def posterior_lookup(grid: PosteriorGrid, p, h):
         # a single range test also rejects NaN and both infinities
         if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValueError(f"feature {name} must lie in [0, 1]")
-    out = grid.cells[_cell_index(p_arr, grid.resolution), _cell_index(h_arr, grid.resolution)]
+    out = _lookup(grid, p_arr, h_arr)
     if np.isscalar(p) or (isinstance(p, np.ndarray) and p.ndim == 0):
         return float(out)
     return out
 
 
-def _score_bins(
-    features: FeatureField, grid: PosteriorGrid, state: ClassifierState | None
+def score_bins(
+    features: FeatureField, grid: PosteriorGrid, state: ClassifierState | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin posteriors and history-damped scores, without the argmax.
+    """Per-bin posteriors q and history-damped scores, without the argmax.
 
-    Skips feature validation: a FeatureField guarantees its arrays are
-    finite and in [0, 1], so the lookup only needs the index arithmetic.
+    Each bin's score is its posterior q_k, damped by how occupied the bin
+    looked in the previous window: q_k * (1 - prev_q_k). The rows of a
+    (K, N) field are consecutive windows, so row k is damped by row k - 1
+    and row 0 by the state's posteriors; a frame's first window has no
+    history and scores q_k alone. Skips feature validation: a
+    FeatureField guarantees its arrays are finite and in [0, 1].
     """
-    q = grid.cells[
-        _cell_index(features.p, grid.resolution), _cell_index(features.h, grid.resolution)
-    ]
-    if state is not None and state.prev_posteriors is not None:
-        if state.prev_posteriors.shape != q.shape:
-            raise ValueError(
-                f"state carries {state.prev_posteriors.shape} posteriors, "
-                f"window has {q.shape}"
-            )
-        scores = q * (1.0 - state.prev_posteriors)
+    q = _lookup(grid, features.p, features.h)
+    if state is None or state.prev_posteriors is None:
+        prev = np.zeros(q.shape[-1])  # damping by (1 - 0) leaves q exact
     else:
-        scores = q
-    return q, scores
+        prev = state.prev_posteriors
+    if prev.shape != q.shape[-1:]:
+        raise ValueError(f"state carries {prev.shape} posteriors, window has {q.shape[-1:]}")
+    if q.ndim == 2:
+        prev = np.concatenate([prev[None], q[:-1]])
+    return q, q * (1.0 - prev)
 
 
 def classify(
     features: FeatureField, grid: PosteriorGrid, state: ClassifierState | None = None
-) -> tuple[int, float, ClassifierState]:
-    """Pick the bin most likely to hold the frame's own tone.
+) -> tuple[int | np.ndarray, float | np.ndarray, ClassifierState]:
+    """Pick the bin most likely to hold the frame's own tone, per window.
 
-    Each bin's score is its posterior q_k, damped by how occupied the bin
-    looked in the previous window: q_k * (1 - prev_q_k). The first window
-    of a frame has no history and uses q_k alone. Ties resolve to the
-    lowest bin. Returns (bin, score, state for the next window).
+    Scores come from `score_bins`; ties resolve to the lowest bin.
+    Returns (bin, score, state for the next window): an int and a float
+    for one window, arrays with one entry per row for (K, N).
     """
-    q, scores = _score_bins(features, grid, state)
-    best = int(np.argmax(scores))
-    return best, float(scores[best]), ClassifierState(q)
+    q, scores = score_bins(features, grid, state)
+    best = scores.argmax(axis=-1)
+    score = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
+    if best.ndim == 0:
+        best, score = int(best), float(score)
+    return best, score, ClassifierState(q.reshape(-1, q.shape[-1])[-1])
 
 
 def detect_symbol(
@@ -259,8 +268,8 @@ def detect_symbol(
     expected_peak: float,
     grid: PosteriorGrid,
     state: ClassifierState | None = None,
-) -> tuple[int, float, ClassifierState]:
-    """Full collision-aware detection for one dechirped window."""
+) -> tuple[int | np.ndarray, float | np.ndarray, ClassifierState]:
+    """Full collision-aware detection for dechirped window(s), (N,) or (K, N)."""
     features = FeatureField(pmd(window.spectrum, expected_peak), hpd(window))
     return classify(features, grid, state)
 
@@ -396,21 +405,18 @@ def _config_tokens(cfg: TrainConfig) -> str:
 
 
 def _parse_config_tokens(line: str, lineno: int) -> TrainConfig:
-    known = {f.name: f for f in fields(TrainConfig)}
     kwargs = {}
     for token in line.split():
         key, sep, raw = token.partition("=")
-        if not sep or key not in known:
+        kind = TRAIN_FIELD_TYPES.get(key)
+        if not sep or kind is None:
             raise GridFormatError(f"line {lineno}: unknown config token {token!r}")
         try:
-            if key == "power_range_db":
+            if kind is tuple:
                 lo, hi = raw.split(",")
                 kwargs[key] = (float(lo), float(hi))
-            elif key in ("n_bins", "n_symbols", "max_interferers",
-                         "interference_samples_per_symbol", "grid_resolution", "seed"):
-                kwargs[key] = int(raw)
             else:
-                kwargs[key] = float(raw)
+                kwargs[key] = kind(raw)
         except ValueError as exc:
             raise GridFormatError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
     try:

@@ -4,7 +4,9 @@ Frames are demodulated at known window boundaries (ground truth replaces
 frame synchronisation), which isolates detector behaviour from sync
 quality. Each frame draws from its own seeded substream, so a campaign's
 channel realizations depend only on the experiment seed, never on the
-detector under test.
+detector under test. `receive` is the one receive path: campaigns, the
+`demod` command and the stage benchmark all decode through it or its
+stages.
 """
 
 from __future__ import annotations
@@ -22,14 +24,21 @@ from cora.channel import (
     apply_fading,
     compose_collision,
 )
-from cora.detector import ClassifierState, PosteriorGrid, detect_symbol
+from cora.detector import (
+    ClassifierState,
+    FeatureField,
+    PosteriorGrid,
+    detect_symbol,
+    hpd,
+    pmd,
+    score_bins,
+)
 from cora.phy import (
     PhyParams,
     base_upchirp,
     baseline_detect,
     build_frame,
     dechirp,
-    estimate_expected_peak,
     frame_length,
     payload_start,
 )
@@ -172,13 +181,32 @@ def expected_peak_from_preamble(samples: np.ndarray, cfg: ExperimentConfig) -> f
     global maximum instead would latch onto a stronger interferer and
     mis-calibrate the peak-deviation feature for the whole frame.
     """
-    phy = cfg.phy
-    n = phy.n
-    peaks = [
-        dechirp(samples[i * n : (i + 1) * n], phy).spectrum.magnitudes[0]
-        for i in range(cfg.preamble_len)
-    ]
-    return float(np.mean(peaks))
+    n = cfg.phy.n
+    preamble = dechirp(samples[: cfg.preamble_len * n].reshape(-1, n), cfg.phy)
+    return float(np.mean(preamble.spectrum.magnitudes[:, 0]))
+
+
+def receive(
+    samples: np.ndarray, starts: np.ndarray, cfg: ExperimentConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detect the symbol in each N-sample window of a target-aligned stream.
+
+    The windows go through every stage as one (K, N) array, in the order
+    given, and each is damped by the window before it (see `score_bins`).
+    Starts must lie inside the stream. Returns the detected bins and their
+    scores: the peak magnitude for the baseline, the history-damped
+    posterior for cora.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    window = dechirp(samples[starts[:, None] + np.arange(cfg.phy.n)], cfg.phy)
+    if cfg.detector == "baseline":
+        bins = baseline_detect(window.spectrum)
+        return bins, np.take_along_axis(window.spectrum.magnitudes, bins[:, None], axis=-1)[:, 0]
+    expected_peak = expected_peak_from_preamble(samples, cfg)
+    bins, scores, _ = detect_symbol(window, expected_peak, cfg.grid)
+    return bins, scores
 
 
 def demodulate_frame(
@@ -186,19 +214,8 @@ def demodulate_frame(
     cfg: ExperimentConfig,
 ) -> np.ndarray:
     """Detect every payload symbol of one frame at known boundaries."""
-    phy = cfg.phy
-    n = phy.n
-    start = payload_start(cfg.preamble_len, phy)
-    expected_peak = expected_peak_from_preamble(samples, cfg)
-    state = ClassifierState()
-    out = np.empty(cfg.symbols_per_frame, dtype=np.int64)
-    for k in range(cfg.symbols_per_frame):
-        window = dechirp(samples[start + k * n : start + (k + 1) * n], phy)
-        if cfg.detector == "baseline":
-            out[k] = baseline_detect(window.spectrum)
-        else:
-            out[k], _, state = detect_symbol(window, expected_peak, cfg.grid, state)
-    return out
+    start = payload_start(cfg.preamble_len, cfg.phy)
+    return receive(samples, start + cfg.phy.n * np.arange(cfg.symbols_per_frame), cfg)[0]
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
@@ -247,22 +264,17 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
 def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000) -> MetricsRecord:
     """Measure mean per-symbol wall time for each detection stage.
 
-    Symbols are pre-generated so only detection is timed; the first
-    `n_warmup` iterations are discarded. For the baseline detector the
-    feature and classifier stages report zero, and its argmax runs on the
-    magnitude spectrum. Runs single-threaded with a monotonic clock.
+    Times the receive path's stages one window at a time: `dechirp`, the
+    features (`pmd`, `hpd`), the classifier (`score_bins`) and the
+    argmax. Symbols are pre-generated so only detection is timed; the
+    first `n_warmup` iterations are discarded. For the baseline detector
+    the feature and classifier stages report zero, and its argmax runs on
+    the magnitude spectrum. Runs single-threaded with a monotonic clock.
     """
     if n_iter < 30:
         raise ValueError(f"n_iter must be >= 30 for stable means, got {n_iter}")
     if n_warmup < 0:
         raise ValueError(f"n_warmup must be >= 0, got {n_warmup}")
-    from cora.detector import (  # stage-level pieces of detect_symbol
-        ClassifierState,
-        FeatureField,
-        _score_bins,
-        hpd,
-        pmd,
-    )
 
     phy = cfg.phy
     n = phy.n
@@ -272,10 +284,7 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     noise_scale = math.sqrt(1.0 / 10.0 ** (cfg.scenario.snr_db / 10.0) / 2.0) if math.isfinite(
         cfg.scenario.snr_db
     ) else 0.0
-    base = base_upchirp(phy).samples
-    raw = np.empty((total, n), dtype=np.complex128)
-    for i, m in enumerate(bins):
-        raw[i] = np.roll(base, -int(m))
+    raw = np.take(base_upchirp(phy).samples, np.arange(n) + bins[:, None], mode="wrap")
     raw += noise_scale * (rng.standard_normal(raw.shape) + 1j * rng.standard_normal(raw.shape))
 
     expected_peak = float(n)
@@ -290,7 +299,7 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
         if cfg.detector == "cora":
             features = FeatureField(pmd(window.spectrum, expected_peak), hpd(window))
             t2 = clock()
-            q, scores = _score_bins(features, cfg.grid, state)
+            q, scores = score_bins(features, cfg.grid, state)
             state = ClassifierState(q)
             t3 = clock()
             detected = int(np.argmax(scores))

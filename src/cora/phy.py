@@ -2,7 +2,9 @@
 
 Everything works at critical sampling (sample rate == bandwidth), so one
 symbol is exactly N = 2**sf complex samples and the dechirped FFT has one
-bin per candidate symbol value.
+bin per candidate symbol value. Windows live on the last axis: the
+dechirp and detection stages take one window (N,) or a whole frame's
+windows (K, N) at once.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class ComplexSignal:
 
 @dataclass
 class DechirpedSpectrum:
-    """FFT of one dechirped symbol window: complex bins plus magnitudes."""
+    """FFT of dechirped symbol windows: complex bins plus magnitudes, (N,) or (K, N)."""
 
     bins: np.ndarray
     magnitudes: np.ndarray
@@ -80,19 +82,19 @@ class DechirpedSpectrum:
     def __post_init__(self):
         self.bins = np.asarray(self.bins, dtype=np.complex128)
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        if self.bins.ndim != 1 or self.bins.size == 0:
-            raise ValueError("bins must be a non-empty 1-D array")
+        if self.bins.ndim not in (1, 2) or self.bins.size == 0:
+            raise ValueError("bins must be a non-empty 1-D or 2-D array")
         if self.magnitudes.shape != self.bins.shape:
             raise ValueError("magnitudes must match bins in shape")
 
     @property
     def n(self) -> int:
-        return self.bins.size
+        return self.bins.shape[-1]
 
 
 @dataclass
 class SymbolWindow:
-    """One dechirped symbol: the time-domain product and its spectrum.
+    """Dechirped symbols, one per row: the time-domain product and its spectrum.
 
     `time_samples` holds the window already multiplied by the conjugate
     base chirp, which is what the half-symbol feature needs; the raw
@@ -104,10 +106,10 @@ class SymbolWindow:
 
     def __post_init__(self):
         self.time_samples = np.asarray(self.time_samples, dtype=np.complex128)
-        if self.time_samples.shape != (self.spectrum.n,):
+        if self.time_samples.shape != self.spectrum.bins.shape:
             raise ValueError(
                 f"time_samples shape {self.time_samples.shape} does not match "
-                f"spectrum with {self.spectrum.n} bins"
+                f"spectrum shape {self.spectrum.bins.shape}"
             )
 
     @property
@@ -178,14 +180,17 @@ def build_frame(
     if np.any((payload < 0) | (payload >= n)):
         raise ValueError(f"payload symbols must lie in [0, {n})")
 
+    # Upchirp m is base[(k + m) mod N]: one gather per run of upchirps.
     up = _upchirp_table(n)
     down = _downchirp_table(n)
-    sync = np.roll(up, -SYNC_WORD_BIN)
-    parts = [up] * int(preamble_len)
-    parts += [sync] * N_SYNC_SYMBOLS
-    parts += [down] * N_FULL_DOWNCHIRPS
-    parts.append(down[: n // 4])
-    parts += [np.roll(up, -int(m)) for m in payload]
+    header_shifts = np.array([0] * int(preamble_len) + [SYNC_WORD_BIN] * N_SYNC_SYMBOLS)
+    k = np.arange(n)
+    parts = [
+        np.take(up, k + header_shifts[:, None], mode="wrap").ravel(),
+        np.tile(down, N_FULL_DOWNCHIRPS),
+        down[: n // 4],
+        np.take(up, k + payload.astype(np.int64)[:, None], mode="wrap").ravel(),
+    ]
     return ComplexSignal(np.concatenate(parts), params.sample_rate_hz)
 
 
@@ -203,33 +208,26 @@ def payload_start(preamble_len: int, params: PhyParams) -> int:
 
 
 def dechirp(window: ComplexSignal | np.ndarray, params: PhyParams) -> SymbolWindow:
-    """Multiply one symbol window by the conjugate base chirp and FFT it.
+    """Multiply symbol windows by the conjugate base chirp and FFT them.
 
-    A clean symbol m collapses to a single tone, so its spectrum has one
+    Takes one window (N,) or K windows as the rows of a (K, N) array. A
+    clean symbol m collapses to a single tone, so its spectrum has one
     bin of magnitude N at index m and zeros elsewhere.
     """
     samples = window.samples if isinstance(window, ComplexSignal) else np.asarray(window)
     samples = samples.astype(np.complex128, copy=False)
     n = params.n
-    if samples.shape != (n,):
+    if samples.ndim not in (1, 2) or samples.shape[-1] != n:
         raise ValueError(f"window must hold exactly {n} samples, got shape {samples.shape}")
     flattened = samples * _downchirp_table(n)
-    bins = np.fft.fft(flattened)
+    bins = np.fft.fft(flattened, axis=-1)
     return SymbolWindow(flattened, DechirpedSpectrum(bins, np.abs(bins)))
 
 
-def baseline_detect(spectrum: DechirpedSpectrum) -> int:
-    """Magnitude argmax detector; ties resolve to the lowest bin index."""
-    return int(np.argmax(spectrum.magnitudes))
+def baseline_detect(spectrum: DechirpedSpectrum) -> int | np.ndarray:
+    """Magnitude argmax detector; ties resolve to the lowest bin index.
 
-
-def estimate_expected_peak(windows: list[SymbolWindow]) -> float:
-    """Mean of the per-window peak magnitudes, taken over preamble windows.
-
-    The result anchors the peak-magnitude-deviation feature: with a clean
-    unit-amplitude preamble it equals N.
+    Returns an int for one window and an array of bins for (K, N).
     """
-    if len(windows) == 0:
-        raise ValueError("need at least one window to estimate the expected peak")
-    peaks = [float(np.max(w.spectrum.magnitudes)) for w in windows]
-    return float(np.mean(peaks))
+    best = spectrum.magnitudes.argmax(axis=-1)
+    return int(best) if best.ndim == 0 else best

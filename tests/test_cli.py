@@ -7,9 +7,11 @@ with the package's own readers.
 """
 
 import csv
+from dataclasses import asdict, fields
 
 import numpy as np
 
+from cora.channel import TrainConfig
 from cora.cli import (
     ConfigError,
     IqFormatError,
@@ -17,10 +19,11 @@ from cora.cli import (
     read_config,
     read_iq,
     read_sidecar,
+    train_config_from_map,
     write_iq,
     write_sidecar,
 )
-from cora.detector import load_grid
+from cora.detector import PosteriorGrid, load_grid, save_grid
 from cora.phy import ComplexSignal
 
 
@@ -125,6 +128,33 @@ class TestTrain:
         assert rc == 0
         assert run_cli(["train", "--config", cfg2, "--out", str(out_cfg)], capsys)[0] == 0
         assert out_flag.read_bytes() == out_cfg.read_bytes()
+
+    def test_every_config_field_parses_in_config_and_grid_header(self, tmp_path):
+        # Both parsers must read back every TrainConfig field, each set
+        # off its default so a field either parser skips shows up.
+        cfg = TrainConfig(
+            n_bins=128,
+            n_symbols=500,
+            max_interferers=1,
+            power_range_db=(-10.0, 5.0),
+            frac_freq_range=0.25,
+            interference_samples_per_symbol=5,
+            snr_db=3.5,
+            grid_resolution=50,
+            smooth_sigma=1.5,
+            smooth_floor=1e-8,
+            seed=9,
+        )
+        unchanged = [f.name for f in fields(TrainConfig) if getattr(cfg, f.name) == f.default]
+        assert not unchanged, f"set these fields off their defaults here: {unchanged}"
+        text = {
+            key: ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+            for key, value in asdict(cfg).items()
+        }
+        assert train_config_from_map(text) == cfg
+        path = tmp_path / "g.grid"
+        save_grid(PosteriorGrid(2, np.full((2, 2), 0.5), 0.5, cfg), path)
+        assert load_grid(path).config == cfg
 
 
 def read_rows(path):

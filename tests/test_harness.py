@@ -9,15 +9,24 @@ import pytest
 from cora import (
     CSV_COLUMNS,
     ExperimentConfig,
+    FeatureField,
     PhyParams,
     ScenarioSpec,
+    baseline_detect,
     bench_stages,
+    build_frame,
+    dechirp,
     etu_like_profile,
+    hpd,
+    pmd,
+    posterior_lookup,
+    receive,
     run_experiment,
     simulate_frame,
     write_csv,
 )
 from cora.harness import expected_peak_from_preamble
+from cora.phy import payload_start
 
 PHY8 = PhyParams(sf=8)
 
@@ -191,6 +200,76 @@ class TestPreambleEstimate:
         samples, _, _ = simulate_frame(cfg, rng)
         ep = expected_peak_from_preamble(samples, cfg)
         assert 0.9 * 256 < ep < 1.1 * 256, f"estimate drifted to {ep}"
+
+
+def per_window_receive(samples, starts, cfg):
+    """The receive path one window at a time: dechirp, pmd and hpd,
+    damped lookup, argmax; the reference the batched path must match."""
+    phy = cfg.phy
+    n = phy.n
+    peaks = [dechirp(samples[i * n : (i + 1) * n], phy).spectrum.magnitudes[0]
+             for i in range(cfg.preamble_len)]
+    expected_peak = float(np.mean(peaks))
+    prev = None
+    bins, scores = [], []
+    for start in starts:
+        window = dechirp(samples[start : start + n], phy)
+        if cfg.detector == "baseline":
+            best = baseline_detect(window.spectrum)
+            score = window.spectrum.magnitudes[best]
+        else:
+            f = FeatureField(pmd(window.spectrum, expected_peak), hpd(window))
+            q = posterior_lookup(cfg.grid, f.p, f.h)
+            damped = q if prev is None else q * (1.0 - prev)
+            best = int(np.argmax(damped))
+            score = damped[best]
+            prev = q
+        bins.append(best)
+        scores.append(score)
+    return expected_peak, np.array(bins), np.array(scores)
+
+
+def receive_case(case, phy):
+    """A stream plus window starts for one equivalence case."""
+    n = phy.n
+    rng = np.random.default_rng(np.random.SeedSequence(phy.sf).spawn(1)[0])
+    start = payload_start(8, phy)
+    if case == "repeated-symbol":
+        samples = build_frame([5, 5, 5, 9, 9, 5, 0, 0], 8, phy).samples
+        samples = samples + 0.3 * rng.standard_normal(samples.size)
+        return samples, start + n * np.arange(8)
+    sc = ScenarioSpec(snr_db=5.0, n_interferers=1, sir_db=(-6.0, 0.0))
+    samples, _, _ = simulate_frame(quick_cfg(phy=phy, scenario=sc, symbols_per_frame=10), rng)
+    starts = start + n * np.arange(10)
+    if case == "demod-starts":
+        # unsorted, overlapping and off the symbol grid, as a sidecar may list
+        starts = np.array([start + 3 * n + 17, start, start + n // 2, 5, start + 3 * n + 17, 0])
+    elif case == "dead-bins":
+        # an all-zero window, and one so weak that a frame-wide floor
+        # (rather than its own peak's) would declare every bin dead
+        samples = samples.copy()
+        samples[start + 2 * n : start + 3 * n] = 0.0
+        samples[start + 4 * n : start + 5 * n] *= 1e-7
+    return samples, starts
+
+
+class TestReceive:
+    @pytest.mark.parametrize("detector", ["baseline", "cora"])
+    @pytest.mark.parametrize("sf", [7, 12])
+    @pytest.mark.parametrize("case", ["frame", "demod-starts", "dead-bins", "repeated-symbol"])
+    def test_batched_equals_per_window(self, detector, sf, case, detector_grid):
+        phy = PhyParams(sf=sf)
+        cfg = quick_cfg(detector, detector_grid if detector == "cora" else None, phy=phy)
+        samples, starts = receive_case(case, phy)
+        expected_peak, ref_bins, ref_scores = per_window_receive(samples, starts, cfg)
+        bins, scores = receive(samples, starts, cfg)
+        assert expected_peak_from_preamble(samples, cfg) == expected_peak
+        npt.assert_array_equal(bins, ref_bins)
+        npt.assert_array_equal(scores, ref_scores)
+
+    def test_no_windows(self):
+        bins, scores = receive(np.zeros(4096, dtype=complex), [], quick_cfg())
+        assert bins.shape == scores.shape == (0,)
 
 
 class TestBenchStages:

@@ -15,7 +15,6 @@ from cora import (
     build_frame,
     dechirp,
     downchirp,
-    estimate_expected_peak,
     modulate_symbol,
 )
 from cora.phy import SYNC_WORD_BIN, frame_length, payload_start
@@ -220,24 +219,3 @@ class TestFrame:
         with pytest.raises(ValueError):
             build_frame([1], 0, p)
 
-
-class TestExpectedPeak:
-    def test_clean_preamble_gives_n(self):
-        p = PhyParams(sf=8)
-        n = p.n
-        frame = build_frame([1], 8, p).samples
-        wins = [dechirp(frame[i * n : (i + 1) * n], p) for i in range(8)]
-        npt.assert_allclose(estimate_expected_peak(wins), n, rtol=1e-12)
-
-    def test_mean_over_windows(self):
-        spec_a = DechirpedSpectrum(np.zeros(4, dtype=complex), np.array([1.0, 4.0, 0.0, 0.0]))
-        spec_b = DechirpedSpectrum(np.zeros(4, dtype=complex), np.array([2.0, 0.0, 0.0, 0.0]))
-        wins = [
-            type("W", (), {"spectrum": spec_a})(),
-            type("W", (), {"spectrum": spec_b})(),
-        ]
-        npt.assert_allclose(estimate_expected_peak(wins), 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_expected_peak([])
