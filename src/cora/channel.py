@@ -85,10 +85,15 @@ class FadingProfile:
             raise ValueError("profile needs at least one tap")
         if len(self.tap_delays_s) != len(self.tap_powers_db):
             raise ValueError("tap_delays_s and tap_powers_db must have equal length")
-        if any(d < 0 for d in self.tap_delays_s):
-            raise ValueError("tap delays must be >= 0")
-        if not self.max_doppler_hz >= 0:
-            raise ValueError(f"max_doppler_hz must be >= 0, got {self.max_doppler_hz}")
+        if not all(math.isfinite(d) and d >= 0 for d in self.tap_delays_s):
+            raise ValueError(f"tap delays must be finite and >= 0, got {self.tap_delays_s}")
+        # -inf dB is a silent tap; NaN or +inf dB has no normalised power
+        if any(math.isnan(p) or p == math.inf for p in self.tap_powers_db):
+            raise ValueError(f"tap powers must be finite or -inf dB, got {self.tap_powers_db}")
+        if all(p == -math.inf for p in self.tap_powers_db):
+            raise ValueError("tap powers are all -inf dB: the profile carries no power")
+        if not 0 <= self.max_doppler_hz < math.inf:
+            raise ValueError(f"max_doppler_hz must be finite and >= 0, got {self.max_doppler_hz}")
 
 
 def etu_like_profile() -> FadingProfile:
@@ -214,6 +219,25 @@ def compose_collision(
     return ComplexSignal(out, scenario.target.sample_rate_hz)
 
 
+def _tone_sum(
+    amps: np.ndarray, omegas: np.ndarray, phases: np.ndarray, n: int, fs: float
+) -> np.ndarray:
+    """sum_i amps[i] * exp(1j * (omegas[i] * k / fs + phases[i])) for k < n.
+
+    Splitting k = b * B + j with B = isqrt(n) factors each tone into a
+    row term at time b * B / fs and a column term at time j / fs, so the
+    whole sum is one (ceil(n / B), M) @ (M, B) matrix product over the M
+    tones instead of M * n complex exponentials.
+    """
+    width = math.isqrt(n)
+    rows = -(-n // width)
+    coarse = np.arange(rows) * (width / fs)
+    fine = np.arange(width) / fs
+    left = amps * np.exp(1j * (np.outer(coarse, omegas) + phases))
+    right = np.exp(1j * np.outer(omegas, fine))
+    return (left @ right).ravel()[:n]
+
+
 def apply_fading(
     signal: ComplexSignal, profile: FadingProfile, rng: np.random.Generator
 ) -> ComplexSignal:
@@ -221,30 +245,44 @@ def apply_fading(
 
     Each tap gets an independent Jakes sum-of-sinusoids Rayleigh process:
     the sum of JAKES_OSCILLATORS complex tones at Dopplers
-    max_doppler_hz * cos(alpha) with random angles and phases. Tap powers
-    are normalised so the expected channel gain is one, and tap delays are
-    rounded to whole samples (at narrowband rates every tap of a
-    microsecond-scale profile lands on sample zero, leaving flat fading).
+    max_doppler_hz * cos(alpha) with random angles and phases, drawn tap
+    by tap in profile order (angles, then phases). Tap powers are
+    normalised so the expected channel gain is one, and tap delays are
+    rounded to whole samples: at 125 kHz the ETU-like profile's first
+    eight taps land on delay 0 and its 5 us tap on delay 1.
+
+    Taps that share a rounded delay act as one group whose gain is the sum
+    of all their tones, computed by `_tone_sum` as one small matrix
+    product. The draws, and so the realised channel, are those of a
+    tap-by-tap, tone-by-tone evaluation, up to floating-point rounding.
+    Groups delayed by the whole signal length or more contribute nothing.
     """
     fs = signal.sample_rate_hz
     x = signal.samples
     n = x.size
-    t = np.arange(n) / fs
 
-    powers_lin = 10.0 ** (np.asarray(profile.tap_powers_db) / 10.0)
+    # relative to the strongest tap, so no finite dB value overflows
+    powers_db = np.asarray(profile.tap_powers_db)
+    powers_lin = 10.0 ** ((powers_db - powers_db.max()) / 10.0)
     powers_lin = powers_lin / powers_lin.sum()
-    delays = [int(round(d * fs)) for d in profile.tap_delays_s]
 
-    out = np.zeros(n, dtype=np.complex128)
-    for delay, p_tap in zip(delays, powers_lin):
+    groups: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    for delay_s, p_tap in zip(profile.tap_delays_s, powers_lin):
         angles = rng.uniform(0.0, 2.0 * np.pi, JAKES_OSCILLATORS)
         phases = rng.uniform(0.0, 2.0 * np.pi, JAKES_OSCILLATORS)
-        dopplers = profile.max_doppler_hz * np.cos(angles)
-        osc = np.exp(1j * (2.0 * np.pi * np.outer(dopplers, t) + phases[:, None]))
-        gain = math.sqrt(p_tap / JAKES_OSCILLATORS) * osc.sum(axis=0)
+        omegas = 2.0 * np.pi * (profile.max_doppler_hz * np.cos(angles))
+        amps = np.full(JAKES_OSCILLATORS, math.sqrt(p_tap / JAKES_OSCILLATORS))
+        groups.setdefault(int(round(delay_s * fs)), []).append((amps, omegas, phases))
+
+    out = np.zeros(n, dtype=np.complex128)
+    for delay, taps in groups.items():
+        if delay >= n:
+            continue
+        amps, omegas, phases = (np.concatenate(col) for col in zip(*taps))
+        gain = _tone_sum(amps, omegas, phases, n, fs)
         if delay == 0:
             out += gain * x
-        elif delay < n:
+        else:
             out[delay:] += gain[delay:] * x[: n - delay]
     return ComplexSignal(out, fs)
 

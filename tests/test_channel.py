@@ -1,8 +1,12 @@
 """Noise, offsets, collisions, fading, and the training-symbol generator."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import j0
 
 from cora import (
     CollisionScenario,
@@ -15,6 +19,7 @@ from cora import (
     apply_fading,
     apply_freq_offset,
     baseline_detect,
+    build_frame,
     clipped_tone,
     compose_collision,
     dechirp,
@@ -22,6 +27,7 @@ from cora import (
     gen_training_symbol,
     modulate_symbol,
 )
+from cora.channel import JAKES_OSCILLATORS
 from cora.detector import hpd
 
 FS = 125e3
@@ -194,7 +200,75 @@ class TestComposeCollision:
         npt.assert_array_equal(a.samples, b.samples)
 
 
+def reference_fading(signal, profile, rng):
+    """Tap-by-tap, tone-by-tone Jakes tapped delay line: n exponentials per tone."""
+    fs = signal.sample_rate_hz
+    x = signal.samples
+    n = x.size
+    t = np.arange(n) / fs
+    powers_lin = 10.0 ** (np.asarray(profile.tap_powers_db) / 10.0)
+    powers_lin = powers_lin / powers_lin.sum()
+    out = np.zeros(n, dtype=np.complex128)
+    for delay_s, p_tap in zip(profile.tap_delays_s, powers_lin):
+        delay = int(round(delay_s * fs))
+        angles = rng.uniform(0.0, 2.0 * np.pi, JAKES_OSCILLATORS)
+        phases = rng.uniform(0.0, 2.0 * np.pi, JAKES_OSCILLATORS)
+        dopplers = profile.max_doppler_hz * np.cos(angles)
+        osc = np.exp(1j * (2.0 * np.pi * np.outer(dopplers, t) + phases[:, None]))
+        gain = math.sqrt(p_tap / JAKES_OSCILLATORS) * osc.sum(axis=0)
+        if delay == 0:
+            out += gain * x
+        elif delay < n:
+            out[delay:] += gain[delay:] * x[: n - delay]
+    return out
+
+
+def random_frame(sf: int, n_payload: int, seed: int) -> ComplexSignal:
+    phy = PhyParams(sf=sf)
+    payload = np.random.default_rng(seed).integers(phy.n, size=n_payload)
+    return build_frame(payload, 8, phy)
+
+
 class TestFading:
+    @pytest.mark.parametrize(
+        "signal, profile",
+        [
+            pytest.param(random_frame(7, 20, 1), etu_like_profile(), id="etu-sf7"),
+            pytest.param(random_frame(8, 20, 2), etu_like_profile(), id="etu-sf8"),
+            pytest.param(random_frame(12, 2, 3), etu_like_profile(), id="etu-sf12"),
+            pytest.param(random_frame(8, 20, 4), FadingProfile((0.0,), (0.0,), 0.0), id="flat"),
+            pytest.param(
+                random_frame(12, 2, 5),
+                replace(etu_like_profile(), max_doppler_hz=100.0),
+                id="etu-sf12-100hz",
+            ),
+            pytest.param(
+                ComplexSignal(np.exp(0.3j * np.arange(100)), FS),
+                FadingProfile((0.0, 8e-6, 800e-6, 1e-3), (0.0, -math.inf, 0.0, -1.0), 20.0),
+                id="silent-tap-and-delays-past-end",
+            ),
+        ],
+    )
+    def test_matches_per_tone_reference(self, signal, profile):
+        rng_ref, rng_new = np.random.default_rng(99), np.random.default_rng(99)
+        expected = reference_fading(signal, profile, rng_ref)
+        out = apply_fading(signal, profile, rng_new)
+        npt.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
+        assert rng_new.random() == rng_ref.random()
+
+    def test_jakes_autocorrelation_is_bessel_j0(self):
+        # One tap, unit input: the output is the tap gain g(t). Over many
+        # realisations E[g(0) g*(tau)] -> J0(2 pi f_d tau) and E|g|^2 -> 1.
+        fs, doppler = 1000.0, 10.0
+        profile = FadingProfile((0.0,), (0.0,), doppler)
+        ones = ComplexSignal(np.ones(64, dtype=np.complex128), fs)
+        rng = np.random.default_rng(5)
+        gains = np.array([apply_fading(ones, profile, rng).samples for _ in range(2000)])
+        lags = np.array([0, 10, 25, 38, 50, 63])  # J0's first zero is near lag 38
+        measured = np.mean(gains[:, :1] * np.conj(gains[:, lags]), axis=0)
+        npt.assert_allclose(measured, j0(2.0 * np.pi * doppler * lags / fs), atol=0.1)
+        assert abs(np.mean(np.abs(gains) ** 2) - 1.0) < 0.05
+
     def test_single_tap_no_doppler_is_flat(self):
         profile = FadingProfile((0.0,), (0.0,), 0.0)
         phy = PhyParams(sf=8)
@@ -239,6 +313,29 @@ class TestFading:
             FadingProfile((-1e-6,), (0.0,), 5.0)
         with pytest.raises(ValueError):
             FadingProfile((0.0,), (0.0,), -1.0)
+
+    @pytest.mark.parametrize(
+        "delays, powers_db, doppler",
+        [
+            pytest.param((0.0, math.nan), (0.0, 0.0), 5.0, id="nan-delay"),
+            pytest.param((0.0, math.inf), (0.0, 0.0), 5.0, id="inf-delay"),
+            pytest.param((0.0, 1e-6), (0.0, math.nan), 5.0, id="nan-power"),
+            pytest.param((0.0, 1e-6), (0.0, math.inf), 5.0, id="inf-power"),
+            pytest.param((0.0, 1e-6), (-math.inf, -math.inf), 5.0, id="all-taps-silent"),
+            pytest.param((0.0,), (0.0,), math.inf, id="inf-doppler"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, delays, powers_db, doppler):
+        with pytest.raises(ValueError):
+            FadingProfile(delays, powers_db, doppler)
+
+    def test_huge_finite_powers_normalise_like_their_offsets(self):
+        signal = random_frame(7, 2, 6)
+        huge = FadingProfile((0.0, 8e-6), (4000.0, 3997.0), 5.0)
+        unit = FadingProfile((0.0, 8e-6), (0.0, -3.0), 5.0)
+        a = apply_fading(signal, huge, np.random.default_rng(1))
+        b = apply_fading(signal, unit, np.random.default_rng(1))
+        npt.assert_allclose(a.samples, b.samples, rtol=0, atol=1e-12)
 
     def test_etu_like_profile_shape(self):
         profile = etu_like_profile()
