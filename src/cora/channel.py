@@ -160,10 +160,15 @@ class TrainConfig:
 TRAIN_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
+def _scaled_noise(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
+    """Complex noise of the given total variance from standard normal I and Q parts."""
+    scale = math.sqrt(variance / 2.0) if variance > 0 else 0.0
+    return scale * (re + 1j * im)
+
+
 def _complex_noise(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:
     """Circular complex Gaussian samples with the given total variance."""
-    scale = math.sqrt(variance / 2.0) if variance > 0 else 0.0
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return _scaled_noise(rng.standard_normal(n), rng.standard_normal(n), variance)
 
 
 def add_awgn(signal: ComplexSignal, snr_db: float, rng: np.random.Generator) -> ComplexSignal:
@@ -287,6 +292,14 @@ def apply_fading(
     return ComplexSignal(out, fs)
 
 
+def _tone(amplitude, omega, phase, k, n: int) -> np.ndarray:
+    """amplitude * exp(1j * (omega * k / n + phase)): `omega` in radians per window.
+
+    Every argument broadcasts, so one call builds a (K, N) batch of tones.
+    """
+    return amplitude * np.exp(1j * (omega * k / n + phase))
+
+
 def clipped_tone(
     freq_bins: float,
     amplitude: float,
@@ -304,17 +317,16 @@ def clipped_tone(
     if not 0 <= start <= stop <= n:
         raise ValueError(f"need 0 <= start <= stop <= n, got start={start} stop={stop} n={n}")
     out = np.zeros(n, dtype=np.complex128)
-    k = np.arange(start, stop)
-    out[start:stop] = amplitude * np.exp(1j * (2.0 * np.pi * freq_bins * k / n + phase))
+    out[start:stop] = _tone(amplitude, 2.0 * np.pi * freq_bins, phase, np.arange(start, stop), n)
     return out
 
 
-def gen_training_symbol(
-    cfg: TrainConfig, rng: np.random.Generator
-) -> tuple[SymbolWindow, int, dict]:
-    """Draw one synthetic dechirped window with collisions and noise.
+def gen_training_windows(
+    cfg: TrainConfig, streams: list[np.random.Generator]
+) -> tuple[SymbolWindow, np.ndarray, list[tuple]]:
+    """Draw K synthetic dechirped windows with collisions and noise, one per stream.
 
-    The window holds a unit wanted tone at a uniform random bin with a
+    Each window holds a unit wanted tone at a uniform random bin with a
     fractional frequency deviation, plus zero to `max_interferers`
     colliding symbols. Each interferer carries a uniform power offset in
     `power_range_db`, shares one random symbol boundary and one fractional
@@ -323,45 +335,93 @@ def gen_training_symbol(
     mid-window. Complex AWGN at `cfg.snr_db` relative to the unit tone is
     added last.
 
-    Returns the window, the true bin, and a metadata dict describing the
-    draws (handy when debugging the feature extractors).
+    Window k draws only from `streams[k]`, in this order: true bin, true
+    deviation, true phase, interferer count; per interferer its power,
+    boundary, deviation, bin before and after the boundary, and phase
+    before and after; then the I and Q noise. The K windows are then built
+    together: one exponential for the wanted tones, one per interferer
+    slot over the windows that have that interferer (bin and phase
+    switching at each row's boundary), the noise, and one (K, N) FFT.
+
+    Returns the windows as one (K, N) SymbolWindow, the true bins (K,),
+    and per window its draws as (true_bin, true_deviation, true_phase,
+    interferers), each interferer a tuple (power_db, boundary, deviation,
+    bin_a, bin_b, phase_a, phase_b).
     """
+    if len(streams) == 0:
+        raise ValueError("need at least one stream")
     n = cfg.n_bins
-    true_bin = int(rng.integers(n))
-    true_dev = float(rng.uniform(-cfg.frac_freq_range, cfg.frac_freq_range))
-    true_phase = float(rng.uniform(0.0, 2.0 * np.pi))
-    window = clipped_tone(true_bin + true_dev, 1.0, true_phase, 0, n, n)
+    f = cfg.frac_freq_range
+    draws = []
+    noise = np.empty((2, len(streams), n))
+    for row, rng in enumerate(streams):
+        true_bin = int(rng.integers(n))
+        true_dev = float(rng.uniform(-f, f))
+        true_phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        interferers = [
+            (
+                float(rng.uniform(*cfg.power_range_db)),
+                int(rng.integers(n)),
+                float(rng.uniform(-f, f)),
+                int(rng.integers(n)),
+                int(rng.integers(n)),
+                float(rng.uniform(0.0, 2.0 * np.pi)),
+                float(rng.uniform(0.0, 2.0 * np.pi)),
+            )
+            for _ in range(int(rng.integers(cfg.max_interferers + 1)))
+        ]
+        rng.standard_normal(n, out=noise[0, row])
+        rng.standard_normal(n, out=noise[1, row])
+        draws.append((true_bin, true_dev, true_phase, interferers))
 
-    n_interferers = int(rng.integers(cfg.max_interferers + 1))
-    meta_interferers = []
-    for _ in range(n_interferers):
-        power_db = float(rng.uniform(*cfg.power_range_db))
-        amp = 10.0 ** (power_db / 20.0)
-        boundary = int(rng.integers(n))
-        dev = float(rng.uniform(-cfg.frac_freq_range, cfg.frac_freq_range))
-        bin_a = int(rng.integers(n))
-        bin_b = int(rng.integers(n))
-        phase_a = float(rng.uniform(0.0, 2.0 * np.pi))
-        phase_b = float(rng.uniform(0.0, 2.0 * np.pi))
-        window += clipped_tone(bin_a + dev, amp, phase_a, 0, boundary, n)
-        window += clipped_tone(bin_b + dev, amp, phase_b, boundary, n, n)
-        meta_interferers.append(
-            {
-                "power_db": power_db,
-                "boundary": boundary,
-                "deviation": dev,
-                "bins": (bin_a, bin_b),
-            }
+    k = np.arange(n)
+    true_bins, devs, phases, _ = zip(*draws)
+    true_bins = np.array(true_bins)
+    omega = 2.0 * np.pi * (true_bins + np.array(devs))
+    window = _tone(1.0, omega[:, None], np.array(phases)[:, None], k, n)
+    for slot in range(cfg.max_interferers):
+        rows = [row for row, d in enumerate(draws) if len(d[3]) > slot]
+        if not rows:
+            break
+        power_db, boundary, dev, bin_a, bin_b, phase_a, phase_b = zip(
+            *(draws[row][3][slot] for row in rows)
         )
+        # Python's float power, as one window alone computes it: numpy's
+        # vectorised power rounds about 5% of these amplitudes differently.
+        amp = np.array([10.0 ** (p / 20.0) for p in power_db])
+        dev = np.array(dev)
+        before = k < np.array(boundary)[:, None]
+        omega = np.where(
+            before,
+            (2.0 * np.pi * (np.array(bin_a) + dev))[:, None],
+            (2.0 * np.pi * (np.array(bin_b) + dev))[:, None],
+        )
+        phase = np.where(before, np.array(phase_a)[:, None], np.array(phase_b)[:, None])
+        window[rows] += _tone(amp[:, None], omega, phase, k, n)
+    window += _scaled_noise(noise[0], noise[1], 1.0 / 10.0 ** (cfg.snr_db / 10.0))
 
-    variance = 1.0 / 10.0 ** (cfg.snr_db / 10.0)
-    window += _complex_noise(n, variance, rng)
+    bins = np.fft.fft(window, axis=-1)
+    return SymbolWindow(window, DechirpedSpectrum(bins, np.abs(bins))), true_bins, draws
 
-    bins = np.fft.fft(window)
-    sym = SymbolWindow(window, DechirpedSpectrum(bins, np.abs(bins)))
+
+def gen_training_symbol(
+    cfg: TrainConfig, rng: np.random.Generator
+) -> tuple[SymbolWindow, int, dict]:
+    """Draw one synthetic dechirped window with collisions and noise.
+
+    The one-window view of `gen_training_windows`, drawing from `rng`
+    itself. Returns the window, the true bin, and a metadata dict
+    describing the draws (handy when debugging the feature extractors).
+    """
+    windows, _, [(true_bin, true_dev, _, interferers)] = gen_training_windows(cfg, [rng])
+    spectrum = DechirpedSpectrum(windows.spectrum.bins[0], windows.spectrum.magnitudes[0])
+    sym = SymbolWindow(windows.time_samples[0], spectrum)
     meta = {
         "true_bin": true_bin,
         "true_deviation": true_dev,
-        "interferers": meta_interferers,
+        "interferers": [
+            {"power_db": power_db, "boundary": boundary, "deviation": dev, "bins": (bin_a, bin_b)}
+            for power_db, boundary, dev, bin_a, bin_b, _, _ in interferers
+        ],
     }
     return sym, true_bin, meta

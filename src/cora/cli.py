@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -306,9 +307,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg_map["seed"] = str(args.seed)
     cfg = train_config_from_map(cfg_map)
+    start = time.perf_counter()
     samples = collect_training_features(cfg)
+    elapsed = time.perf_counter() - start
     if args.verbose:
-        print(f"generated {samples.n_generated} windows, kept {samples.n_kept}")
+        print(
+            f"generated {samples.n_generated} windows, kept {samples.n_kept} "
+            f"in {elapsed:.2f} s ({samples.n_generated / elapsed:.0f} windows/s)"
+        )
     grid = grid_from_samples(samples, cfg)
     save_grid(grid, args.out)
     print(

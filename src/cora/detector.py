@@ -20,12 +20,16 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from cora.channel import TRAIN_FIELD_TYPES, TrainConfig, gen_training_symbol
+from cora.channel import TRAIN_FIELD_TYPES, TrainConfig, gen_training_windows
 from cora.phy import DechirpedSpectrum, SymbolWindow, baseline_detect
 
 # A training run must keep at least this many baseline-misclassified
 # windows before the histograms are considered meaningful.
 MIN_KEPT_WINDOWS = 100
+
+# Training windows synthesised as one (K, N) batch: large enough to spread
+# numpy's per-call cost, small enough to keep the working set a few MB.
+TRAINING_CHUNK = 256
 
 
 class TrainingError(RuntimeError):
@@ -115,14 +119,21 @@ class TrainingSamples:
         )
 
 
-def pmd(spectrum: DechirpedSpectrum, expected_peak: float) -> np.ndarray:
+def pmd(spectrum: DechirpedSpectrum, expected_peak: float | np.ndarray) -> np.ndarray:
     """Peak magnitude deviation: |magnitude - expected| / expected, capped at 1.
 
     A bin holding the frame's own tone scores near 0; bins holding much
-    stronger or much weaker colliding energy score close to 1.
+    stronger or much weaker colliding energy score close to 1. The
+    expected peak is one float or an array that broadcasts against the
+    magnitudes, such as (K, 1) for one peak per window; every entry must
+    be finite and positive.
     """
-    if not expected_peak > 0:
-        raise ValueError(f"expected_peak must be positive, got {expected_peak}")
+    if isinstance(expected_peak, np.ndarray):
+        valid = ((expected_peak > 0) & (expected_peak < np.inf)).all()
+    else:
+        valid = 0 < expected_peak < np.inf
+    if not valid:
+        raise ValueError(f"expected_peak must be finite and positive, got {expected_peak}")
     dev = np.abs(spectrum.magnitudes - expected_peak) / expected_peak
     return np.minimum(dev, 1.0)
 
@@ -163,33 +174,6 @@ def hpd(window: SymbolWindow) -> np.ndarray:
     z = np.minimum(x_mag, np.abs(masked_bins))
     live = x_mag > DEAD_BIN_RELATIVE_FLOOR * x_mag.max(axis=-1, keepdims=True)
     return np.divide(z, x_mag, out=np.ones_like(z), where=live)
-
-
-@lru_cache(maxsize=8)
-def _fold_basis(n: int) -> np.ndarray:
-    k = np.arange(n)[:, None]
-    nn = np.arange(n // 2)[None, :]
-    return np.exp(-2j * np.pi * k * nn / n)
-
-
-def hpd_identity_error(window: SymbolWindow) -> float:
-    """Cross-check the masked transform against a half-length folded sum.
-
-    Splitting the window as a_n = x_n (first half) and b_n = x_{n+N/2},
-    the masked DFT bin k equals sum_n (a_n - (-1)^k b_n) e^{-j2pi k n/N}.
-    Returns the largest absolute difference between the two routes; it
-    should sit at numerical noise for any window.
-    """
-    n = window.n
-    if n % 2 != 0:
-        raise ValueError(f"window length must be even, got {n}")
-    a = window.time_samples[: n // 2]
-    b = window.time_samples[n // 2 :]
-    basis = _fold_basis(n)
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    folded = basis @ a - sign * (basis @ b)
-    masked = np.fft.fft(window.time_samples * _half_mask(n))
-    return float(np.max(np.abs(masked - folded)))
 
 
 def _cell_index(values: np.ndarray, resolution: int) -> np.ndarray:
@@ -274,6 +258,12 @@ def detect_symbol(
     return classify(features, grid, state)
 
 
+def _feature_pairs(p: np.ndarray, h: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(p, h) pairs at each row's `cols` bins, row by row, as an (m, 2) array."""
+    picked = [np.take_along_axis(f, cols, axis=-1) for f in (p, h)]
+    return np.stack(picked, axis=-1).reshape(-1, 2)
+
+
 def collect_training_features(
     cfg: TrainConfig, rng: np.random.Generator | None = None
 ) -> TrainingSamples:
@@ -295,30 +285,38 @@ def collect_training_features(
     true bin) onto the capped p == 1 edge, which teaches the grid that
     the edge is tone-like and makes weak noise bins win there.
 
-    Each window draws from its own spawned substream, so results do not
-    depend on how the loop is batched.
+    Each window draws from its own substream spawned from `rng`, so the
+    samples do not depend on how windows are batched. Windows go through
+    in chunks of TRAINING_CHUNK: `gen_training_windows` builds a chunk as
+    one (K, N) array, and `pmd` and `hpd` run once on its kept rows. Only
+    one chunk's substreams and arrays are alive at a time, so apart from
+    the harvested pairs memory does not grow with `n_symbols`.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n_take = cfg.interference_samples_per_symbol
-    true_rows = []
-    intf_rows = []
-    for stream in rng.spawn(cfg.n_symbols):
-        window, true_bin, _ = gen_training_symbol(cfg, stream)
-        if baseline_detect(window.spectrum) == true_bin:
+    true_parts = [np.empty((0, 2))]
+    intf_parts = [np.empty((0, 2))]
+    for start in range(0, cfg.n_symbols, TRAINING_CHUNK):
+        streams = rng.spawn(min(TRAINING_CHUNK, cfg.n_symbols - start))
+        windows, true_bins, _ = gen_training_windows(cfg, streams)
+        missed = baseline_detect(windows.spectrum) != true_bins
+        if not missed.any():
             continue
-        expected_peak = float(np.max(window.spectrum.magnitudes))
-        p = pmd(window.spectrum, expected_peak)
-        h = hpd(window)
-        true_rows.append((p[true_bin], h[true_bin]))
+        spectrum = DechirpedSpectrum(
+            windows.spectrum.bins[missed], windows.spectrum.magnitudes[missed]
+        )
+        p = pmd(spectrum, spectrum.magnitudes.max(axis=-1, keepdims=True))
+        h = hpd(SymbolWindow(windows.time_samples[missed], spectrum))
+        true_cols = true_bins[missed, None]
+        true_parts.append(_feature_pairs(p, h, true_cols))
         p_others = p.copy()
-        p_others[true_bin] = np.inf
-        picked = np.argpartition(p_others, n_take)[:n_take]
-        intf_rows.extend(zip(p[picked], h[picked]))
-    n_kept = len(true_rows)
-    true_arr = np.array(true_rows, dtype=np.float64).reshape(n_kept, 2)
-    intf_arr = np.array(intf_rows, dtype=np.float64).reshape(len(intf_rows), 2)
-    return TrainingSamples(true_arr, intf_arr, cfg.n_symbols, n_kept)
+        np.put_along_axis(p_others, true_cols, np.inf, axis=-1)
+        picked = np.argpartition(p_others, n_take, axis=-1)[:, :n_take]
+        intf_parts.append(_feature_pairs(p, h, picked))
+    true_arr = np.concatenate(true_parts)
+    intf_arr = np.concatenate(intf_parts)
+    return TrainingSamples(true_arr, intf_arr, cfg.n_symbols, len(true_arr))
 
 
 def feature_histogram(

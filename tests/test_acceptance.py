@@ -16,7 +16,6 @@ from cora.cli import main, read_sidecar
 from cora.detector import (
     feature_histogram,
     hpd,
-    hpd_identity_error,
     load_grid,
     save_grid,
 )
@@ -30,6 +29,7 @@ from cora.phy import (
     modulate_symbol,
 )
 from cora.channel import clipped_tone
+from oracles import hpd_identity_error
 
 
 def report(capsys, label, ok, detail):

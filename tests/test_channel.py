@@ -25,6 +25,7 @@ from cora import (
     dechirp,
     etu_like_profile,
     gen_training_symbol,
+    gen_training_windows,
     modulate_symbol,
 )
 from cora.channel import JAKES_OSCILLATORS
@@ -391,6 +392,91 @@ class TestTrainConfig:
             TrainConfig(grid_resolution=1)
         with pytest.raises(ValueError):
             TrainConfig(smooth_floor=0.0)
+
+
+def per_window_training_symbol(cfg, rng):
+    """One training window built alone, one clipped_tone per tone, as before
+    batching; returns the window, its true bin and the draw metadata."""
+    n = cfg.n_bins
+    true_bin = int(rng.integers(n))
+    true_dev = float(rng.uniform(-cfg.frac_freq_range, cfg.frac_freq_range))
+    true_phase = float(rng.uniform(0.0, 2.0 * np.pi))
+    window = clipped_tone(true_bin + true_dev, 1.0, true_phase, 0, n, n)
+    interferers = []
+    for _ in range(int(rng.integers(cfg.max_interferers + 1))):
+        power_db = float(rng.uniform(*cfg.power_range_db))
+        amp = 10.0 ** (power_db / 20.0)
+        boundary = int(rng.integers(n))
+        dev = float(rng.uniform(-cfg.frac_freq_range, cfg.frac_freq_range))
+        bin_a = int(rng.integers(n))
+        bin_b = int(rng.integers(n))
+        phase_a = float(rng.uniform(0.0, 2.0 * np.pi))
+        phase_b = float(rng.uniform(0.0, 2.0 * np.pi))
+        window += clipped_tone(bin_a + dev, amp, phase_a, 0, boundary, n)
+        window += clipped_tone(bin_b + dev, amp, phase_b, boundary, n, n)
+        interferers.append(
+            {"power_db": power_db, "boundary": boundary, "deviation": dev, "bins": (bin_a, bin_b)}
+        )
+    variance = 1.0 / 10.0 ** (cfg.snr_db / 10.0)
+    scale = math.sqrt(variance / 2.0) if variance > 0 else 0.0
+    window += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    meta = {"true_bin": true_bin, "true_deviation": true_dev, "interferers": interferers}
+    return window, true_bin, meta
+
+
+class TestTrainingWindows:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"max_interferers": 0},
+            {"max_interferers": 3},
+            {"snr_db": math.inf},
+            {"frac_freq_range": 0.0},
+            {"n_bins": 8, "interference_samples_per_symbol": 7},
+            {"n_bins": 1024},
+        ],
+        ids=[
+            "default",
+            "no-interferers",
+            "three-interferers",
+            "inf-snr",
+            "integer-bins",
+            "n8",
+            "n1024",
+        ],
+    )
+    def test_batch_matches_per_window_reference(self, overrides):
+        # Every row of the (K, N) batch carries the same bytes as the window
+        # built alone from the same stream, and every stream ends in the
+        # same state: the batch changes no draw and no rounding.
+        cfg = TrainConfig(n_symbols=1, **overrides)
+        windows, true_bins, _ = gen_training_windows(cfg, np.random.default_rng(8).spawn(40))
+        ref_streams = np.random.default_rng(8).spawn(40)
+        for row, stream in enumerate(ref_streams):
+            window, true_bin, _ = per_window_training_symbol(cfg, stream)
+            bins = np.fft.fft(window)
+            assert windows.time_samples[row].tobytes() == window.tobytes()
+            assert windows.spectrum.bins[row].tobytes() == bins.tobytes()
+            assert windows.spectrum.magnitudes[row].tobytes() == np.abs(bins).tobytes()
+            assert true_bins[row] == true_bin
+        streams = np.random.default_rng(8).spawn(40)
+        gen_training_windows(cfg, streams)
+        for stream, ref in zip(streams, ref_streams):
+            assert stream.bit_generator.state == ref.bit_generator.state
+
+    def test_empty_stream_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one stream"):
+            gen_training_windows(TrainConfig(n_symbols=1), [])
+
+    def test_one_window_view_keeps_meta(self):
+        cfg = TrainConfig(n_symbols=1, max_interferers=3)
+        for seed in range(20):
+            sym, true_bin, meta = gen_training_symbol(cfg, np.random.default_rng(seed))
+            window, ref_bin, ref_meta = per_window_training_symbol(cfg, np.random.default_rng(seed))
+            assert sym.time_samples.shape == (cfg.n_bins,)
+            assert sym.time_samples.tobytes() == window.tobytes()
+            assert (true_bin, meta) == (ref_bin, ref_meta)
 
 
 class TestTrainingSymbol:

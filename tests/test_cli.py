@@ -7,6 +7,7 @@ with the package's own readers.
 """
 
 import csv
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -102,6 +103,25 @@ class TestTrain:
         assert grid.resolution == 200
         assert grid.prior == 1.0 / 11.0
         assert np.all(grid.cells >= 0.0) and np.all(grid.cells <= 1.0)
+
+    def test_verbose_reports_time_and_throughput(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "t.cfg", TRAIN_CFG)
+        out = tmp_path / "t.grid"
+        argv = ["train", "--config", cfg, "--out", str(out)]
+        rc, quiet, _ = run_cli(argv, capsys)
+        assert rc == 0
+        rc, loud, _ = run_cli(argv + ["--verbose"], capsys)
+        assert rc == 0
+        first, rest = loud.split("\n", 1)
+        match = re.fullmatch(
+            r"generated (\d+) windows, kept (\d+) in (\d+\.\d\d) s \((\d+) windows/s\)", first
+        )
+        assert match, first
+        kept_line = re.search(r"^kept (\d+)/(\d+) windows;", rest, re.M)
+        assert (match[2], match[1]) == kept_line.groups()
+        assert int(match[4]) > 0
+        # the line the benchmark parses is the same with and without --verbose
+        assert rest == quiet
 
     def test_too_few_symbols_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "t.cfg", "n_symbols=10\nseed=1\n")

@@ -21,12 +21,12 @@ from cora import (
     dechirp,
     detect_symbol,
     hpd,
-    hpd_identity_error,
     modulate_symbol,
     pmd,
     posterior_lookup,
 )
 from cora.phy import SymbolWindow
+from oracles import hpd_identity_error
 
 
 def tone_window(freq_bins: float, n: int, amp: float = 1.0, phase: float = 0.0,
@@ -71,6 +71,24 @@ class TestPmd:
         spec = DechirpedSpectrum(np.zeros(4, dtype=complex), np.ones(4))
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
+                pmd(spec, bad)
+
+
+    def test_per_row_expected_peak(self):
+        mags = np.array([[8.0, 0.0, 16.0, 4.0], [2.0, 1.0, 3.0, 6.0]])
+        spec = DechirpedSpectrum(np.zeros(mags.shape, dtype=complex), mags)
+        p = pmd(spec, np.array([[8.0], [2.0]]))
+        npt.assert_allclose(p, [[0.0, 1.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0]])
+        for row, peak in enumerate((8.0, 2.0)):
+            one = DechirpedSpectrum(spec.bins[row], mags[row])
+            assert p[row].tobytes() == pmd(one, peak).tobytes()
+
+    def test_rejects_any_bad_expected_peak_entry(self):
+        spec = DechirpedSpectrum(np.zeros((2, 4), dtype=complex), np.ones((2, 4)))
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="expected_peak"):
+                pmd(spec, np.array([[1.0], [bad]]))
+            with pytest.raises(ValueError, match="expected_peak"):
                 pmd(spec, bad)
 
 

@@ -5,16 +5,23 @@ campaign CSVs, IQ captures and demod stdout. These hashes were recorded
 from the per-window receive path before it was batched; a change that
 moves one of them changes results, and must say why and re-record.
 The faded hashes were recorded from the per-tap, per-oscillator fading
-loop, before it became one matrix product per tap delay.
+loop, before it became one matrix product per tap delay. The default-SNR
+grid hash was recorded from the one-window-at-a-time training loop,
+before training synthesis was batched.
 """
 
 import hashlib
 
 import pytest
 
+from cora.channel import TrainConfig
 from cora.cli import main
+from cora.detector import save_grid, train
 
 GRID_SHA256 = "0ee94344c919d7e67f1add9a410494fb178f291b269214b3605f1fe9aabdd67c"
+
+# TrainConfig's default recipe (SNR -1 dB) at 3000 windows, seed 5.
+DEFAULT_SNR_GRID_SHA256 = "55a388d6bc4e9c8c4e01802d6da5bf6638977526b124dbde2d16ca8c56f91ea1"
 
 EVALUATE_SHA256 = {
     (7, "baseline"): "a64339498749058a510a720b9820d60aad02e631ea19d48dcf9a5828fcebd1a8",
@@ -58,6 +65,12 @@ def sha256(data: bytes) -> str:
 
 def test_grid_bytes(detector_grid_file):
     assert sha256(detector_grid_file.read_bytes()) == GRID_SHA256
+
+
+def test_default_snr_grid_bytes(tmp_path):
+    path = tmp_path / "default.grid"
+    save_grid(train(TrainConfig(n_symbols=3000, seed=5)), path)
+    assert sha256(path.read_bytes()) == DEFAULT_SNR_GRID_SHA256
 
 
 def evaluate_csv(cfg_text, detector, tmp_path, grid_file) -> bytes:

@@ -9,15 +9,19 @@ from cora import (
     PosteriorGrid,
     TrainConfig,
     TrainingError,
+    baseline_detect,
     collect_training_features,
     feature_histogram,
+    gen_training_symbol,
     grid_from_samples,
+    hpd,
     load_grid,
+    pmd,
     posterior_lookup,
     save_grid,
     train,
 )
-from cora.detector import TrainingSamples
+from cora.detector import TRAINING_CHUNK, TrainingSamples
 
 QUICK_CFG = TrainConfig(n_symbols=2000, seed=3, snr_db=10.0)
 
@@ -75,6 +79,71 @@ class TestCollect:
         # must sit well below the median over all-bin noise (which hugs 1).
         samples = collect_training_features(QUICK_CFG)
         assert np.median(samples.interference_features[:, 0]) < 0.9
+
+
+def per_window_features(cfg, rng):
+    """The training loop one window at a time, as before batching: one
+    substream, one window and one pmd/hpd call per window, and a 1-D
+    argpartition for the interference picks."""
+    n_take = cfg.interference_samples_per_symbol
+    true_rows, intf_rows = [], []
+    for stream in rng.spawn(cfg.n_symbols):
+        window, true_bin, _ = gen_training_symbol(cfg, stream)
+        if baseline_detect(window.spectrum) == true_bin:
+            continue
+        p = pmd(window.spectrum, float(np.max(window.spectrum.magnitudes)))
+        h = hpd(window)
+        true_rows.append((p[true_bin], h[true_bin]))
+        p_others = p.copy()
+        p_others[true_bin] = np.inf
+        picked = np.argpartition(p_others, n_take)[:n_take]
+        intf_rows.extend(zip(p[picked], h[picked]))
+    true_arr = np.array(true_rows, dtype=np.float64).reshape(-1, 2)
+    intf_arr = np.array(intf_rows, dtype=np.float64).reshape(-1, 2)
+    return true_arr, intf_arr, len(true_rows)
+
+
+class TestChunkedCollect:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_symbols": 100},
+            {"n_symbols": TRAINING_CHUNK + 37},
+            {"max_interferers": 0, "snr_db": -20.0},
+            {"max_interferers": 3},
+            {"snr_db": np.inf},
+            {"frac_freq_range": 0.0},
+            {"n_bins": 8, "interference_samples_per_symbol": 7},
+            {"n_bins": 1024, "n_symbols": 60},
+        ],
+        ids=[
+            "below-chunk",
+            "chunk-plus-37",
+            "no-interferers",
+            "three-interferers",
+            "inf-snr",
+            "integer-bins",
+            "n8-all-bins-picked",
+            "n1024",
+        ],
+    )
+    def test_matches_per_window_loop(self, overrides):
+        cfg = TrainConfig(**{"n_symbols": 300, "seed": 4, **overrides})
+        ref_rng = np.random.default_rng(cfg.seed)
+        ref_true, ref_intf, ref_kept = per_window_features(cfg, ref_rng)
+        rng = np.random.default_rng(cfg.seed)
+        samples = collect_training_features(cfg, rng)
+        assert ref_kept > 0
+        assert samples.n_kept == ref_kept
+        assert samples.n_generated == cfg.n_symbols
+        assert samples.true_features.shape == ref_true.shape
+        assert samples.interference_features.shape == ref_intf.shape
+        assert samples.true_features.tobytes() == ref_true.tobytes()
+        assert samples.interference_features.tobytes() == ref_intf.tobytes()
+        # the caller's generator is left as the one-by-one spawn leaves it
+        assert rng.bit_generator.seed_seq.n_children_spawned == cfg.n_symbols
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.spawn(1)[0].random() == ref_rng.spawn(1)[0].random()
 
 
 class TestGridFromSamples:
