@@ -160,15 +160,14 @@ class TrainConfig:
 TRAIN_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
+def _noise_scale(variance: float) -> float:
+    """Per-part standard deviation of complex noise with the given total variance."""
+    return math.sqrt(variance / 2.0) if variance > 0 else 0.0
+
+
 def _scaled_noise(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
     """Complex noise of the given total variance from standard normal I and Q parts."""
-    scale = math.sqrt(variance / 2.0) if variance > 0 else 0.0
-    return scale * (re + 1j * im)
-
-
-def _complex_noise(n: int, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Circular complex Gaussian samples with the given total variance."""
-    return _scaled_noise(rng.standard_normal(n), rng.standard_normal(n), variance)
+    return _noise_scale(variance) * (re + 1j * im)
 
 
 def add_awgn(signal: ComplexSignal, snr_db: float, rng: np.random.Generator) -> ComplexSignal:
@@ -183,7 +182,8 @@ def add_awgn(signal: ComplexSignal, snr_db: float, rng: np.random.Generator) -> 
     if power == 0.0:
         raise ValueError("cannot set an SNR against an all-zero signal")
     variance = power / 10.0 ** (snr_db / 10.0)
-    noisy = signal.samples + _complex_noise(len(signal), variance, rng)
+    n = len(signal)
+    noisy = signal.samples + _scaled_noise(rng.standard_normal(n), rng.standard_normal(n), variance)
     return ComplexSignal(noisy, signal.sample_rate_hz)
 
 
@@ -199,6 +199,35 @@ def apply_freq_offset(signal: ComplexSignal, delta_f: float, params: PhyParams) 
     return ComplexSignal(rotated, signal.sample_rate_hz)
 
 
+def collide(
+    out: np.ndarray,
+    interferers: list[list[tuple[np.ndarray, float, int]]],
+    snr_db: float,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """`compose_collision` for F frames at once, in place on their targets.
+
+    `out` holds the F target frames as an (F, L) array. `interferers[f]`
+    lists frame f's (samples, gain_db, offset) triples, offsets inside the
+    frame, and `noise` holds standard normal I and Q parts as (2, F, L).
+    Each row's noise is calibrated to its own target's power. Row for row
+    the arithmetic is that of one `compose_collision` call, so the bytes
+    are too, signed zeros of noiseless frames included. Returns `out`.
+    """
+    power = np.mean(np.abs(out) ** 2, axis=-1)
+    if not power.all():
+        raise ValueError("target frame has zero power")
+    variance = power / 10.0 ** (snr_db / 10.0)
+    iq = noise[0] + 1j * noise[1]
+    for row, placed, row_variance, row_iq in zip(out, interferers, variance.tolist(), iq):
+        for samples, gain_db, start in placed:
+            amp = 10.0 ** (gain_db / 20.0)
+            stop = min(start + len(samples), row.size)
+            row[start:stop] += amp * samples[: stop - start]
+        row += _noise_scale(row_variance) * row_iq
+    return out
+
+
 def compose_collision(
     scenario: CollisionScenario, rng: np.random.Generator
 ) -> ComplexSignal:
@@ -210,18 +239,12 @@ def compose_collision(
     interferers returns the target unchanged.
     """
     target = scenario.target.samples
-    out = target.copy()
-    for itf in scenario.interferers:
-        amp = 10.0 ** (itf.gain_db / 20.0)
-        start = int(itf.offset_samples)
-        stop = min(start + len(itf.frame), out.size)
-        out[start:stop] += amp * itf.frame.samples[: stop - start]
-    power = float(np.mean(np.abs(target) ** 2))
-    if power == 0.0:
-        raise ValueError("target frame has zero power")
-    variance = power / 10.0 ** (scenario.snr_db / 10.0)
-    out += _complex_noise(out.size, variance, rng)
-    return ComplexSignal(out, scenario.target.sample_rate_hz)
+    interferers = [
+        (itf.frame.samples, itf.gain_db, int(itf.offset_samples)) for itf in scenario.interferers
+    ]
+    noise = np.stack([rng.standard_normal(target.size), rng.standard_normal(target.size)])
+    out = collide(target[None].copy(), [interferers], scenario.snr_db, noise[:, None])
+    return ComplexSignal(out[0], scenario.target.sample_rate_hz)
 
 
 def _tone_sum(

@@ -445,12 +445,7 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     write_iq(args.out, ComplexSignal(samples, phy.sample_rate_hz))
     start = payload_start(exp.preamble_len, phy)
     starts = [start + k * phy.n for k in range(exp.symbols_per_frame)]
-    write_sidecar(
-        _sidecar_path(args.out),
-        starts,
-        [int(b) for b in payload],
-        [(i.offset_samples, i.gain_db) for i in interferers],
-    )
+    write_sidecar(_sidecar_path(args.out), starts, [int(b) for b in payload], interferers)
     print(f"wrote {len(samples)} samples to {args.out}")
     print(f"wrote truth sidecar to {_sidecar_path(args.out)}")
     return 0

@@ -8,7 +8,8 @@ halves). A Bayes posterior over a 2-D grid of those features, estimated
 from simulated collisions, scores every bin; the previous window's
 posteriors damp bins that were already occupied, which is what suppresses
 an interferer's repeated preamble symbols. Every stage works on the last
-axis, so a frame's K windows go through it as one (K, N) array.
+axis, so a frame's K windows go through it as one (K, N) array, and the
+windows of F frames as one (F, K, N) array.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class GridFormatError(ValueError):
 
 @dataclass
 class FeatureField:
-    """Per-bin features p (peak deviation) and h (half-symbol), (N,) or (K, N)."""
+    """Per-bin features p (peak deviation) and h (half-symbol), (N,), (K, N) or (F, K, N)."""
 
     p: np.ndarray
     h: np.ndarray
@@ -50,8 +51,8 @@ class FeatureField:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
         self.h = np.asarray(self.h, dtype=np.float64)
-        if self.p.shape != self.h.shape or self.p.ndim not in (1, 2) or self.p.size == 0:
-            raise ValueError("p and h must be matching non-empty 1-D or 2-D arrays")
+        if self.p.shape != self.h.shape or self.p.ndim == 0 or self.p.size == 0:
+            raise ValueError("p and h must be matching non-empty arrays of windows")
         for name, arr in (("p", self.p), ("h", self.h)):
             # a single range test also rejects NaN and both infinities
             if not ((arr >= 0.0) & (arr <= 1.0)).all():
@@ -184,7 +185,8 @@ def _cell_index(values: np.ndarray, resolution: int) -> np.ndarray:
 
 def _lookup(grid: PosteriorGrid, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Nearest-cell posterior for features already known to lie in [0, 1]."""
-    return grid.cells[_cell_index(p, grid.resolution), _cell_index(h, grid.resolution)]
+    res = grid.resolution
+    return grid.cells.ravel().take(_cell_index(p, res) * res + _cell_index(h, res))
 
 
 def posterior_lookup(grid: PosteriorGrid, p, h):
@@ -215,8 +217,10 @@ def score_bins(
     looked in the previous window: q_k * (1 - prev_q_k). The rows of a
     (K, N) field are consecutive windows, so row k is damped by row k - 1
     and row 0 by the state's posteriors; a frame's first window has no
-    history and scores q_k alone. Skips feature validation: a
-    FeatureField guarantees its arrays are finite and in [0, 1].
+    history and scores q_k alone. An (F, K, N) field holds F frames, and
+    damping restarts at each frame's row 0, which the state damps. Skips
+    feature validation: a FeatureField guarantees its arrays are finite
+    and in [0, 1].
     """
     q = _lookup(grid, features.p, features.h)
     if state is None or state.prev_posteriors is None:
@@ -225,8 +229,9 @@ def score_bins(
         prev = state.prev_posteriors
     if prev.shape != q.shape[-1:]:
         raise ValueError(f"state carries {prev.shape} posteriors, window has {q.shape[-1:]}")
-    if q.ndim == 2:
-        prev = np.concatenate([prev[None], q[:-1]])
+    if q.ndim > 1:
+        first = np.broadcast_to(prev, q[..., :1, :].shape)
+        prev = np.concatenate([first, q[..., :-1, :]], axis=-2)
     return q, q * (1.0 - prev)
 
 
@@ -237,7 +242,8 @@ def classify(
 
     Scores come from `score_bins`; ties resolve to the lowest bin.
     Returns (bin, score, state for the next window): an int and a float
-    for one window, arrays with one entry per row for (K, N).
+    for one window, arrays with one entry per window for more. The state
+    carries the last window's posteriors.
     """
     q, scores = score_bins(features, grid, state)
     best = scores.argmax(axis=-1)
@@ -249,11 +255,15 @@ def classify(
 
 def detect_symbol(
     window: SymbolWindow,
-    expected_peak: float,
+    expected_peak: float | np.ndarray,
     grid: PosteriorGrid,
     state: ClassifierState | None = None,
 ) -> tuple[int | np.ndarray, float | np.ndarray, ClassifierState]:
-    """Full collision-aware detection for dechirped window(s), (N,) or (K, N)."""
+    """Full collision-aware detection for dechirped window(s), (N,), (K, N) or (F, K, N).
+
+    The expected peak broadcasts against the magnitudes, as in `pmd`:
+    (F, 1, 1) gives each frame its own preamble reference.
+    """
     features = FeatureField(pmd(window.spectrum, expected_peak), hpd(window))
     return classify(features, grid, state)
 
@@ -424,15 +434,21 @@ def _parse_config_tokens(line: str, lineno: int) -> TrainConfig:
 
 
 def save_grid(grid: PosteriorGrid, destination: str | Path) -> None:
-    """Write a grid as versioned text, byte-stable for identical grids."""
-    lines = [
+    """Write a grid as versioned text, byte-stable for identical grids.
+
+    The cells are formatted with one `%` over all of them: "%.17g" gives
+    the same text as `_f17`.
+    """
+    res = grid.resolution
+    header = [
         _GRID_MAGIC,
-        f"resolution={grid.resolution} prior={_f17(grid.prior)}",
+        f"resolution={res} prior={_f17(grid.prior)}",
         _config_tokens(grid.config),
     ]
-    lines.extend(" ".join(_f17(v) for v in row) for row in grid.cells)
+    row = " ".join(["%.17g"] * res) + "\n"
+    body = (row * res) % tuple(grid.cells.ravel().tolist())
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n" + body)
 
 
 def load_grid(source: str | Path) -> PosteriorGrid:

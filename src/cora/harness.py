@@ -4,9 +4,9 @@ Frames are demodulated at known window boundaries (ground truth replaces
 frame synchronisation), which isolates detector behaviour from sync
 quality. Each frame draws from its own seeded substream, so a campaign's
 channel realizations depend only on the experiment seed, never on the
-detector under test. `receive` is the one receive path: campaigns, the
-`demod` command and the stage benchmark all decode through it or its
-stages.
+detector under test or on how frames are chunked. `receive` is the one
+receive path: campaigns, the `demod` command and the stage benchmark all
+decode through it or its stages.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from cora.channel import (
-    CollisionScenario,
-    FadingProfile,
-    Interferer,
-    apply_fading,
-    compose_collision,
-)
+from cora.channel import FadingProfile, apply_fading, collide
 from cora.detector import (
     ClassifierState,
     FeatureField,
@@ -34,10 +28,11 @@ from cora.detector import (
     score_bins,
 )
 from cora.phy import (
+    ComplexSignal,
     PhyParams,
     base_upchirp,
     baseline_detect,
-    build_frame,
+    build_frames,
     dechirp,
     frame_length,
     payload_start,
@@ -133,46 +128,87 @@ class MetricsRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
-def simulate_frame(
-    cfg: ExperimentConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list[Interferer]]:
-    """Build one collided, faded, noisy frame plus its payload truth.
+# Campaign frames are built and decoded this many samples at a time, and
+# at least one frame at a time: enough frames to spread numpy's per-call
+# cost (7 at SF8 with 20 payload symbols), while each chunk's arrays stay
+# about a megabyte.
+CAMPAIGN_CHUNK_SAMPLES = 1 << 16
 
-    Returns the composite samples, the target payload symbols, and the
-    placed interferers. Draw order is part of the determinism contract:
-    target payload, then per-interferer payload / SIR / offset, then
-    fading processes, then noise, all from the same per-frame substream.
+
+def _chunk_frames(cfg: ExperimentConfig) -> int:
+    """Frames per campaign chunk."""
+    total = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy)
+    return max(1, CAMPAIGN_CHUNK_SAMPLES // total)
+
+
+def simulate_frames(
+    cfg: ExperimentConfig, streams: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, list[list[tuple[int, float]]]]:
+    """Build F collided, faded, noisy frames, one per stream, plus their payload truth.
+
+    Frame k draws only from `streams[k]`, in this order: target payload;
+    per interferer its payload, SIR and offset; fading of the target, then
+    of each interferer; then the I and Q noise. This order is part of the
+    determinism contract, so a frame's channel depends only on its stream,
+    never on the detector or on how frames are chunked. The targets and
+    the interferers of all streams are two gathers (`build_frames`), the
+    noise is drawn into one (2, F, L) buffer, and `collide` sums every
+    frame with the arithmetic of `compose_collision`.
+
+    Returns the samples (F, L), the target payloads (F, S), and per frame
+    its interferers as (offset_samples, gain_db) pairs.
     """
     phy = cfg.phy
     sc = cfg.scenario
-    n = phy.n
-    payload = rng.integers(0, n, cfg.symbols_per_frame)
-    target = build_frame(payload, cfg.preamble_len, phy)
-    total = len(target)
+    n_symbols = cfg.symbols_per_frame
+    total = frame_length(n_symbols, cfg.preamble_len, phy)
+    payloads = np.empty((len(streams), 1 + sc.n_interferers, n_symbols), dtype=np.int64)
+    placements = []
+    for row, rng in enumerate(streams):
+        payloads[row, 0] = rng.integers(0, phy.n, n_symbols)
+        placed = []
+        for slot in range(1, 1 + sc.n_interferers):
+            payloads[row, slot] = rng.integers(0, phy.n, n_symbols)
+            sir = float(rng.uniform(*sc.sir_db))
+            if sc.offset_mode == "random":
+                offset = int(rng.integers(total))
+            else:
+                offset = min(sc.offset_samples, total - 1)
+            placed.append((offset, -sir))
+        placements.append(placed)
 
-    interferers = []
-    for _ in range(sc.n_interferers):
-        other_payload = rng.integers(0, n, cfg.symbols_per_frame)
-        frame = build_frame(other_payload, cfg.preamble_len, phy)
-        sir = float(rng.uniform(*sc.sir_db))
-        if sc.offset_mode == "random":
-            offset = int(rng.integers(total))
-        else:
-            offset = min(sc.offset_samples, total - 1)
-        interferers.append(Interferer(frame, -sir, offset))
-
-    if sc.fading:
-        target = apply_fading(target, sc.fading_profile, rng)
-        interferers = [
-            Interferer(apply_fading(i.frame, sc.fading_profile, rng), i.gain_db, i.offset_samples)
-            for i in interferers
-        ]
-
-    composite = compose_collision(CollisionScenario(target, interferers, sc.snr_db), rng)
-    return composite.samples, payload, interferers
+    samples = build_frames(payloads[:, 0], cfg.preamble_len, phy)
+    others = build_frames(payloads[:, 1:], cfg.preamble_len, phy)
+    noise = np.empty((2, len(streams), total))
+    for row, rng in enumerate(streams):
+        if sc.fading:
+            for frame in (samples[row], *others[row]):
+                signal = ComplexSignal(frame, phy.sample_rate_hz)
+                frame[:] = apply_fading(signal, sc.fading_profile, rng).samples
+        rng.standard_normal(total, out=noise[0, row])
+        rng.standard_normal(total, out=noise[1, row])
+    interferers = [
+        [(frame, gain_db, offset) for frame, (offset, gain_db) in zip(others[row], placed)]
+        for row, placed in enumerate(placements)
+    ]
+    collide(samples, interferers, sc.snr_db, noise)
+    return samples, payloads[:, 0], placements
 
 
-def expected_peak_from_preamble(samples: np.ndarray, cfg: ExperimentConfig) -> float:
+def simulate_frame(
+    cfg: ExperimentConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, float]]]:
+    """Build one collided, faded, noisy frame plus its payload truth.
+
+    The one-frame view of `simulate_frames`, drawing from `rng` itself.
+    Returns the composite samples, the target payload symbols, and the
+    interferers as (offset_samples, gain_db) pairs.
+    """
+    samples, payloads, placements = simulate_frames(cfg, [rng])
+    return samples[0], payloads[0], placements[0]
+
+
+def expected_peak_from_preamble(samples: np.ndarray, cfg: ExperimentConfig) -> float | np.ndarray:
     """Preamble peak estimate for a frame aligned at sample zero.
 
     Emulates the measurement a synchronized receiver makes: the mean
@@ -180,31 +216,45 @@ def expected_peak_from_preamble(samples: np.ndarray, cfg: ExperimentConfig) -> f
     mode sits at bin 0 of each preamble window. Taking each window's
     global maximum instead would latch onto a stronger interferer and
     mis-calibrate the peak-deviation feature for the whole frame.
+    Returns a float for one stream (L,) and one estimate per stream for
+    (F, L).
     """
     n = cfg.phy.n
-    preamble = dechirp(samples[: cfg.preamble_len * n].reshape(-1, n), cfg.phy)
-    return float(np.mean(preamble.spectrum.magnitudes[:, 0]))
+    lead = samples.shape[:-1]
+    preamble = dechirp(samples[..., : cfg.preamble_len * n].reshape(lead + (-1, n)), cfg.phy)
+    return np.mean(preamble.spectrum.magnitudes[..., 0], axis=-1)
 
 
 def receive(
     samples: np.ndarray, starts: np.ndarray, cfg: ExperimentConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detect the symbol in each N-sample window of a target-aligned stream.
+    """Detect the symbol in each N-sample window of target-aligned streams.
 
-    The windows go through every stage as one (K, N) array, in the order
-    given, and each is damped by the window before it (see `score_bins`).
-    Starts must lie inside the stream. Returns the detected bins and their
-    scores: the peak magnitude for the baseline, the history-damped
-    posterior for cora.
+    `samples` is one stream (L,) or F streams (F, L), each a frame aligned
+    at sample zero, and the same starts apply to every stream. The windows
+    of all streams go through every stage as one (F, K, N) array, in the
+    order given. Each window is damped by the window before it in its own
+    stream (see `score_bins`), and each stream's preamble gives its own
+    reference peak. Starts must lie inside the stream. Returns the
+    detected bins and their scores, (K,) or (F, K): the peak magnitude for
+    the baseline, the history-damped posterior for cora.
     """
     starts = np.asarray(starts, dtype=np.int64)
+    lead = samples.shape[:-1]
+    n = cfg.phy.n
     if starts.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    window = dechirp(samples[starts[:, None] + np.arange(cfg.phy.n)], cfg.phy)
+        return np.empty(lead + (0,), dtype=np.int64), np.empty(lead + (0,))
+    if np.array_equal(starts, starts[0] + n * np.arange(starts.size)):
+        # back-to-back windows, such as a frame's payload: a view, not a gather
+        stop = starts[0] + starts.size * n
+        windows = samples[..., starts[0] : stop].reshape(lead + (starts.size, n))
+    else:
+        windows = samples[..., starts[:, None] + np.arange(n)]
+    window = dechirp(windows, cfg.phy)
     if cfg.detector == "baseline":
         bins = baseline_detect(window.spectrum)
-        return bins, np.take_along_axis(window.spectrum.magnitudes, bins[:, None], axis=-1)[:, 0]
-    expected_peak = expected_peak_from_preamble(samples, cfg)
+        return bins, np.take_along_axis(window.spectrum.magnitudes, bins[..., None], axis=-1)[..., 0]
+    expected_peak = np.reshape(expected_peak_from_preamble(samples, cfg), lead + (1, 1))
     bins, scores, _ = detect_symbol(window, expected_peak, cfg.grid)
     return bins, scores
 
@@ -213,7 +263,7 @@ def demodulate_frame(
     samples: np.ndarray,
     cfg: ExperimentConfig,
 ) -> np.ndarray:
-    """Detect every payload symbol of one frame at known boundaries."""
+    """Detect every payload symbol of one frame (L,) or F frames (F, L) at known boundaries."""
     start = payload_start(cfg.preamble_len, cfg.phy)
     return receive(samples, start + cfg.phy.n * np.arange(cfg.symbols_per_frame), cfg)[0]
 
@@ -221,20 +271,26 @@ def demodulate_frame(
 def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     """Run a seeded campaign and aggregate SER, PRR, and throughput.
 
+    Every frame draws from its own substream spawned from the experiment
+    seed. Frames go through in chunks of about CAMPAIGN_CHUNK_SAMPLES
+    samples: `simulate_frames` builds a chunk as one (F, L) array and
+    `demodulate_frame` decodes it as one (F, K, N) array, so results do
+    not depend on the chunk size. Each frame still costs one spawned
+    generator and two full-length normal draws, which no batching removes.
+
     Stage timings are reported as 0.0 here so result files are
     byte-stable across machines; `bench_stages` is the timing path.
     """
     root = np.random.SeedSequence(cfg.seed)
-    symbol_errors = 0
-    frames_ok = 0
-    for child in root.spawn(cfg.n_frames):
-        rng = np.random.default_rng(child)
-        samples, truth, _ = simulate_frame(cfg, rng)
+    per_chunk = _chunk_frames(cfg)
+    errors = np.empty(cfg.n_frames, dtype=np.int64)
+    for first in range(0, cfg.n_frames, per_chunk):
+        children = root.spawn(min(per_chunk, cfg.n_frames - first))
+        samples, truth, _ = simulate_frames(cfg, [np.random.default_rng(c) for c in children])
         detected = demodulate_frame(samples, cfg)
-        errors = int(np.count_nonzero(detected != truth))
-        symbol_errors += errors
-        if errors <= cfg.frame_error_threshold:
-            frames_ok += 1
+        errors[first : first + len(children)] = np.count_nonzero(detected != truth, axis=-1)
+    symbol_errors = int(errors.sum())
+    frames_ok = int(np.count_nonzero(errors <= cfg.frame_error_threshold))
 
     n_symbols = cfg.n_frames * cfg.symbols_per_frame
     frame_s = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy) / cfg.phy.sample_rate_hz

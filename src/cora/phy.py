@@ -3,8 +3,8 @@
 Everything works at critical sampling (sample rate == bandwidth), so one
 symbol is exactly N = 2**sf complex samples and the dechirped FFT has one
 bin per candidate symbol value. Windows live on the last axis: the
-dechirp and detection stages take one window (N,) or a whole frame's
-windows (K, N) at once.
+dechirp and detection stages take one window (N,), a whole frame's
+windows (K, N), or the windows of F frames (F, K, N) at once.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class ComplexSignal:
 
 @dataclass
 class DechirpedSpectrum:
-    """FFT of dechirped symbol windows: complex bins plus magnitudes, (N,) or (K, N)."""
+    """FFT of dechirped symbol windows: complex bins plus magnitudes, (..., N)."""
 
     bins: np.ndarray
     magnitudes: np.ndarray
@@ -82,8 +82,8 @@ class DechirpedSpectrum:
     def __post_init__(self):
         self.bins = np.asarray(self.bins, dtype=np.complex128)
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        if self.bins.ndim not in (1, 2) or self.bins.size == 0:
-            raise ValueError("bins must be a non-empty 1-D or 2-D array")
+        if self.bins.ndim == 0 or self.bins.size == 0:
+            raise ValueError("bins must be a non-empty array of one or more windows")
         if self.magnitudes.shape != self.bins.shape:
             raise ValueError("magnitudes must match bins in shape")
 
@@ -158,6 +158,57 @@ def modulate_symbol(m: int, params: PhyParams) -> ComplexSignal:
     return ComplexSignal(shifted, params.sample_rate_hz)
 
 
+@lru_cache(maxsize=16)
+def _shift_table(n: int) -> np.ndarray:
+    """Row m is upchirp m, base[(k + m) mod N]: a read-only sliding window
+    over the base upchirp concatenated with itself, so one row gather
+    builds any run of upchirps."""
+    up = _upchirp_table(n)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([up, up]), n)[:n]
+
+
+@lru_cache(maxsize=16)
+def _frame_header(preamble_len: int, n: int) -> np.ndarray:
+    """Preamble upchirps, two sync upchirps and 2.25 downchirps, read-only."""
+    down = _downchirp_table(n)
+    shifts = [0] * preamble_len + [SYNC_WORD_BIN] * N_SYNC_SYMBOLS
+    header = np.concatenate(
+        [_shift_table(n)[shifts].ravel(), np.tile(down, N_FULL_DOWNCHIRPS), down[: n // 4]]
+    )
+    header.setflags(write=False)
+    return header
+
+
+def build_frames(
+    payloads: np.ndarray | list[int],
+    preamble_len: int,
+    params: PhyParams,
+) -> np.ndarray:
+    """Frame samples for every row of payload symbols on the last axis.
+
+    Payloads (S,) give one frame (L,), and (F, S) give F frames as one
+    (F, L) array. Each frame is the shared header followed by the payload
+    upchirps, gathered as rows of the upchirp shift table.
+    """
+    if not isinstance(preamble_len, (int, np.integer)) or preamble_len < 1:
+        raise ValueError(f"preamble_len must be a positive integer, got {preamble_len}")
+    payloads = np.asarray(payloads)
+    if payloads.ndim == 0 or payloads.shape[-1] == 0:
+        raise ValueError("payload symbols must be non-empty rows")
+    if not np.issubdtype(payloads.dtype, np.integer):
+        raise ValueError(f"payload symbols must be integers, got dtype {payloads.dtype}")
+    n = params.n
+    if np.any((payloads < 0) | (payloads >= n)):
+        raise ValueError(f"payload symbols must lie in [0, {n})")
+    header = _frame_header(int(preamble_len), n)
+    lead = payloads.shape[:-1]
+    body = payloads.shape[-1] * n
+    frames = np.empty(lead + (header.size + body,), dtype=np.complex128)
+    frames[..., : header.size] = header
+    frames[..., header.size :] = _shift_table(n)[payloads].reshape(lead + (body,))
+    return frames
+
+
 def build_frame(
     payload_symbols: np.ndarray | list[int],
     preamble_len: int,
@@ -167,31 +218,12 @@ def build_frame(
 
     The quarter downchirp keeps the conventional header length of 4.25
     symbols after the preamble, so the first payload sample sits at
-    (preamble_len + 4) * N + N // 4.
+    (preamble_len + 4) * N + N // 4. The one-frame view of `build_frames`.
     """
-    if not isinstance(preamble_len, (int, np.integer)) or preamble_len < 1:
-        raise ValueError(f"preamble_len must be a positive integer, got {preamble_len}")
     payload = np.asarray(payload_symbols)
-    if payload.ndim != 1 or payload.size == 0:
+    if payload.ndim != 1:
         raise ValueError("payload_symbols must be a non-empty 1-D sequence")
-    if not np.issubdtype(payload.dtype, np.integer):
-        raise ValueError(f"payload symbols must be integers, got dtype {payload.dtype}")
-    n = params.n
-    if np.any((payload < 0) | (payload >= n)):
-        raise ValueError(f"payload symbols must lie in [0, {n})")
-
-    # Upchirp m is base[(k + m) mod N]: one gather per run of upchirps.
-    up = _upchirp_table(n)
-    down = _downchirp_table(n)
-    header_shifts = np.array([0] * int(preamble_len) + [SYNC_WORD_BIN] * N_SYNC_SYMBOLS)
-    k = np.arange(n)
-    parts = [
-        np.take(up, k + header_shifts[:, None], mode="wrap").ravel(),
-        np.tile(down, N_FULL_DOWNCHIRPS),
-        down[: n // 4],
-        np.take(up, k + payload.astype(np.int64)[:, None], mode="wrap").ravel(),
-    ]
-    return ComplexSignal(np.concatenate(parts), params.sample_rate_hz)
+    return ComplexSignal(build_frames(payload, preamble_len, params), params.sample_rate_hz)
 
 
 def frame_length(n_payload: int, preamble_len: int, params: PhyParams) -> int:
@@ -210,14 +242,15 @@ def payload_start(preamble_len: int, params: PhyParams) -> int:
 def dechirp(window: ComplexSignal | np.ndarray, params: PhyParams) -> SymbolWindow:
     """Multiply symbol windows by the conjugate base chirp and FFT them.
 
-    Takes one window (N,) or K windows as the rows of a (K, N) array. A
-    clean symbol m collapses to a single tone, so its spectrum has one
-    bin of magnitude N at index m and zeros elsewhere.
+    Takes one window (N,) or windows on the last axis of any array, such
+    as (K, N) or (F, K, N), with one FFT for all of them. A clean symbol m
+    collapses to a single tone, so its spectrum has one bin of magnitude N
+    at index m and zeros elsewhere.
     """
     samples = window.samples if isinstance(window, ComplexSignal) else np.asarray(window)
     samples = samples.astype(np.complex128, copy=False)
     n = params.n
-    if samples.ndim not in (1, 2) or samples.shape[-1] != n:
+    if samples.ndim == 0 or samples.shape[-1] != n:
         raise ValueError(f"window must hold exactly {n} samples, got shape {samples.shape}")
     flattened = samples * _downchirp_table(n)
     bins = np.fft.fft(flattened, axis=-1)
@@ -227,7 +260,7 @@ def dechirp(window: ComplexSignal | np.ndarray, params: PhyParams) -> SymbolWind
 def baseline_detect(spectrum: DechirpedSpectrum) -> int | np.ndarray:
     """Magnitude argmax detector; ties resolve to the lowest bin index.
 
-    Returns an int for one window and an array of bins for (K, N).
+    Returns an int for one window and an array of bins for more.
     """
     best = spectrum.magnitudes.argmax(axis=-1)
     return int(best) if best.ndim == 0 else best

@@ -7,6 +7,7 @@ were frozen from pilot runs at 80% of the observed effect so ordinary
 seed-to-seed variation cannot flip them.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -171,33 +172,49 @@ class TestCollisionCampaign:
 
 
 class TestStageOverhead:
+    # SF8 and SF10 run in alternating rounds and are compared by their
+    # median ratios, so one slow spell of a shared machine cannot decide
+    # the spread on its own.
+    ROUNDS = 5
+
     def test_overhead_band_and_feature_share(self, capsys, campaign_grid):
         t0 = time.perf_counter()
+        rounds = {8: [], 10: []}
+        for _ in range(self.ROUNDS):
+            for sf in rounds:
+                phy = PhyParams(sf=sf)
+                scen = ScenarioSpec(snr_db=10.0)
+                tb = bench_stages(
+                    ExperimentConfig(phy=phy, detector="baseline", scenario=scen, seed=0),
+                    n_warmup=100,
+                    n_iter=1000,
+                )
+                tc = bench_stages(
+                    ExperimentConfig(phy=phy, detector="cora", scenario=scen, seed=0, grid=campaign_grid),
+                    n_warmup=100,
+                    n_iter=1000,
+                )
+                tot_b = tb.t_dechirp_s + tb.t_features_s + tb.t_classifier_s + tb.t_argmax_s
+                tot_c = tc.t_dechirp_s + tc.t_features_s + tc.t_classifier_s + tc.t_argmax_s
+                rounds[sf].append(
+                    (tot_c / tot_b, tc.t_dechirp_s, tc.t_features_s, tc.t_classifier_s, tc.t_argmax_s)
+                )
         ratios = {}
         feature_largest = True
         stage_info = []
-        for sf in (8, 10):
-            phy = PhyParams(sf=sf)
-            scen = ScenarioSpec(snr_db=10.0)
-            tb = bench_stages(
-                ExperimentConfig(phy=phy, detector="baseline", scenario=scen, seed=0),
-                n_warmup=100,
-                n_iter=1000,
+        for sf, measured in rounds.items():
+            ratio, dechirp_s, features_s, classifier_s, argmax_s = (
+                statistics.median(column) for column in zip(*measured)
             )
-            tc = bench_stages(
-                ExperimentConfig(phy=phy, detector="cora", scenario=scen, seed=0, grid=campaign_grid),
-                n_warmup=100,
-                n_iter=1000,
+            ratios[sf] = ratio
+            feature_largest = feature_largest and all(
+                features_s >= t for t in (dechirp_s, classifier_s, argmax_s)
             )
-            tot_b = tb.t_dechirp_s + tb.t_features_s + tb.t_classifier_s + tb.t_argmax_s
-            tot_c = tc.t_dechirp_s + tc.t_features_s + tc.t_classifier_s + tc.t_argmax_s
-            ratios[sf] = tot_c / tot_b
-            others = (tc.t_dechirp_s, tc.t_classifier_s, tc.t_argmax_s)
-            feature_largest = feature_largest and all(tc.t_features_s >= t for t in others)
             stage_info.append(
-                f"SF{sf} ratio {ratios[sf]:.2f} "
-                f"(stages us: dechirp {tc.t_dechirp_s * 1e6:.1f}, features {tc.t_features_s * 1e6:.1f}, "
-                f"classifier {tc.t_classifier_s * 1e6:.1f}, argmax {tc.t_argmax_s * 1e6:.1f})"
+                f"SF{sf} median ratio {ratio:.2f} of "
+                f"{', '.join(f'{m[0]:.2f}' for m in measured)} "
+                f"(median stages us: dechirp {dechirp_s * 1e6:.1f}, features {features_s * 1e6:.1f}, "
+                f"classifier {classifier_s * 1e6:.1f}, argmax {argmax_s * 1e6:.1f})"
             )
         elapsed = time.perf_counter() - t0
         in_band = all(1.5 <= r <= 6.0 for r in ratios.values())

@@ -496,13 +496,14 @@ class TestTrainingSymbol:
     def test_strong_interferers_defeat_baseline_sometimes(self):
         # With every interferer pinned at +13 dB, a visible fraction of
         # windows must fool the magnitude argmax.
+        # The same generator passed K times makes the draws of K successive
+        # gen_training_symbol calls, window for window.
         cfg = TrainConfig(n_symbols=1, power_range_db=(13.0, 13.0), snr_db=300.0)
         rng = np.random.default_rng(99)
         wrong = 0
-        for _ in range(10_000):
-            window, true_bin, _ = gen_training_symbol(cfg, rng)
-            if baseline_detect(window.spectrum) != true_bin:
-                wrong += 1
+        for _ in range(10):
+            windows, true_bins, _ = gen_training_windows(cfg, [rng] * 1000)
+            wrong += int(np.count_nonzero(baseline_detect(windows.spectrum) != true_bins))
         assert wrong > 0, "no misclassified windows in 10k draws"
 
     def test_interferer_count_and_meta_fields(self):

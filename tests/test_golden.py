@@ -7,7 +7,9 @@ moves one of them changes results, and must say why and re-record.
 The faded hashes were recorded from the per-tap, per-oscillator fading
 loop, before it became one matrix product per tap delay. The default-SNR
 grid hash was recorded from the one-window-at-a-time training loop,
-before training synthesis was batched.
+before training synthesis was batched. The noiseless SF7 capture and the
+fixed-offset SF8 campaign were recorded from the frame-at-a-time
+campaign loop, before campaigns were built and decoded in chunks.
 """
 
 import hashlib
@@ -56,6 +58,20 @@ FADED_DEMOD_SHA256 = {
     "cora": "78bedb704cc3d34b540e28ae48c13d1c10c1b136d40928e9995592534722c777",
 }
 
+# SF7, infinite SNR, no interferers: the noise is scaled by exactly 0, so
+# these bytes pin the signed zeros of the noise arithmetic.
+NOISELESS_CAPTURE_SHA256 = {
+    "iq": "763f7bef6c725870fe018d32249c610cc3a1c8dfa8248bd1557c3a767ff7e7ec",
+    "truth": "4fc36065cf47c5966c9d480fc2f73ea39a77f3df6331dfb9a0c1551f684b3f2d",
+}
+
+# SF8, 3 interferers at a fixed offset, 37 frames: a frame count that no
+# campaign chunk divides, so the last chunk is a short one.
+FIXED_OFFSET_EVALUATE_SHA256 = {
+    "baseline": "36ff7228d8abf057569ce5faa71d39bf1529cb085d4f94e24d97d6febadb0a9b",
+    "cora": "368f0075f36236aa0e7fc5caa72d72bc4a1ccb02894c807959f6a11dca24fc7e",
+}
+
 CAPTURE_CFG = "sf=8\nsymbols_per_frame=20\nn_interferers=1\nsir_db=-6,0\nsnr_db=5\nseed=11\n"
 
 
@@ -98,9 +114,19 @@ def test_faded_evaluate_csv_bytes(detector, tmp_path, capsys, detector_grid_file
     assert sha256(csv) == FADED_EVALUATE_SHA256[detector]
 
 
-def make_capture(tmp_path, capsys, extra=""):
+@pytest.mark.parametrize("detector", sorted(FIXED_OFFSET_EVALUATE_SHA256))
+def test_fixed_offset_evaluate_csv_bytes(detector, tmp_path, capsys, detector_grid_file):
+    cfg = (
+        "sf=8\nn_frames=37\nsnr_db=5\nn_interferers=3\nsir_db=-6,0\n"
+        "offset_mode=fixed\noffset_samples=1000\nseed=42\n"
+    )
+    csv = evaluate_csv(cfg, detector, tmp_path, detector_grid_file)
+    assert sha256(csv) == FIXED_OFFSET_EVALUATE_SHA256[detector]
+
+
+def make_capture(tmp_path, capsys, extra="", base=CAPTURE_CFG):
     cfg = tmp_path / "g.cfg"
-    cfg.write_text(CAPTURE_CFG + extra, encoding="utf-8")
+    cfg.write_text(base + extra, encoding="utf-8")
     iq = tmp_path / "cap.iq"
     assert main(["gen-scenario", "--config", str(cfg), "--out", str(iq)]) == 0
     capsys.readouterr()
@@ -138,6 +164,11 @@ def test_capture_bytes(capture):
 
 def test_faded_capture_bytes(faded_capture):
     assert capture_hashes(faded_capture) == FADED_CAPTURE_SHA256
+
+
+def test_noiseless_capture_bytes(tmp_path, capsys):
+    iq = make_capture(tmp_path, capsys, base="sf=7\nsymbols_per_frame=20\nsnr_db=inf\nseed=3\n")
+    assert capture_hashes(iq) == NOISELESS_CAPTURE_SHA256
 
 
 @pytest.mark.parametrize("detector", sorted(DEMOD_SHA256))

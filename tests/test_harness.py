@@ -25,8 +25,11 @@ from cora import (
     simulate_frame,
     write_csv,
 )
-from cora.harness import expected_peak_from_preamble
+from cora import detector as detector_module
+from cora import harness
+from cora.harness import _chunk_frames, expected_peak_from_preamble
 from cora.phy import payload_start
+from oracles import per_frame_campaign
 
 PHY8 = PhyParams(sf=8)
 
@@ -270,6 +273,83 @@ class TestReceive:
     def test_no_windows(self):
         bins, scores = receive(np.zeros(4096, dtype=complex), [], quick_cfg())
         assert bins.shape == scores.shape == (0,)
+
+
+# (sf, interferers, sir_db, snr_db, fading, frames): "chunk+1" spills one
+# frame into a second chunk, so damping crosses a frame boundary inside a
+# chunk. SIRs from -10 to 130 dB mix interferers that raise some windows'
+# peaks with interferers so faint that their bins sit near the dead-bin
+# floor, so a floor taken over more than one window moves features.
+CAMPAIGN_CASES = {
+    "sf7-noisy": (7, 0, (-6.0, 0.0), 5.0, False, "chunk+1"),
+    "sf7-3-interferers": (7, 3, (-6.0, 0.0), 5.0, False, "chunk+1"),
+    "sf7-noiseless": (7, 0, (-6.0, 0.0), math.inf, False, "chunk+1"),
+    "sf7-faint-and-strong-noiseless": (7, 3, (-10.0, 130.0), math.inf, False, "chunk+1"),
+    "sf7-3-interferers-noiseless-faded": (7, 3, (-6.0, 0.0), math.inf, True, "chunk+1"),
+    "sf7-one-frame": (7, 3, (-6.0, 0.0), 5.0, False, 1),
+    "sf12-3-interferers": (12, 3, (-6.0, 0.0), 5.0, False, "chunk+1"),
+    "sf12-faded-one-frame": (12, 0, (-6.0, 0.0), 5.0, True, 1),
+}
+
+
+class TestChunkedCampaign:
+    @pytest.mark.parametrize("detector", ["baseline", "cora"])
+    @pytest.mark.parametrize("case", sorted(CAMPAIGN_CASES))
+    def test_matches_per_frame_loop(self, detector, case, detector_grid, monkeypatch, tmp_path):
+        sf, n_interferers, sir_db, snr_db, fading, frames = CAMPAIGN_CASES[case]
+        sc = ScenarioSpec(
+            snr_db=snr_db,
+            n_interferers=n_interferers,
+            sir_db=sir_db,
+            fading=fading,
+            fading_profile=etu_like_profile() if fading else None,
+        )
+        cfg = quick_cfg(
+            detector,
+            detector_grid if detector == "cora" else None,
+            phy=PhyParams(sf=sf),
+            scenario=sc,
+            symbols_per_frame=10,
+            seed=sf,
+        )
+        if frames == "chunk+1":
+            frames = _chunk_frames(cfg) + 1
+        cfg.n_frames = frames
+        ref_posteriors = record_calls(monkeypatch, detector_module, "score_bins")
+        ref_bins, ref_scores, ref_record = per_frame_campaign(cfg)
+        monkeypatch.undo()
+        posteriors = record_calls(monkeypatch, detector_module, "score_bins")
+        decoded = record_calls(monkeypatch, harness, "receive")
+        record = run_experiment(cfg)
+
+        bins, scores = (np.concatenate([np.atleast_2d(d[i]) for d in decoded]) for i in (0, 1))
+        npt.assert_array_equal(bins, ref_bins)
+        npt.assert_array_equal(scores, ref_scores)
+        # every bin's posterior and damped score, not only the winners'
+        n = cfg.phy.n
+        for i in (0, 1):
+            got, want = (
+                np.concatenate([np.reshape(out[i], (-1, n)) for out in log] + [np.empty((0, n))])
+                for log in (posteriors, ref_posteriors)
+            )
+            npt.assert_array_equal(got, want)
+        write_csv([record], tmp_path / "chunked.csv")
+        write_csv([ref_record], tmp_path / "per-frame.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per-frame.csv").read_bytes()
+
+
+def record_calls(monkeypatch, module, name):
+    """Route `module.name` through a wrapper that logs every return value."""
+    log = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        out = original(*args)
+        log.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return log
 
 
 class TestBenchStages:
