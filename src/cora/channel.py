@@ -160,14 +160,10 @@ class TrainConfig:
 TRAIN_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
-def _noise_scale(variance: float) -> float:
-    """Per-part standard deviation of complex noise with the given total variance."""
-    return math.sqrt(variance / 2.0) if variance > 0 else 0.0
-
-
 def _scaled_noise(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
     """Complex noise of the given total variance from standard normal I and Q parts."""
-    return _noise_scale(variance) * (re + 1j * im)
+    scale = math.sqrt(variance / 2.0) if variance > 0 else 0.0
+    return scale * (re + 1j * im)
 
 
 def add_awgn(signal: ComplexSignal, snr_db: float, rng: np.random.Generator) -> ComplexSignal:
@@ -218,13 +214,12 @@ def collide(
     if not power.all():
         raise ValueError("target frame has zero power")
     variance = power / 10.0 ** (snr_db / 10.0)
-    iq = noise[0] + 1j * noise[1]
-    for row, placed, row_variance, row_iq in zip(out, interferers, variance.tolist(), iq):
+    for row, placed, row_variance, re, im in zip(out, interferers, variance.tolist(), *noise):
         for samples, gain_db, start in placed:
             amp = 10.0 ** (gain_db / 20.0)
             stop = min(start + len(samples), row.size)
             row[start:stop] += amp * samples[: stop - start]
-        row += _noise_scale(row_variance) * row_iq
+        row += _scaled_noise(re, im, row_variance)
     return out
 
 

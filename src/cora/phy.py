@@ -218,12 +218,10 @@ def build_frame(
 
     The quarter downchirp keeps the conventional header length of 4.25
     symbols after the preamble, so the first payload sample sits at
-    (preamble_len + 4) * N + N // 4. The one-frame view of `build_frames`.
+    (preamble_len + 4) * N + N // 4. The one-frame view of `build_frames`:
+    payload symbols that are not one row give no 1-D frame, and raise.
     """
-    payload = np.asarray(payload_symbols)
-    if payload.ndim != 1:
-        raise ValueError("payload_symbols must be a non-empty 1-D sequence")
-    return ComplexSignal(build_frames(payload, preamble_len, params), params.sample_rate_hz)
+    return ComplexSignal(build_frames(payload_symbols, preamble_len, params), params.sample_rate_hz)
 
 
 def frame_length(n_payload: int, preamble_len: int, params: PhyParams) -> int:

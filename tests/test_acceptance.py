@@ -174,26 +174,26 @@ class TestCollisionCampaign:
 class TestStageOverhead:
     # SF8 and SF10 run in alternating rounds and are compared by their
     # median ratios, so one slow spell of a shared machine cannot decide
-    # the spread on its own.
-    ROUNDS = 5
+    # the spread on its own. The detectors swap order every round, so a
+    # spell that covers a whole round slows both sides of its ratio.
+    ROUNDS = 9
 
     def test_overhead_band_and_feature_share(self, capsys, campaign_grid):
         t0 = time.perf_counter()
         rounds = {8: [], 10: []}
-        for _ in range(self.ROUNDS):
+        for i in range(self.ROUNDS):
             for sf in rounds:
                 phy = PhyParams(sf=sf)
                 scen = ScenarioSpec(snr_db=10.0)
-                tb = bench_stages(
-                    ExperimentConfig(phy=phy, detector="baseline", scenario=scen, seed=0),
-                    n_warmup=100,
-                    n_iter=1000,
-                )
-                tc = bench_stages(
-                    ExperimentConfig(phy=phy, detector="cora", scenario=scen, seed=0, grid=campaign_grid),
-                    n_warmup=100,
-                    n_iter=1000,
-                )
+                cfgs = {
+                    "baseline": ExperimentConfig(phy=phy, detector="baseline", scenario=scen, seed=0),
+                    "cora": ExperimentConfig(
+                        phy=phy, detector="cora", scenario=scen, seed=0, grid=campaign_grid
+                    ),
+                }
+                order = ("baseline", "cora") if i % 2 == 0 else ("cora", "baseline")
+                timed = {d: bench_stages(cfgs[d], n_warmup=100, n_iter=1000) for d in order}
+                tb, tc = timed["baseline"], timed["cora"]
                 tot_b = tb.t_dechirp_s + tb.t_features_s + tb.t_classifier_s + tb.t_argmax_s
                 tot_c = tc.t_dechirp_s + tc.t_features_s + tc.t_classifier_s + tc.t_argmax_s
                 rounds[sf].append(
