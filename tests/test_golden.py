@@ -59,7 +59,8 @@ FADED_DEMOD_SHA256 = {
 }
 
 # SF7, infinite SNR, no interferers: the noise is scaled by exactly 0, so
-# these bytes pin the signed zeros of the noise arithmetic.
+# these bytes are the bare frame after the signed zeros of that noise were
+# added, as the capture stores them.
 NOISELESS_CAPTURE_SHA256 = {
     "iq": "763f7bef6c725870fe018d32249c610cc3a1c8dfa8248bd1557c3a767ff7e7ec",
     "truth": "4fc36065cf47c5966c9d480fc2f73ea39a77f3df6331dfb9a0c1551f684b3f2d",
