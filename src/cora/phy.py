@@ -186,9 +186,10 @@ def build_frames(
 ) -> np.ndarray:
     """Frame samples for every row of payload symbols on the last axis.
 
-    Payloads (S,) give one frame (L,), and (F, S) give F frames as one
-    (F, L) array. Each frame is the shared header followed by the payload
-    upchirps, gathered as rows of the upchirp shift table.
+    Payloads (S,) give one frame (L,), and leading axes carry over: (F, S)
+    gives F frames as one (F, L) array. Each frame is the shared header
+    followed by the payload upchirps, gathered as rows of the upchirp
+    shift table.
     """
     if not isinstance(preamble_len, (int, np.integer)) or preamble_len < 1:
         raise ValueError(f"preamble_len must be a positive integer, got {preamble_len}")
