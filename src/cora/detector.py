@@ -19,7 +19,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from cora.channel import TRAIN_FIELD_TYPES, TrainConfig, gen_training_windows
 from cora.phy import DechirpedSpectrum, SymbolWindow, baseline_detect
@@ -337,7 +336,10 @@ def feature_histogram(
     Counts land in nearest cells, get a Gaussian blur of `sigma` cells
     (reflected at the edges so mass near 0 and 1 stays in range), gain a
     uniform `floor` so no cell is impossible, and are normalised to sum
-    to one.
+    to one. The blur is `scipy.ndimage.gaussian_filter(mode="reflect")`
+    bit for bit, in numpy: a kernel truncated at 4 sigma, axis 0 then
+    axis 1, each cell's centre term first, then its mirrored pairs from
+    the outermost inwards (`_gaussian_blur`).
     """
     pairs = np.atleast_2d(np.asarray(pairs, dtype=np.float64))
     if pairs.shape[0] == 0 or pairs.shape[1] != 2:
@@ -349,9 +351,30 @@ def feature_histogram(
     hist = np.bincount(i * resolution + j, minlength=resolution * resolution)
     hist = hist.reshape(resolution, resolution).astype(np.float64)
     if sigma > 0:
-        hist = gaussian_filter(hist, sigma=sigma, mode="reflect")
+        hist = _gaussian_blur(hist, sigma)
     hist += floor
     return hist / hist.sum()
+
+
+def _gaussian_blur(hist: np.ndarray, sigma: float) -> np.ndarray:
+    """`scipy.ndimage.gaussian_filter(hist, sigma, mode="reflect")`, bit for bit.
+
+    Each axis is padded by half-sample reflection (d c b a | a b c d | d c
+    b a, repeated when the kernel outreaches the grid) and summed in
+    scipy's symmetric-kernel order. The result is C-ordered, as scipy's
+    is, so that `hist.sum()` adds in the same order.
+    """
+    r = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    weights /= weights.sum()
+    for _ in range(2):  # axis 0 of the grid, then axis 0 of its transpose
+        n = hist.shape[0]
+        padded = np.pad(hist, ((r, r), (0, 0)), mode="symmetric")
+        out = padded[r : r + n] * weights[r]
+        for j in range(r, 0, -1):
+            out += (padded[r - j : r - j + n] + padded[r + j : r + j + n]) * weights[r - j]
+        hist = out.T
+    return np.ascontiguousarray(hist)
 
 
 def grid_from_samples(samples: TrainingSamples, cfg: TrainConfig) -> PosteriorGrid:

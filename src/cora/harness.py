@@ -4,15 +4,18 @@ Frames are demodulated at known window boundaries (ground truth replaces
 frame synchronisation), which isolates detector behaviour from sync
 quality. Each frame draws from its own seeded substream, so a campaign's
 channel realizations depend only on the experiment seed, never on the
-detector under test or on how frames are chunked. `receive` is the one
-receive path: campaigns, the `demod` command and the stage benchmark all
-decode through it or its stages.
+detector under test, on how frames are chunked or on how many threads
+decode the chunks. `receive` is the one receive path: campaigns, the
+`demod` command and the stage benchmark all decode through it or its
+stages.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -135,10 +138,24 @@ CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 CAMPAIGN_CHUNK_SAMPLES = 1 << 16
 
 
+# Campaign chunks are decoded on at most this many threads, which bounds
+# the chunks in flight, and so the memory, on large hosts.
+MAX_CAMPAIGN_WORKERS = 8
+
+
 def _chunk_frames(cfg: ExperimentConfig) -> int:
     """Frames per campaign chunk."""
     total = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy)
     return max(1, CAMPAIGN_CHUNK_SAMPLES // total)
+
+
+def _worker_count(n_chunks: int) -> int:
+    """Campaign threads: the CPUs this process may run on, one per chunk at most."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_chunks, MAX_CAMPAIGN_WORKERS))
 
 
 def simulate_frames(
@@ -268,6 +285,12 @@ def demodulate_frame(
     return receive(samples, start + cfg.phy.n * np.arange(cfg.symbols_per_frame), cfg)[0]
 
 
+def _chunk_errors(cfg: ExperimentConfig, children: list[np.random.SeedSequence]) -> np.ndarray:
+    """Symbol errors of each frame of one campaign chunk, one frame per child."""
+    samples, truth, _ = simulate_frames(cfg, [np.random.default_rng(c) for c in children])
+    return np.count_nonzero(demodulate_frame(samples, cfg) != truth, axis=-1)
+
+
 def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     """Run a seeded campaign and aggregate SER, PRR, and throughput.
 
@@ -278,17 +301,27 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     not depend on the chunk size. Each frame still costs one spawned
     generator and two full-length normal draws, which no batching removes.
 
+    The chunks run on a thread pool, since numpy releases the GIL for
+    their noise draws, gathers, FFTs and products. Every chunk's children
+    are spawned here first, in frame order, so a chunk's frames do not
+    depend on which thread decodes it or when. There is one thread per
+    CPU this process may run on (`os.sched_getaffinity`, so `taskset`
+    limits it), at most one per chunk and at most MAX_CAMPAIGN_WORKERS;
+    one thread runs the same path. Error counts are collected in chunk
+    order; the first chunk to fail, in chunk order, raises here, and the
+    chunks not yet started are cancelled.
+
     Stage timings are reported as 0.0 here so result files are
     byte-stable across machines; `bench_stages` is the timing path.
     """
     root = np.random.SeedSequence(cfg.seed)
     per_chunk = _chunk_frames(cfg)
-    errors = np.empty(cfg.n_frames, dtype=np.int64)
-    for first in range(0, cfg.n_frames, per_chunk):
-        children = root.spawn(min(per_chunk, cfg.n_frames - first))
-        samples, truth, _ = simulate_frames(cfg, [np.random.default_rng(c) for c in children])
-        detected = demodulate_frame(samples, cfg)
-        errors[first : first + len(children)] = np.count_nonzero(detected != truth, axis=-1)
+    chunks = [
+        root.spawn(min(per_chunk, cfg.n_frames - first))
+        for first in range(0, cfg.n_frames, per_chunk)
+    ]
+    with ThreadPoolExecutor(_worker_count(len(chunks))) as pool:
+        errors = np.concatenate(list(pool.map(_chunk_errors, [cfg] * len(chunks), chunks)))
     symbol_errors = int(errors.sum())
     frames_ok = int(np.count_nonzero(errors <= cfg.frame_error_threshold))
 

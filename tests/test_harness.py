@@ -1,6 +1,10 @@
 """Campaign runner, paired-seed fairness, stage benchmarks, CSV output."""
 
+import bisect
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -27,6 +31,7 @@ from cora import (
 )
 from cora import detector as detector_module
 from cora import harness
+from cora import phy as phy_module
 from cora.harness import _chunk_frames, expected_peak_from_preamble
 from cora.phy import payload_start
 from oracles import per_frame_campaign
@@ -318,8 +323,9 @@ class TestChunkedCampaign:
         ref_posteriors = record_calls(monkeypatch, detector_module, "score_bins")
         ref_bins, ref_scores, ref_record = per_frame_campaign(cfg)
         monkeypatch.undo()
-        posteriors = record_calls(monkeypatch, detector_module, "score_bins")
-        decoded = record_calls(monkeypatch, harness, "receive")
+        chunk, _ = track_chunks(monkeypatch)
+        posteriors = record_calls(monkeypatch, detector_module, "score_bins", chunk)
+        decoded = record_calls(monkeypatch, harness, "receive", chunk)
         record = run_experiment(cfg)
 
         bins, scores = (np.concatenate([np.atleast_2d(d[i]) for d in decoded]) for i in (0, 1))
@@ -338,14 +344,131 @@ class TestChunkedCampaign:
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per-frame.csv").read_bytes()
 
 
-def record_calls(monkeypatch, module, name):
-    """Route `module.name` through a wrapper that logs every return value."""
+class TestCampaignPool:
+    # chunk + 1 frames give two chunks of different sizes; two chunks + 1
+    # also put two equal chunks in flight at once.
+    @pytest.mark.parametrize("chunks", [1, 2], ids=["chunk+1", "2-chunks+1"])
+    @pytest.mark.parametrize("detector", ["baseline", "cora"])
+    @pytest.mark.parametrize("faded", [False, True], ids=["collided", "faded"])
+    def test_worker_count_does_not_show(
+        self, chunks, detector, faded, detector_grid, monkeypatch, tmp_path
+    ):
+        if faded:
+            sc = ScenarioSpec(snr_db=5.0, fading=True, fading_profile=etu_like_profile())
+        else:
+            sc = ScenarioSpec(snr_db=10.0, n_interferers=1, sir_db=(-6.0, 0.0))
+        cfg = quick_cfg(detector, detector_grid if detector == "cora" else None, scenario=sc, seed=4)
+        cfg.n_frames = chunks * _chunk_frames(cfg) + 1
+        one, two = (run_on_threads(cfg, w, monkeypatch, tmp_path) for w in (1, 2))
+        assert one[0].shape == (cfg.n_frames, cfg.symbols_per_frame)
+        npt.assert_array_equal(one[0], two[0])
+        assert one[1] == two[1]
+
+    def test_stress_more_threads_than_cores(self, detector_grid, monkeypatch, tmp_path):
+        sc = ScenarioSpec(snr_db=10.0, n_interferers=1, sir_db=(-6.0, 0.0))
+        cfg = quick_cfg("cora", detector_grid, scenario=sc, seed=9)
+        cfg.n_frames = 6 * _chunk_frames(cfg)
+        want = run_on_threads(cfg, 1, monkeypatch, tmp_path)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # the cached chirp tables are filled by whichever thread comes first
+            for module in (phy_module, detector_module):
+                for obj in vars(module).values():
+                    if hasattr(obj, "cache_clear"):
+                        obj.cache_clear()
+            got = run_on_threads(cfg, 6, monkeypatch, tmp_path)
+        finally:
+            sys.setswitchinterval(switch)
+        npt.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    def test_first_failing_chunk_raises_and_no_thread_survives(self, monkeypatch):
+        cfg = quick_cfg()
+        per_chunk = _chunk_frames(cfg)
+        cfg.n_frames = 3 * per_chunk
+        simulate = harness.simulate_frames
+
+        def simulate_frames(cfg, streams):
+            first = streams[0].bit_generator.seed_seq.spawn_key[0]
+            if first == per_chunk:
+                time.sleep(0.05)  # the last chunk fails first in time
+                raise ValueError("middle chunk")
+            if first == 2 * per_chunk:
+                raise ValueError("last chunk")
+            return simulate(cfg, streams)
+
+        monkeypatch.setattr(harness, "simulate_frames", simulate_frames)
+        monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="^middle chunk$"):
+            run_experiment(cfg)
+        assert set(threading.enumerate()) <= before
+
+    def test_worker_count_rule(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [harness._worker_count(n) for n in (1, 2, 3, 50)] == [1, 2, 3, 3]
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert harness._worker_count(50) == harness.MAX_CAMPAIGN_WORKERS
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        assert harness._worker_count(50) == 2
+
+
+def run_on_threads(cfg, workers, monkeypatch, tmp_path):
+    """Run a campaign on `workers` threads: its bins in frame order and its CSV bytes."""
+    monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: workers)
+    chunk, threads = track_chunks(monkeypatch)
+    decoded = record_calls(monkeypatch, harness, "receive", chunk)
+    path = tmp_path / f"{workers}-threads.csv"
+    write_csv([run_experiment(cfg)], path)
+    monkeypatch.undo()
+    # a thread that is free again may take the next chunk before the pool grows
+    used = len(set(threads))
+    assert used == 1 if workers == 1 else 1 < used <= workers
+    return np.concatenate([out[0] for out in decoded]), path.read_bytes()
+
+
+def track_chunks(monkeypatch):
+    """Note on each thread which campaign chunk it is decoding.
+
+    `run_experiment` decodes chunks on a thread pool, so calls made for
+    different chunks interleave. A thread works on one chunk from its
+    `simulate_frames` call until its `receive` returns. Returns a
+    threading.local whose `key` is that chunk's first frame index on the
+    calling thread, and the list of threads that simulated a chunk.
+    """
+    current = threading.local()
+    threads = []
+    simulate = harness.simulate_frames
+
+    def simulate_frames(cfg, streams):
+        current.key = streams[0].bit_generator.seed_seq.spawn_key
+        threads.append(threading.get_ident())
+        return simulate(cfg, streams)
+
+    monkeypatch.setattr(harness, "simulate_frames", simulate_frames)
+    return current, threads
+
+
+def record_calls(monkeypatch, module, name, chunk=None):
+    """Route `module.name` through a wrapper that logs every return value.
+
+    Without `chunk` the log is in call order. With `chunk` (from
+    `track_chunks`) it is in chunk order, whichever thread made the call.
+    """
     log = []
+    keys = []
+    lock = threading.Lock()
     original = getattr(module, name)
 
     def wrapper(*args):
         out = original(*args)
-        log.append(out)
+        key = () if chunk is None else chunk.key
+        with lock:
+            at = bisect.bisect_right(keys, key)
+            keys.insert(at, key)
+            log.insert(at, out)
         return out
 
     monkeypatch.setattr(module, name, wrapper)

@@ -1,8 +1,14 @@
 """Training pipeline: sample harvesting, histograms, Bayes grid, file format."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from cora import (
     GridFormatError,
@@ -55,6 +61,33 @@ class TestFeatureHistogram:
             feature_histogram(np.array([[0.5, 1.5]]), 20, 2.0, 1e-9)
         with pytest.raises(ValueError):
             feature_histogram(np.array([[0.1, 0.2, 0.3]]), 20, 2.0, 1e-9)
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0, 5.0])
+    def test_blur_is_scipy_gaussian_filter_bit_for_bit(self, sigma):
+        # Resolutions below the kernel radius (up to 20 cells at sigma 5)
+        # reflect the grid more than once on each side.
+        rng = np.random.default_rng(int(sigma * 10))
+        for res in [*range(1, 41), 200]:
+            counts = rng.integers(0, 30, (res, res))
+            centres = (np.arange(res) + 0.5) / res
+            i, j = np.meshgrid(centres, centres, indexing="ij")
+            pairs = np.repeat(np.column_stack([i.ravel(), j.ravel()]), counts.ravel(), axis=0)
+            if len(pairs) == 0:
+                continue
+            want = gaussian_filter(counts.astype(np.float64), sigma=sigma, mode="reflect") + 1e-6
+            npt.assert_array_equal(
+                feature_histogram(pairs, res, sigma, 1e-6), want / want.sum(), err_msg=f"res {res}"
+            )
+
+    def test_cli_import_loads_no_scipy(self):
+        import cora
+
+        code = "import sys, cora.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(cora.__file__).resolve().parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCollect:
