@@ -155,7 +155,7 @@ def _worker_count(n_chunks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_chunks, MAX_CAMPAIGN_WORKERS))
+    return min(cpus, n_chunks, MAX_CAMPAIGN_WORKERS)
 
 
 def simulate_frames(

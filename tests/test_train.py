@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 from scipy.ndimage import gaussian_filter
 
+import cora
 from cora import (
     GridFormatError,
     PosteriorGrid,
@@ -80,8 +81,6 @@ class TestFeatureHistogram:
             )
 
     def test_cli_import_loads_no_scipy(self):
-        import cora
-
         code = "import sys, cora.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         env = {**os.environ, "PYTHONPATH": str(Path(cora.__file__).resolve().parents[1])}
         out = subprocess.run(
