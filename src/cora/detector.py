@@ -474,6 +474,42 @@ def save_grid(grid: PosteriorGrid, destination: str | Path) -> None:
         fh.write("\n".join(header) + "\n" + body)
 
 
+# What `save_grid` writes in a cell row. Over these characters `np.loadtxt`
+# and `float` read the same numbers; beyond them they differ both ways
+# (`float` reads "0_5" and Arabic-Indic digits, `np.loadtxt` strips
+# "\x1c" to "\x1f" as whitespace). Non-ASCII characters encode to bytes
+# outside the set.
+_CELL_BYTES = b"0123456789.eE+- "
+
+
+def _parse_cells(rows: list[str], resolution: int) -> np.ndarray:
+    """Cell rows as a (resolution, resolution) array: one space between values.
+
+    Non-empty rows of `save_grid`'s characters are parsed in one
+    `np.loadtxt` call. Any other rows, and any that call rejects or reads
+    to the wrong shape, go through `float` one value at a time, which
+    decides what loads and raises the line-numbered GridFormatError.
+    """
+    if rows and all(row and not row.encode().translate(None, _CELL_BYTES) for row in rows):
+        try:
+            cells = np.loadtxt(rows, delimiter=" ", ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if cells.shape == (resolution, resolution):
+                return cells
+    cells = np.empty((resolution, resolution), dtype=np.float64)
+    for r, row in enumerate(rows):
+        parts = row.split(" ")
+        if len(parts) != resolution:
+            raise GridFormatError(f"line {4 + r}: expected {resolution} values, found {len(parts)}")
+        try:
+            cells[r] = [float(v) for v in parts]
+        except ValueError as exc:
+            raise GridFormatError(f"line {4 + r}: unparseable cell value") from exc
+    return cells
+
+
 def load_grid(source: str | Path) -> PosteriorGrid:
     """Parse a grid file, rejecting wrong versions and malformed content."""
     text = Path(source).read_text(encoding="utf-8")
@@ -500,15 +536,7 @@ def load_grid(source: str | Path) -> PosteriorGrid:
         raise GridFormatError(
             f"expected {resolution} grid rows, found {len(rows)} (file truncated or padded)"
         )
-    cells = np.empty((resolution, resolution), dtype=np.float64)
-    for r, row in enumerate(rows):
-        parts = row.split(" ")
-        if len(parts) != resolution:
-            raise GridFormatError(f"line {4 + r}: expected {resolution} values, found {len(parts)}")
-        try:
-            cells[r] = [float(v) for v in parts]
-        except ValueError as exc:
-            raise GridFormatError(f"line {4 + r}: unparseable cell value") from exc
+    cells = _parse_cells(rows, resolution)
     try:
         return PosteriorGrid(resolution, cells, prior, cfg)
     except ValueError as exc:

@@ -28,7 +28,7 @@ from cora import (
     gen_training_windows,
     modulate_symbol,
 )
-from cora.channel import JAKES_OSCILLATORS
+from cora.channel import JAKES_OSCILLATORS, TAYLOR_TERMS, _power_table
 from cora.detector import hpd
 
 FS = 125e3
@@ -248,6 +248,17 @@ class TestFading:
                 FadingProfile((0.0, 8e-6, 800e-6, 1e-3), (0.0, -math.inf, 0.0, -1.0), 20.0),
                 id="silent-tap-and-delays-past-end",
             ),
+            pytest.param(ComplexSignal(np.ones(1, dtype=np.complex128), FS), etu_like_profile(), id="n1"),
+            pytest.param(ComplexSignal(np.ones(2, dtype=np.complex128), FS), etu_like_profile(), id="n2"),
+            pytest.param(
+                random_frame(8, 20, 6), replace(etu_like_profile(), max_doppler_hz=0.0), id="etu-0hz"
+            ),
+            # 200 Hz at 1 kHz is above fs / (4 pi): every block is one sample wide
+            pytest.param(
+                ComplexSignal(np.exp(0.3j * np.arange(300)), 1000.0),
+                FadingProfile((0.0, 2e-3, 5e-3), (0.0, -2.0, -4.0), 200.0),
+                id="doppler-above-fs-over-4pi",
+            ),
         ],
     )
     def test_matches_per_tone_reference(self, signal, profile):
@@ -256,6 +267,13 @@ class TestFading:
         out = apply_fading(signal, profile, rng_new)
         npt.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
         assert rng_new.random() == rng_ref.random()
+
+    def test_power_table_is_cached_read_only(self):
+        table = _power_table(8)
+        assert _power_table(8) is table
+        npt.assert_array_equal(table, (np.arange(8) / 8) ** np.arange(TAYLOR_TERMS)[:, None])
+        with pytest.raises(ValueError):
+            table[1, 1] = 0.0
 
     def test_jakes_autocorrelation_is_bessel_j0(self):
         # One tap, unit input: the output is the tap gain g(t). Over many

@@ -310,6 +310,62 @@ class TestGridFile:
         with pytest.raises(GridFormatError, match="line 8"):
             load_grid(path)
 
+    @staticmethod
+    def _with_row(tmp_path, grid, index, edit):
+        path = tmp_path / "grid.txt"
+        save_grid(grid, path)
+        lines = path.read_text().splitlines()
+        lines[index] = edit(lines[index])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda row: row.replace(" ", "  ", 1), "found 201", id="double-space"),
+            pytest.param(lambda row: row.replace(" ", "\t", 1), "found 199", id="tab"),
+            pytest.param(lambda row: row + "\x1c", "unparseable cell value", id="file-separator"),
+        ],
+    )
+    def test_malformed_row_message(self, tmp_path, detector_grid, edit, message):
+        path = self._with_row(tmp_path, detector_grid, 7, edit)
+        with pytest.raises(GridFormatError, match=f"^line 8: .*{message}"):
+            load_grid(path)
+
+    def test_only_row_blank_rejected(self, tmp_path):
+        grid = PosteriorGrid(1, np.array([[0.5]]), 0.5, QUICK_CFG)
+        path = self._with_row(tmp_path, grid, 3, lambda row: "")
+        with pytest.raises(GridFormatError, match="^line 4: unparseable cell value$"):
+            load_grid(path)
+
+    def test_every_row_short_rejected(self, tmp_path, detector_grid):
+        path = tmp_path / "grid.txt"
+        save_grid(detector_grid, path)
+        lines = path.read_text().splitlines()
+        lines[3:] = [row.rsplit(" ", 1)[0] for row in lines[3:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridFormatError, match="^line 4: expected 200 values, found 199$"):
+            load_grid(path)
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [
+            pytest.param("0.2_5", 0.25, id="underscore"),
+            pytest.param("\u0660.\u0665", 0.5, id="arabic-indic-digits"),
+            pytest.param("\t0.5", 0.5, id="leading-tab"),
+        ],
+    )
+    def test_cells_python_float_accepts_still_load(self, tmp_path, detector_grid, cell, value):
+        def edit(row):
+            parts = row.split(" ")
+            parts[3] = cell
+            return " ".join(parts)
+
+        loaded = load_grid(self._with_row(tmp_path, detector_grid, 7, edit))
+        expected = detector_grid.cells.copy()
+        expected[4, 3] = value
+        npt.assert_array_equal(loaded.cells, expected)
+
     def test_zero_resolution_rejected(self, tmp_path):
         path = tmp_path / "grid.txt"
         path.write_text(
