@@ -277,7 +277,7 @@ def _tone_sum(
 
     B is the largest power of two with max|omegas| * B / fs <= 1/2, capped
     at n, which bounds the truncation error by 0.5**16 / 16!. Without
-    Doppler B = n and there is one coarse row; above max|omegas| = fs / 2,
+    Doppler B = n and there is one coarse row; once max|omegas| > fs / 4,
     B = 1, the table is [1, 0, ...], and every value is an exact
     exponential.
     """

@@ -355,7 +355,7 @@ class TestGridFile:
             pytest.param("\t0.5", 0.5, id="leading-tab"),
         ],
     )
-    def test_cells_python_float_accepts_still_load(self, tmp_path, detector_grid, cell, value):
+    def test_cells_only_float_reads_still_load(self, tmp_path, detector_grid, cell, value):
         def edit(row):
             parts = row.split(" ")
             parts[3] = cell
