@@ -3,12 +3,15 @@
 Covers complex AWGN, carrier frequency offset, multipath Rayleigh fading
 with a Jakes Doppler spectrum, frame-on-frame collisions, and the
 dechirped-domain symbol generator used to train the collision classifier.
+Next to `TrainConfig` sits the one parser of `key=value` config text,
+typed by the annotations of the dataclass a value configures.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +21,12 @@ from cora.phy import ComplexSignal, PhyParams, SymbolWindow, DechirpedSpectrum
 # Sum-of-sinusoids order for the Jakes Doppler model. 16 oscillators keep
 # the tap statistics close to Rayleigh without noticeable cost.
 JAKES_OSCILLATORS = 16
+
+
+def _check_snr_db(snr_db: float) -> None:
+    """Reject an SNR that sets no noise level: NaN, or -inf dB (infinite noise)."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number above -inf dB, got {snr_db}")
 
 
 @dataclass
@@ -67,8 +76,7 @@ class CollisionScenario:
                     f"interferer offset {itf.offset_samples} lies beyond the "
                     f"target frame ({len(self.target)} samples)"
                 )
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        _check_snr_db(self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,7 @@ class TrainConfig:
                 "interference_samples_per_symbol must be in [1, n_bins - 1], "
                 f"got {self.interference_samples_per_symbol}"
             )
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        _check_snr_db(self.snr_db)
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
         if self.smooth_sigma < 0:
@@ -155,10 +162,59 @@ class TrainConfig:
             raise ValueError(f"smooth_floor must be > 0, got {self.smooth_floor}")
 
 
-# Value type of every TrainConfig field (int, float, or a (low, high)
-# tuple), read off its default: the one key table behind both the CLI's
-# train config and the grid file's config line.
-TRAIN_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
+def _as_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+def _as_pair(text: str) -> tuple[float, float]:
+    low, high = text.split(",")
+    return float(low), float(high)
+
+
+# Text parser, and what it expects, per parameter annotation. The
+# annotations are strings (`from __future__ import annotations`); a
+# parameter whose annotation is not listed cannot be set from text.
+_TEXT_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "text"),
+    "bool": (_as_bool, "true/false"),
+    "tuple[float, float]": (_as_pair, "'low,high'"),
+}
+
+
+def parse_value(kind: str, key: str, text: str):
+    """`text` as a value of annotation `kind`; ValueError "<key>: expected ..." if it is not one."""
+    parse, expected = _TEXT_PARSERS[kind]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {expected}, got {text!r}") from None
+
+
+def text_keys(cls) -> dict[str, str]:
+    """Parameters of `cls` (a dataclass or a function) that a key=value text may set.
+
+    Maps each name to its annotation; these are the keys of config files
+    and of the grid file's config line.
+    """
+    params = inspect.signature(cls).parameters.values()
+    return {p.name: p.annotation for p in params if p.annotation in _TEXT_PARSERS}
+
+
+def fields_from_text(cls, text: dict[str, str]) -> dict:
+    """Typed values for the `text_keys(cls)` that `text` sets; other keys are ignored.
+
+    The one parser of config values: the CLI's config files and the grid
+    file's config line both go through it.
+    """
+    kinds = text_keys(cls)
+    return {key: parse_value(kinds[key], key, value) for key, value in text.items() if key in kinds}
 
 
 def _scaled_noise(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
@@ -173,8 +229,7 @@ def add_awgn(signal: ComplexSignal, snr_db: float, rng: np.random.Generator) -> 
     The noise variance is set from the mean power of `signal` itself:
     sigma^2 = P / 10^(snr_db / 10), split evenly between I and Q.
     """
-    if math.isnan(snr_db):
-        raise ValueError("snr_db must not be NaN")
+    _check_snr_db(snr_db)
     power = float(np.mean(np.abs(signal.samples) ** 2))
     if power == 0.0:
         raise ValueError("cannot set an SNR against an all-zero signal")

@@ -1,7 +1,9 @@
 """Command-line front end: train grids, run campaigns, benchmark, demodulate.
 
-Configs are flat `key=value` text files ('#' starts a comment). Exit codes:
-0 success, 1 validation error, 2 runtime or I/O error.
+Configs are flat `key=value` text files; '#' at the start of a line starts
+a comment. Values are parsed by the field annotations of the dataclasses
+they configure (`channel.fields_from_text`). Exit codes: 0 success, 1
+validation error, 2 runtime or I/O error.
 """
 
 from __future__ import annotations
@@ -9,13 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
-from cora.channel import TRAIN_FIELD_TYPES, TrainConfig, etu_like_profile
+from cora.channel import TrainConfig, etu_like_profile, fields_from_text, parse_value, text_keys
 from cora.detector import (
     GridFormatError,
+    PosteriorGrid,
     TrainingError,
     collect_training_features,
     grid_from_samples,
@@ -65,44 +69,6 @@ def read_config(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _as_int(value: str, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _as_float(value: str, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
-def _as_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {value!r}")
-
-
-def _as_pair(value: str, key: str) -> tuple[float, float]:
-    parts = value.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected 'low,high', got {value!r}")
-    return (_as_float(parts[0], key), _as_float(parts[1], key))
-
-
-def _as_float_list(value: str, key: str) -> list[float]:
-    return [_as_float(v, key) for v in value.split(",") if v.strip() != ""]
-
-
-def _as_int_list(value: str, key: str) -> list[int]:
-    return [_as_int(v, key) for v in value.split(",") if v.strip() != ""]
-
-
 def _check_keys(cfg: dict[str, str], allowed: set[str], context: str) -> None:
     unknown = sorted(set(cfg) - allowed)
     if unknown:
@@ -112,83 +78,58 @@ def _check_keys(cfg: dict[str, str], allowed: set[str], context: str) -> None:
         )
 
 
-_TRAIN_PARSERS = {int: _as_int, float: _as_float, tuple: _as_pair}
+def _build(cls, cfg: dict[str, str], **given):
+    """`cls` from the config's text for its fields, plus typed `given` values.
 
-
-def train_config_from_map(cfg: dict[str, str]) -> TrainConfig:
-    _check_keys(cfg, set(TRAIN_FIELD_TYPES), "train config")
-    kwargs = {key: _TRAIN_PARSERS[TRAIN_FIELD_TYPES[key]](value, key) for key, value in cfg.items()}
+    A missing required field or a bad value raises ConfigError.
+    """
     try:
-        return TrainConfig(**kwargs)
+        kwargs = fields_from_text(cls, cfg) | given
+        missing = [
+            f.name
+            for f in fields(cls)
+            if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"config must set {', '.join(missing)}")
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-_SCENARIO_KEYS = {
-    "snr_db",
-    "n_interferers",
-    "sir_db",
-    "offset_mode",
-    "offset_samples",
-    "fading",
-}
+def _scenario(cfg: dict[str, str]) -> ScenarioSpec:
+    """The config's scenario; `fading = true` selects the ETU-like profile."""
+    fading = "fading" in cfg and parse_value("bool", "fading", cfg["fading"])
+    return _build(ScenarioSpec, cfg, fading_profile=etu_like_profile() if fading else None)
 
 
-def _scenario_from_map(cfg: dict[str, str], snr_db: float) -> ScenarioSpec:
-    kwargs = {"snr_db": snr_db}
-    if "n_interferers" in cfg:
-        kwargs["n_interferers"] = _as_int(cfg["n_interferers"], "n_interferers")
-    if "sir_db" in cfg:
-        kwargs["sir_db"] = _as_pair(cfg["sir_db"], "sir_db")
-    if "offset_mode" in cfg:
-        kwargs["offset_mode"] = cfg["offset_mode"]
-    if "offset_samples" in cfg:
-        kwargs["offset_samples"] = _as_int(cfg["offset_samples"], "offset_samples")
-    if _as_bool(cfg.get("fading", "false"), "fading"):
-        kwargs["fading"] = True
-        kwargs["fading_profile"] = etu_like_profile()
-    try:
-        return ScenarioSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+_TRAIN_KEYS = set(text_keys(TrainConfig))
+_SCENARIO_KEYS = {*text_keys(ScenarioSpec), "fading"}
+_EVALUATE_KEYS = {*_SCENARIO_KEYS, *text_keys(PhyParams), *text_keys(ExperimentConfig), "grid"}
+_GEN_KEYS = _EVALUATE_KEYS - {"detector", "n_frames", "frame_error_threshold", "grid"}
+_BENCH_KEYS = {"sf_list", "bandwidth_hz", "snr_db", "n_warmup", "n_iter", "seed", "grid"}
+_DEMOD_KEYS = {"sf", "detector", "grid", "preamble_len", "sidecar"}
 
 
-_EVALUATE_KEYS = _SCENARIO_KEYS | {
-    "detector",
-    "sf",
-    "bandwidth_hz",
-    "n_frames",
-    "symbols_per_frame",
-    "preamble_len",
-    "frame_error_threshold",
-    "seed",
-    "grid",
-}
+def _load_config(args: argparse.Namespace, allowed: set[str], context: str) -> dict[str, str]:
+    """The config file's map with the --seed, --detector and --grid flags laid over it."""
+    cfg = read_config(args.config)
+    for key in ("seed", "detector", "grid"):
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = str(value)
+    _check_keys(cfg, allowed, context)
+    return cfg
 
 
-def _experiment_kwargs(cfg: dict[str, str]) -> dict:
-    out = {}
-    if "n_frames" in cfg:
-        out["n_frames"] = _as_int(cfg["n_frames"], "n_frames")
-    if "symbols_per_frame" in cfg:
-        out["symbols_per_frame"] = _as_int(cfg["symbols_per_frame"], "symbols_per_frame")
-    if "preamble_len" in cfg:
-        out["preamble_len"] = _as_int(cfg["preamble_len"], "preamble_len")
-    if "frame_error_threshold" in cfg:
-        out["frame_error_threshold"] = _as_int(cfg["frame_error_threshold"], "frame_error_threshold")
-    return out
-
-
-def _phy_from_map(cfg: dict[str, str]) -> PhyParams:
-    if "sf" not in cfg:
-        raise ConfigError("config must set sf")
-    kwargs = {"sf": _as_int(cfg["sf"], "sf")}
-    if "bandwidth_hz" in cfg:
-        kwargs["bandwidth_hz"] = _as_float(cfg["bandwidth_hz"], "bandwidth_hz")
-    try:
-        return PhyParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _cora_grid(cfg: dict[str, str]) -> PosteriorGrid:
+    """The grid file the config names, which the cora detector needs."""
+    if "grid" not in cfg:
+        raise ConfigError("detector 'cora' needs a grid path (key 'grid' or --grid)")
+    path = cfg["grid"]
+    if not Path(path).exists():
+        raise FileNotFoundError(f"grid file not found: {path}")
+    return load_grid(path)
 
 
 # --- IQ and sidecar files ----------------------------------------------------
@@ -296,17 +237,8 @@ def _sidecar_path(iq_path: str | Path) -> Path:
 # --- subcommands --------------------------------------------------------------
 
 
-def _load_grid_checked(path: str):
-    if not Path(path).exists():
-        raise FileNotFoundError(f"grid file not found: {path}")
-    return load_grid(path)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg_map = read_config(args.config)
-    if args.seed is not None:
-        cfg_map["seed"] = str(args.seed)
-    cfg = train_config_from_map(cfg_map)
+    cfg = _build(TrainConfig, _load_config(args, _TRAIN_KEYS, "train config"))
     start = time.perf_counter()
     samples = collect_training_features(cfg)
     elapsed = time.perf_counter() - start
@@ -326,121 +258,67 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg_map = read_config(args.config)
-    if args.seed is not None:
-        cfg_map["seed"] = str(args.seed)
-    if args.detector is not None:
-        cfg_map["detector"] = args.detector
-    if args.grid is not None:
-        cfg_map["grid"] = args.grid
-    _check_keys(cfg_map, _EVALUATE_KEYS, "evaluate config")
-    detector = cfg_map.get("detector", "baseline")
-    phy = _phy_from_map(cfg_map)
-    seed = _as_int(cfg_map.get("seed", "0"), "seed")
-    snrs = _as_float_list(cfg_map.get("snr_db", "inf"), "snr_db")
-    if not snrs:
-        raise ConfigError("snr_db: need at least one value")
-    grid = None
-    if detector == "cora":
-        if "grid" not in cfg_map:
-            raise ConfigError("detector 'cora' needs a grid path (key 'grid' or --grid)")
-        grid = _load_grid_checked(cfg_map["grid"])
+    cfg = _load_config(args, _EVALUATE_KEYS, "evaluate config")
+    detector = cfg.setdefault("detector", "baseline")
+    phy = _build(PhyParams, cfg)
+    if "snr_db" in cfg:
+        # a comma list sweeps the SNR, one campaign per value
+        points = [{"snr_db": snr} for snr in cfg["snr_db"].split(",") if snr.strip()]
+        if not points:
+            raise ConfigError("snr_db: need at least one value")
+    else:
+        points = [{}]
+    grid = _cora_grid(cfg) if detector == "cora" else None
+    campaigns = [
+        _build(ExperimentConfig, cfg, phy=phy, scenario=_scenario(cfg | point), grid=grid)
+        for point in points
+    ]
     records = []
-    for snr in snrs:
-        scenario = _scenario_from_map(cfg_map, snr)
-        try:
-            exp = ExperimentConfig(
-                phy=phy,
-                detector=detector,
-                scenario=scenario,
-                seed=seed,
-                grid=grid,
-                **_experiment_kwargs(cfg_map),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    for exp in campaigns:
         records.append(run_experiment(exp))
         if args.verbose:
             r = records[-1]
-            print(f"snr={snr} detector={detector} ser={r.ser:.6g} prr={r.prr:.6g}")
+            print(f"snr={exp.scenario.snr_db} detector={detector} ser={r.ser:.6g} prr={r.prr:.6g}")
     write_csv(records, args.out)
     print(f"wrote {len(records)} result row(s) to {args.out}")
     return 0
 
 
-_BENCH_KEYS = {"sf_list", "bandwidth_hz", "snr_db", "n_warmup", "n_iter", "seed", "grid"}
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg_map = read_config(args.config)
-    if args.seed is not None:
-        cfg_map["seed"] = str(args.seed)
-    if args.grid is not None:
-        cfg_map["grid"] = args.grid
-    _check_keys(cfg_map, _BENCH_KEYS, "bench config")
-    if "grid" not in cfg_map:
-        raise ConfigError("bench needs a grid path (key 'grid' or --grid)")
-    grid = _load_grid_checked(cfg_map["grid"])
-    sf_list = _as_int_list(cfg_map.get("sf_list", "8"), "sf_list")
-    snr_db = _as_float(cfg_map.get("snr_db", "inf"), "snr_db")
-    n_warmup = _as_int(cfg_map.get("n_warmup", "100"), "n_warmup")
-    n_iter = _as_int(cfg_map.get("n_iter", "1000"), "n_iter")
-    seed = _as_int(cfg_map.get("seed", "0"), "seed")
-    bandwidth = _as_float(cfg_map.get("bandwidth_hz", "125e3"), "bandwidth_hz")
+    cfg = _load_config(args, _BENCH_KEYS, "bench config")
+    grid = _cora_grid(cfg)
+    sf_list = [sf for sf in cfg.get("sf_list", "8").split(",") if sf.strip()]
+    phys = [_build(PhyParams, cfg | {"sf": sf}) for sf in sf_list]
+    scenario = _build(ScenarioSpec, cfg)
+    timing = fields_from_text(bench_stages, cfg)
     records = []
-    for sf in sf_list:
-        try:
-            phy = PhyParams(sf=sf, bandwidth_hz=bandwidth)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    for phy in phys:
         for detector in ("baseline", "cora"):
-            exp = ExperimentConfig(
+            exp = _build(
+                ExperimentConfig,
+                cfg,
                 phy=phy,
                 detector=detector,
-                scenario=ScenarioSpec(snr_db=snr_db),
-                seed=seed,
+                scenario=scenario,
                 grid=grid if detector == "cora" else None,
             )
-            rec = bench_stages(exp, n_warmup=n_warmup, n_iter=n_iter)
+            rec = bench_stages(exp, **timing)
             records.append(rec)
             if args.verbose:
                 total = rec.t_dechirp_s + rec.t_features_s + rec.t_classifier_s + rec.t_argmax_s
-                print(f"sf={sf} detector={detector} total={total * 1e6:.2f} us/symbol")
+                print(f"sf={phy.sf} detector={detector} total={total * 1e6:.2f} us/symbol")
     write_csv(records, args.out)
     print(f"wrote {len(records)} bench row(s) to {args.out}")
     return 0
 
 
-_GEN_KEYS = _SCENARIO_KEYS | {
-    "sf",
-    "bandwidth_hz",
-    "symbols_per_frame",
-    "preamble_len",
-    "seed",
-}
-
-
 def cmd_gen_scenario(args: argparse.Namespace) -> int:
-    cfg_map = read_config(args.config)
-    if args.seed is not None:
-        cfg_map["seed"] = str(args.seed)
-    _check_keys(cfg_map, _GEN_KEYS, "gen-scenario config")
-    phy = _phy_from_map(cfg_map)
-    seed = _as_int(cfg_map.get("seed", "0"), "seed")
-    snr_db = _as_float(cfg_map.get("snr_db", "inf"), "snr_db")
-    scenario = _scenario_from_map(cfg_map, snr_db)
-    try:
-        exp = ExperimentConfig(
-            phy=phy,
-            detector="baseline",
-            scenario=scenario,
-            seed=seed,
-            n_frames=1,
-            **_experiment_kwargs(cfg_map),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    cfg = _load_config(args, _GEN_KEYS, "gen-scenario config")
+    phy = _build(PhyParams, cfg)
+    exp = _build(
+        ExperimentConfig, cfg, phy=phy, detector="baseline", scenario=_scenario(cfg), n_frames=1
+    )
+    rng = np.random.default_rng(np.random.SeedSequence(exp.seed).spawn(1)[0])
     samples, payload, interferers = simulate_frame(exp, rng)
     write_iq(args.out, ComplexSignal(samples, phy.sample_rate_hz))
     start = payload_start(exp.preamble_len, phy)
@@ -451,42 +329,18 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-_DEMOD_KEYS = {"sf", "detector", "grid", "preamble_len", "sidecar"}
-
-
 def cmd_demod(args: argparse.Namespace) -> int:
-    cfg_map = read_config(args.config)
-    if args.detector is not None:
-        cfg_map["detector"] = args.detector
-    if args.grid is not None:
-        cfg_map["grid"] = args.grid
-    _check_keys(cfg_map, _DEMOD_KEYS, "demod config")
-    detector = cfg_map.get("detector", "baseline")
-    if detector not in ("baseline", "cora"):
-        raise ConfigError(f"detector must be baseline or cora, got {detector!r}")
-    preamble_len = _as_int(cfg_map.get("preamble_len", "8"), "preamble_len")
-
+    cfg = _load_config(args, _DEMOD_KEYS, "demod config")
+    detector = cfg.setdefault("detector", "baseline")
     signal = read_iq(args.iq_path)
-    sidecar = cfg_map.get("sidecar", str(_sidecar_path(args.iq_path)))
+    sidecar = cfg.get("sidecar", str(_sidecar_path(args.iq_path)))
     rows, _ = read_sidecar(sidecar)
-    if "sf" not in cfg_map:
-        raise ConfigError("demod config must set sf")
-    phy = PhyParams(sf=_as_int(cfg_map["sf"], "sf"), bandwidth_hz=signal.sample_rate_hz)
+    phy = _build(PhyParams, cfg, bandwidth_hz=signal.sample_rate_hz)
     n = phy.n
-
-    grid = None
-    if detector == "cora":
-        if "grid" not in cfg_map:
-            raise ConfigError("detector 'cora' needs a grid path (key 'grid' or --grid)")
-        grid = _load_grid_checked(cfg_map["grid"])
-        if len(signal) < preamble_len * n:
-            raise IqFormatError(
-                f"{args.iq_path}: too short for a {preamble_len}-symbol preamble"
-            )
-    try:
-        exp = ExperimentConfig(phy=phy, detector=detector, grid=grid, preamble_len=preamble_len)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = _cora_grid(cfg) if detector == "cora" else None
+    exp = _build(ExperimentConfig, cfg, phy=phy, detector=detector, grid=grid)
+    if grid is not None and len(signal) < exp.preamble_len * n:
+        raise IqFormatError(f"{args.iq_path}: too short for a {exp.preamble_len}-symbol preamble")
     starts = np.array([start for start, _true in rows], dtype=np.int64)
     outside = starts[(starts < 0) | (starts + n > len(signal))]
     if outside.size:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cora.channel import TRAIN_FIELD_TYPES, TrainConfig, gen_training_windows
+from cora.channel import TrainConfig, fields_from_text, gen_training_windows, text_keys
 from cora.phy import DechirpedSpectrum, SymbolWindow, baseline_detect
 
 # A training run must keep at least this many baseline-misclassified
@@ -436,23 +436,20 @@ def _config_tokens(cfg: TrainConfig) -> str:
 
 
 def _parse_config_tokens(line: str, lineno: int) -> TrainConfig:
-    kwargs = {}
+    keys = text_keys(TrainConfig)
+    text = {}
     for token in line.split():
         key, sep, raw = token.partition("=")
-        kind = TRAIN_FIELD_TYPES.get(key)
-        if not sep or kind is None:
+        if not sep or key not in keys:
             raise GridFormatError(f"line {lineno}: unknown config token {token!r}")
-        try:
-            if kind is tuple:
-                lo, hi = raw.split(",")
-                kwargs[key] = (float(lo), float(hi))
-            else:
-                kwargs[key] = kind(raw)
-        except ValueError as exc:
-            raise GridFormatError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
+        text[key] = raw
+    try:
+        kwargs = fields_from_text(TrainConfig, text)
+    except ValueError as exc:
+        raise GridFormatError(f"line {lineno}: {exc}") from exc
     try:
         return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise GridFormatError(f"line {lineno}: invalid training config: {exc}") from exc
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from cora.channel import FadingProfile, apply_fading, collide
+from cora.channel import FadingProfile, _check_snr_db, _scaled_noise, apply_fading, collide
 from cora.detector import (
     ClassifierState,
     FeatureField,
@@ -46,19 +46,20 @@ DETECTOR_KINDS = ("baseline", "cora")
 
 @dataclass
 class ScenarioSpec:
-    """Channel conditions for a campaign: noise, collisions, fading."""
+    """Channel conditions for a campaign: noise, collisions, fading.
+
+    Frames fade exactly when `fading_profile` is set.
+    """
 
     snr_db: float = math.inf
     n_interferers: int = 0
     sir_db: tuple[float, float] = (0.0, 0.0)
     offset_mode: str = "random"
     offset_samples: int = 0
-    fading: bool = False
     fading_profile: FadingProfile | None = None
 
     def __post_init__(self):
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        _check_snr_db(self.snr_db)
         if self.n_interferers < 0:
             raise ValueError(f"n_interferers must be >= 0, got {self.n_interferers}")
         self.sir_db = tuple(float(x) for x in self.sir_db)
@@ -68,8 +69,6 @@ class ScenarioSpec:
             raise ValueError(f"offset_mode must be 'random' or 'fixed', got {self.offset_mode!r}")
         if self.offset_samples < 0:
             raise ValueError(f"offset_samples must be >= 0, got {self.offset_samples}")
-        if self.fading and self.fading_profile is None:
-            raise ValueError("fading=True needs a fading_profile")
 
 
 @dataclass
@@ -198,7 +197,7 @@ def simulate_frames(
     others = build_frames(payloads[:, 1:], cfg.preamble_len, phy)
     noise = np.empty((2, len(streams), total))
     for row, rng in enumerate(streams):
-        if sc.fading:
+        if sc.fading_profile is not None:
             for frame in (samples[row], *others[row]):
                 signal = ComplexSignal(frame, phy.sample_rate_hz)
                 frame[:] = apply_fading(signal, sc.fading_profile, rng).samples
@@ -334,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
         snr_db=float(sc.snr_db),
         sir_db=float(np.mean(sc.sir_db)) if sc.n_interferers > 0 else math.nan,
         interferers=sc.n_interferers,
-        fading=sc.fading,
+        fading=sc.fading_profile is not None,
         frames=cfg.n_frames,
         symbols=n_symbols,
         symbol_errors=symbol_errors,
@@ -370,11 +369,9 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     rng = np.random.default_rng(cfg.seed)
     total = n_warmup + n_iter
     bins = rng.integers(0, n, total)
-    noise_scale = math.sqrt(1.0 / 10.0 ** (cfg.scenario.snr_db / 10.0) / 2.0) if math.isfinite(
-        cfg.scenario.snr_db
-    ) else 0.0
     raw = np.take(base_upchirp(phy).samples, np.arange(n) + bins[:, None], mode="wrap")
-    raw += noise_scale * (rng.standard_normal(raw.shape) + 1j * rng.standard_normal(raw.shape))
+    variance = 1.0 / 10.0 ** (cfg.scenario.snr_db / 10.0)
+    raw += _scaled_noise(rng.standard_normal(raw.shape), rng.standard_normal(raw.shape), variance)
 
     expected_peak = float(n)
     t_dechirp = t_features = t_classifier = t_argmax = 0.0

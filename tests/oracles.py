@@ -68,7 +68,7 @@ def per_frame_campaign(cfg):
             else:
                 offset = min(sc.offset_samples, total - 1)
             interferers.append(Interferer(frame, -sir, offset))
-        if sc.fading:
+        if sc.fading_profile is not None:
             target = apply_fading(target, sc.fading_profile, rng)
             interferers = [
                 Interferer(apply_fading(i.frame, sc.fading_profile, rng), i.gain_db, i.offset_samples)
@@ -91,7 +91,7 @@ def per_frame_campaign(cfg):
         snr_db=float(sc.snr_db),
         sir_db=float(np.mean(sc.sir_db)) if sc.n_interferers > 0 else math.nan,
         interferers=sc.n_interferers,
-        fading=sc.fading,
+        fading=sc.fading_profile is not None,
         frames=cfg.n_frames,
         symbols=n_symbols,
         symbol_errors=symbol_errors,

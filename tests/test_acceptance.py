@@ -252,7 +252,7 @@ class TestFadingRobustness:
         fade = run_experiment(
             ExperimentConfig(
                 scenario=ScenarioSpec(
-                    snr_db=5.0, n_interferers=0, fading=True, fading_profile=etu_like_profile()
+                    snr_db=5.0, n_interferers=0, fading_profile=etu_like_profile()
                 ),
                 **common,
             )

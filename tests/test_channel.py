@@ -14,6 +14,7 @@ from cora import (
     FadingProfile,
     Interferer,
     PhyParams,
+    ScenarioSpec,
     TrainConfig,
     add_awgn,
     apply_fading,
@@ -76,6 +77,20 @@ class TestAwgn:
         sig = ComplexSignal(np.ones(16, dtype=np.complex128), FS)
         with pytest.raises(ValueError):
             add_awgn(sig, float("nan"), rng)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf], ids=["nan", "minus-inf"])
+    @pytest.mark.parametrize("holder", ["add_awgn", "CollisionScenario", "TrainConfig", "ScenarioSpec"])
+    def test_one_snr_rule(self, holder, snr_db):
+        # every place that takes an SNR rejects the ones that set no noise level
+        sig = ComplexSignal(np.ones(16, dtype=np.complex128), FS)
+        make = {
+            "add_awgn": lambda: add_awgn(sig, snr_db, np.random.default_rng(0)),
+            "CollisionScenario": lambda: CollisionScenario(sig, [], snr_db),
+            "TrainConfig": lambda: TrainConfig(snr_db=snr_db),
+            "ScenarioSpec": lambda: ScenarioSpec(snr_db=snr_db),
+        }[holder]
+        with pytest.raises(ValueError, match="^snr_db "):
+            make()
 
 
 class TestFreqOffset:

@@ -9,10 +9,13 @@ with the package's own readers.
 import csv
 import re
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from cora.channel import TrainConfig
+from cora import cli
+from cora.channel import TrainConfig, fields_from_text
 from cora.cli import (
     ConfigError,
     IqFormatError,
@@ -20,11 +23,10 @@ from cora.cli import (
     read_config,
     read_iq,
     read_sidecar,
-    train_config_from_map,
     write_iq,
     write_sidecar,
 )
-from cora.detector import PosteriorGrid, load_grid, save_grid
+from cora.detector import GridFormatError, PosteriorGrid, load_grid, save_grid
 from cora.phy import ComplexSignal
 
 
@@ -81,6 +83,71 @@ class TestConfigParsing:
         assert rc == 1
         assert "bogus_knob" in err
         assert "valid keys" in err and "n_symbols" in err
+
+    # Each subcommand's keys as of the one-parser rewrite: the sets derived
+    # from dataclass annotations must not shrink or grow unnoticed.
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            (
+                "train",
+                "frac_freq_range grid_resolution interference_samples_per_symbol "
+                "max_interferers n_bins n_symbols power_range_db seed smooth_floor "
+                "smooth_sigma snr_db",
+            ),
+            (
+                "evaluate",
+                "bandwidth_hz detector fading frame_error_threshold grid n_frames "
+                "n_interferers offset_mode offset_samples preamble_len seed sf sir_db "
+                "snr_db symbols_per_frame",
+            ),
+            ("bench", "bandwidth_hz grid n_iter n_warmup seed sf_list snr_db"),
+            (
+                "gen-scenario",
+                "bandwidth_hz fading n_interferers offset_mode offset_samples "
+                "preamble_len seed sf sir_db snr_db symbols_per_frame",
+            ),
+            ("demod", "detector grid preamble_len sf sidecar"),
+        ],
+    )
+    def test_key_sets_are_pinned(self, tmp_path, capsys, command, keys):
+        cfg = write_cfg(tmp_path / "c.cfg", "bogus_knob=1\n")
+        if command == "demod":
+            argv = ["demod", str(tmp_path / "absent.iq"), "--config", cfg]
+        else:
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 1
+        valid = re.search(r"valid keys: (.*)$", err.strip())
+        assert valid, err
+        assert valid[1].split(", ") == keys.split()
+
+    # A bad value reads the same from a config file and from a grid file's
+    # config line: both go through one parser.
+    @pytest.mark.parametrize(
+        "key, raw, expected",
+        [
+            ("n_symbols", "many", "n_symbols: expected an integer, got 'many'"),
+            ("smooth_sigma", "wide", "smooth_sigma: expected a number, got 'wide'"),
+            ("power_range_db", "-15", "power_range_db: expected 'low,high', got '-15'"),
+        ],
+        ids=["int", "float", "pair"],
+    )
+    def test_bad_value_reads_the_same_in_config_and_grid(
+        self, tmp_path, capsys, key, raw, expected
+    ):
+        cfg = write_cfg(tmp_path / "t.cfg", f"{key}={raw}\n")
+        rc, _, err = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "t.grid")], capsys)
+        assert (rc, err) == (1, f"error: {expected}\n")
+        path = tmp_path / "g.grid"
+        save_grid(PosteriorGrid(2, np.full((2, 2), 0.5), 0.5, TrainConfig()), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tokens = lines[2].split()
+        lines[2] = " ".join(f"{key}={raw}" if t.startswith(f"{key}=") else t for t in tokens)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(GridFormatError) as info:
+            load_grid(path)
+        assert str(info.value) == f"line 3: {expected}"
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         rc, _, err = run_cli(
@@ -150,8 +217,8 @@ class TestTrain:
         assert out_flag.read_bytes() == out_cfg.read_bytes()
 
     def test_every_config_field_parses_in_config_and_grid_header(self, tmp_path):
-        # Both parsers must read back every TrainConfig field, each set
-        # off its default so a field either parser skips shows up.
+        # Config text and the grid header must read back every TrainConfig
+        # field, each set off its default so a field either skips shows up.
         cfg = TrainConfig(
             n_bins=128,
             n_symbols=500,
@@ -171,7 +238,7 @@ class TestTrain:
             key: ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
             for key, value in asdict(cfg).items()
         }
-        assert train_config_from_map(text) == cfg
+        assert TrainConfig(**fields_from_text(TrainConfig, text)) == cfg
         path = tmp_path / "g.grid"
         save_grid(PosteriorGrid(2, np.full((2, 2), 0.5), 0.5, cfg), path)
         assert load_grid(path).config == cfg
@@ -497,6 +564,67 @@ class TestFileRoundTrips:
             assert "window_start,true_bin" in str(exc)
         else:
             assert False, "bad header accepted"
+
+
+class TestSnrRule:
+    # -inf dB sets no noise level; every subcommand that takes an SNR
+    # rejects it as a validation error.
+    @pytest.mark.parametrize("command", ["train", "evaluate", "gen-scenario", "bench"])
+    def test_minus_inf_snr_is_rejected(self, tmp_path, capsys, detector_grid_file, command):
+        text = {
+            "train": "n_symbols=1500\n",
+            "evaluate": "sf=8\nn_frames=2\n",
+            "gen-scenario": "sf=8\n",
+            "bench": f"sf_list=8\nn_iter=40\ngrid={detector_grid_file}\n",
+        }[command]
+        cfg = write_cfg(tmp_path / "c.cfg", text + "snr_db=-inf\n")
+        rc, _, err = run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+        assert rc == 1
+        assert err.startswith("error: snr_db "), err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The subcommand that reads each config file the README shows.
+README_COMMANDS = {
+    "train.cfg": "train",
+    "campaign.cfg": "evaluate",
+    "bench.cfg": "bench",
+    "scenario.cfg": "gen-scenario",
+}
+
+
+class Parsed(Exception):
+    """Raised in place of the work a subcommand starts once its config has parsed."""
+
+
+def stop(*args, **kwargs):
+    raise Parsed
+
+
+class TestReadmeConfigs:
+    @pytest.mark.parametrize(
+        "name, body",
+        [
+            pytest.param(name, body, id=name)
+            for name, body in re.findall(
+                r"```\n# (\S+\.cfg)\n(.*?)```", README.read_text(encoding="utf-8"), re.S
+            )
+        ],
+    )
+    def test_documented_config_parses(self, tmp_path, capsys, monkeypatch, name, body):
+        for work in ("collect_training_features", "run_experiment", "bench_stages", "simulate_frame"):
+            monkeypatch.setattr(cli, work, stop)
+        grid = PosteriorGrid(2, np.full((2, 2), 0.5), 0.5, TrainConfig())
+        monkeypatch.setattr(cli, "load_grid", lambda path: grid)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "collisions.grid").touch()
+        cfg = write_cfg(tmp_path / name, body)
+        try:
+            rc = main([README_COMMANDS[name], "--config", cfg, "--out", str(tmp_path / "out")])
+        except Parsed:
+            return
+        pytest.fail(f"{name} exits {rc}: {capsys.readouterr().err}")
 
 
 class TestEntryPoint:

@@ -76,8 +76,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(offset_mode="sideways")
         with pytest.raises(ValueError):
-            ScenarioSpec(fading=True)
-        with pytest.raises(ValueError):
             ScenarioSpec(snr_db=float("nan"))
         with pytest.raises(ValueError):
             ScenarioSpec(n_interferers=-1)
@@ -177,7 +175,7 @@ class TestPairedFairness:
             npt.assert_array_equal(t_base, t_cora)
 
     def test_fading_draws_stay_paired(self, detector_grid):
-        sc = ScenarioSpec(snr_db=5.0, fading=True, fading_profile=etu_like_profile())
+        sc = ScenarioSpec(snr_db=5.0, fading_profile=etu_like_profile())
         cfg_base = quick_cfg(scenario=sc, seed=77)
         cfg_cora = quick_cfg(detector="cora", grid=detector_grid, scenario=sc, seed=77)
         child = np.random.SeedSequence(77).spawn(1)[0]
@@ -306,7 +304,6 @@ class TestChunkedCampaign:
             snr_db=snr_db,
             n_interferers=n_interferers,
             sir_db=sir_db,
-            fading=fading,
             fading_profile=etu_like_profile() if fading else None,
         )
         cfg = quick_cfg(
@@ -354,7 +351,7 @@ class TestCampaignPool:
         self, chunks, detector, faded, detector_grid, monkeypatch, tmp_path
     ):
         if faded:
-            sc = ScenarioSpec(snr_db=5.0, fading=True, fading_profile=etu_like_profile())
+            sc = ScenarioSpec(snr_db=5.0, fading_profile=etu_like_profile())
         else:
             sc = ScenarioSpec(snr_db=10.0, n_interferers=1, sir_db=(-6.0, 0.0))
         cfg = quick_cfg(detector, detector_grid if detector == "cora" else None, scenario=sc, seed=4)
