@@ -24,9 +24,20 @@ JAKES_OSCILLATORS = 16
 
 
 def _check_snr_db(snr_db: float) -> None:
-    """Reject an SNR that sets no noise level: NaN, or -inf dB (infinite noise)."""
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number above -inf dB, got {snr_db}")
+    """Reject an SNR that sets no representable noise level.
+
+    +inf dB means no noise. A finite SNR is accepted when its power ratio
+    10^(snr_db/10) and the reciprocal are both finite and non-zero, which
+    holds within about ±3,082 dB; NaN and -inf dB fail the same test.
+    """
+    if snr_db == math.inf:
+        return
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (0.0 < ratio < math.inf and 1.0 / ratio < math.inf):
+        raise ValueError(f"snr_db must be +inf or finite within about ±3082 dB, got {snr_db}")
 
 
 @dataclass

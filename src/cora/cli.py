@@ -245,7 +245,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.verbose:
         print(
             f"generated {samples.n_generated} windows, kept {samples.n_kept} "
-            f"in {elapsed:.2f} s ({samples.n_generated / elapsed:.0f} windows/s)"
+            f"in {elapsed:.2f} s ({samples.n_generated / elapsed:.0f} windows/s), "
+            f"{samples.n_workers} worker processes"
         )
     grid = grid_from_samples(samples, cfg)
     save_grid(grid, args.out)

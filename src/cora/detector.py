@@ -14,8 +14,11 @@ windows of F frames as one (F, K, N) array.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,19 @@ MIN_KEPT_WINDOWS = 100
 # Training windows synthesised as one (K, N) batch: large enough to spread
 # numpy's per-call cost, small enough to keep the working set a few MB.
 TRAINING_CHUNK = 256
+
+# Training and campaign chunks run on at most this many workers, which
+# bounds the chunks in flight, and so the memory, on large hosts.
+MAX_WORKERS = 8
+
+
+def _worker_count(n_chunks: int) -> int:
+    """Pool workers: the CPUs this process may run on, one per chunk at most."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_chunks, MAX_WORKERS)
 
 
 class TrainingError(RuntimeError):
@@ -111,6 +127,7 @@ class TrainingSamples:
     interference_features: np.ndarray
     n_generated: int
     n_kept: int
+    n_workers: int = 0  # worker processes that built them; 0 for this process
 
     def __post_init__(self):
         self.true_features = np.atleast_2d(np.asarray(self.true_features, dtype=np.float64))
@@ -273,6 +290,68 @@ def _feature_pairs(p: np.ndarray, h: np.ndarray, cols: np.ndarray) -> np.ndarray
     return np.stack(picked, axis=-1).reshape(-1, 2)
 
 
+def _training_chunk(
+    cfg: TrainConfig, bit_generator: type, seeds: list[np.random.SeedSequence]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk's wanted-tone and interference (p, h) pairs, window k drawn from seeds[k]."""
+    streams = [np.random.Generator(bit_generator(seed)) for seed in seeds]
+    windows, true_bins, _ = gen_training_windows(cfg, streams)
+    missed = baseline_detect(windows.spectrum) != true_bins
+    if not missed.any():
+        return np.empty((0, 2)), np.empty((0, 2))
+    spectrum = DechirpedSpectrum(windows.spectrum.bins[missed], windows.spectrum.magnitudes[missed])
+    p = pmd(spectrum, spectrum.magnitudes.max(axis=-1, keepdims=True))
+    h = hpd(SymbolWindow(windows.time_samples[missed], spectrum))
+    true_cols = true_bins[missed, None]
+    p_others = p.copy()
+    np.put_along_axis(p_others, true_cols, np.inf, axis=-1)
+    n_take = cfg.interference_samples_per_symbol
+    picked = np.argpartition(p_others, n_take, axis=-1)[:, :n_take]
+    return _feature_pairs(p, h, true_cols), _feature_pairs(p, h, picked)
+
+
+def _can_fork() -> bool:
+    """Whether worker processes may be forked here.
+
+    The platform must have the `fork` start method, no other Python
+    thread may run (a thread holding a lock at the fork would leave it
+    held in the child), and this process must not be a daemonic
+    multiprocessing worker, which may have no children.
+    """
+    import multiprocessing  # here, so that a `cora` run that never forks does not load it
+
+    return (
+        threading.active_count() == 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+    )
+
+
+def _map_forked(fn, items, workers: int) -> list:
+    """`fn` over `items` on `workers` forked processes, results in item order.
+
+    Items are taken from the iterable only as they are submitted, and at
+    most two per worker are in flight. The first item to fail, in item
+    order, raises its own error here; items not yet started are cancelled
+    and every worker is joined before this returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    results, pending = [], deque()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) == 2 * workers:
+                    results.append(pending.popleft().result())
+            results.extend(future.result() for future in pending)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results
+
+
 def collect_training_features(
     cfg: TrainConfig, rng: np.random.Generator | None = None
 ) -> TrainingSamples:
@@ -295,37 +374,41 @@ def collect_training_features(
     the edge is tone-like and makes weak noise bins win there.
 
     Each window draws from its own substream spawned from `rng`, so the
-    samples do not depend on how windows are batched. Windows go through
-    in chunks of TRAINING_CHUNK: `gen_training_windows` builds a chunk as
-    one (K, N) array, and `pmd` and `hpd` run once on its kept rows. Only
-    one chunk's substreams and arrays are alive at a time, so apart from
-    the harvested pairs memory does not grow with `n_symbols`.
+    samples do not depend on how windows are batched or where a batch
+    runs. Windows go through in chunks of TRAINING_CHUNK: one chunk's
+    substreams are spawned here, in chunk order, as `rng.spawn` would
+    spawn them, and `_training_chunk` builds the chunk as one (K, N) array
+    with `gen_training_windows`, filters it with the baseline and runs
+    `pmd` and `hpd` once on its kept rows.
+
+    The chunks run on forked worker processes, one per CPU this process
+    may run on (`os.sched_getaffinity`, so `taskset` limits it), at most
+    one per chunk and at most MAX_WORKERS. At most two chunks per worker
+    are in flight; the pairs are collected in chunk order, and the first
+    chunk to fail, in chunk order, raises here. The workers are forked
+    and joined inside this call. With one worker, or where `_can_fork`
+    says no (no `fork` start method, another Python thread running, or a
+    daemonic worker process), the chunks run in this process one at a
+    time through the same function. Either way memory, apart from the
+    harvested pairs, does not grow with `n_symbols`.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    n_take = cfg.interference_samples_per_symbol
-    true_parts = [np.empty((0, 2))]
-    intf_parts = [np.empty((0, 2))]
-    for start in range(0, cfg.n_symbols, TRAINING_CHUNK):
-        streams = rng.spawn(min(TRAINING_CHUNK, cfg.n_symbols - start))
-        windows, true_bins, _ = gen_training_windows(cfg, streams)
-        missed = baseline_detect(windows.spectrum) != true_bins
-        if not missed.any():
-            continue
-        spectrum = DechirpedSpectrum(
-            windows.spectrum.bins[missed], windows.spectrum.magnitudes[missed]
-        )
-        p = pmd(spectrum, spectrum.magnitudes.max(axis=-1, keepdims=True))
-        h = hpd(SymbolWindow(windows.time_samples[missed], spectrum))
-        true_cols = true_bins[missed, None]
-        true_parts.append(_feature_pairs(p, h, true_cols))
-        p_others = p.copy()
-        np.put_along_axis(p_others, true_cols, np.inf, axis=-1)
-        picked = np.argpartition(p_others, n_take, axis=-1)[:, :n_take]
-        intf_parts.append(_feature_pairs(p, h, picked))
-    true_arr = np.concatenate(true_parts)
-    intf_arr = np.concatenate(intf_parts)
-    return TrainingSamples(true_arr, intf_arr, cfg.n_symbols, len(true_arr))
+    seed_seq = rng.bit_generator.seed_seq
+    chunk_seeds = (
+        seed_seq.spawn(min(TRAINING_CHUNK, cfg.n_symbols - start))
+        for start in range(0, cfg.n_symbols, TRAINING_CHUNK)
+    )
+    run_chunk = partial(_training_chunk, cfg, type(rng.bit_generator))
+    workers = _worker_count(-(-cfg.n_symbols // TRAINING_CHUNK))
+    if workers > 1 and _can_fork():
+        parts = _map_forked(run_chunk, chunk_seeds, workers)
+    else:
+        workers = 0
+        parts = list(map(run_chunk, chunk_seeds))
+    true_arr = np.concatenate([np.empty((0, 2))] + [true for true, _ in parts])
+    intf_arr = np.concatenate([np.empty((0, 2))] + [intf for _, intf in parts])
+    return TrainingSamples(true_arr, intf_arr, cfg.n_symbols, len(true_arr), workers)
 
 
 def feature_histogram(

@@ -13,7 +13,6 @@ stages.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -25,6 +24,7 @@ from cora.detector import (
     ClassifierState,
     FeatureField,
     PosteriorGrid,
+    _worker_count,
     detect_symbol,
     hpd,
     pmd,
@@ -137,24 +137,10 @@ CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 CAMPAIGN_CHUNK_SAMPLES = 1 << 16
 
 
-# Campaign chunks are decoded on at most this many threads, which bounds
-# the chunks in flight, and so the memory, on large hosts.
-MAX_CAMPAIGN_WORKERS = 8
-
-
 def _chunk_frames(cfg: ExperimentConfig) -> int:
     """Frames per campaign chunk."""
     total = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy)
     return max(1, CAMPAIGN_CHUNK_SAMPLES // total)
-
-
-def _worker_count(n_chunks: int) -> int:
-    """Campaign threads: the CPUs this process may run on, one per chunk at most."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_chunks, MAX_CAMPAIGN_WORKERS)
 
 
 def simulate_frames(
@@ -305,7 +291,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     are spawned here first, in frame order, so a chunk's frames do not
     depend on which thread decodes it or when. There is one thread per
     CPU this process may run on (`os.sched_getaffinity`, so `taskset`
-    limits it), at most one per chunk and at most MAX_CAMPAIGN_WORKERS;
+    limits it), at most one per chunk and at most MAX_WORKERS (`detector`);
     one thread runs the same path. Error counts are collected in chunk
     order; the first chunk to fail, in chunk order, raises here, and the
     chunks not yet started are cancelled.

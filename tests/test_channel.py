@@ -78,10 +78,16 @@ class TestAwgn:
         with pytest.raises(ValueError):
             add_awgn(sig, float("nan"), rng)
 
-    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf], ids=["nan", "minus-inf"])
+    @pytest.mark.parametrize(
+        "snr_db",
+        [math.nan, -math.inf, 4000.0, -4000.0, 3083.0, -3083.0],
+        ids=["nan", "minus-inf", "plus-4000", "minus-4000", "plus-3083", "minus-3083"],
+    )
     @pytest.mark.parametrize("holder", ["add_awgn", "CollisionScenario", "TrainConfig", "ScenarioSpec"])
     def test_one_snr_rule(self, holder, snr_db):
-        # every place that takes an SNR rejects the ones that set no noise level
+        # every place that takes an SNR rejects the ones that set no
+        # representable noise level: 10^(snr_db/10) or its reciprocal
+        # would overflow the double range or vanish
         sig = ComplexSignal(np.ones(16, dtype=np.complex128), FS)
         make = {
             "add_awgn": lambda: add_awgn(sig, snr_db, np.random.default_rng(0)),
@@ -91,6 +97,14 @@ class TestAwgn:
         }[holder]
         with pytest.raises(ValueError, match="^snr_db "):
             make()
+
+    @pytest.mark.parametrize("snr_db", [math.inf, 3082.0, -3082.0, 0.0])
+    def test_representable_snr_accepted(self, snr_db):
+        TrainConfig(snr_db=snr_db)
+        ScenarioSpec(snr_db=snr_db)
+        sig = ComplexSignal(np.ones(16, dtype=np.complex128), FS)
+        out = add_awgn(sig, snr_db, np.random.default_rng(0))
+        assert np.isfinite(out.samples).all()
 
 
 class TestFreqOffset:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cora import cli
+from cora import cli, detector
 from cora.channel import TrainConfig, fields_from_text
 from cora.cli import (
     ConfigError,
@@ -181,7 +181,9 @@ class TestTrain:
         assert rc == 0
         first, rest = loud.split("\n", 1)
         match = re.fullmatch(
-            r"generated (\d+) windows, kept (\d+) in (\d+\.\d\d) s \((\d+) windows/s\)", first
+            r"generated (\d+) windows, kept (\d+) in (\d+\.\d\d) s \((\d+) windows/s\), "
+            r"(\d+) worker processes",
+            first,
         )
         assert match, first
         kept_line = re.search(r"^kept (\d+)/(\d+) windows;", rest, re.M)
@@ -189,6 +191,17 @@ class TestTrain:
         assert int(match[4]) > 0
         # the line the benchmark parses is the same with and without --verbose
         assert rest == quiet
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_verbose_counts_worker_processes(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setattr(detector, "_worker_count", lambda n_chunks: workers)
+        cfg = write_cfg(tmp_path / "t.cfg", TRAIN_CFG)
+        argv = ["train", "--config", cfg, "--out", str(tmp_path / "t.grid"), "--verbose"]
+        rc, loud, _ = run_cli(argv, capsys)
+        assert rc == 0
+        # one worker runs in the cora process; more are forked
+        forked = 0 if workers == 1 else workers
+        assert loud.split("\n", 1)[0].endswith(f"windows/s), {forked} worker processes")
 
     def test_too_few_symbols_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "t.cfg", "n_symbols=10\nseed=1\n")
@@ -581,6 +594,20 @@ class TestSnrRule:
         rc, _, err = run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
         assert rc == 1
         assert err.startswith("error: snr_db "), err
+
+    # 10^(snr_db/10) overflows a double above about 3,082 dB and its
+    # reciprocal does below about -3,082 dB, so neither sets a noise level.
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_unrepresentable_snr_is_rejected(self, tmp_path, capsys, command, snr):
+        text = {"train": "n_symbols=1500\n", "evaluate": "sf=8\nn_frames=2\n"}[command]
+        cfg = write_cfg(tmp_path / "c.cfg", text + f"snr_db={snr}\n")
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli([command, "--config", cfg, "--out", str(out)], capsys)
+        assert (rc, stdout) == (1, "")
+        assert err.startswith("error: snr_db "), err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -403,13 +403,16 @@ class TestCampaignPool:
         assert set(threading.enumerate()) <= before
 
     def test_worker_count_rule(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert [harness._worker_count(n) for n in (1, 2, 3, 50)] == [1, 2, 3, 3]
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert harness._worker_count(50) == harness.MAX_CAMPAIGN_WORKERS
-        monkeypatch.delattr(harness.os, "sched_getaffinity")
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        assert harness._worker_count(50) == 2
+        # campaigns and training size their pools by the one rule
+        assert harness._worker_count is detector_module._worker_count
+        count, os = detector_module._worker_count, detector_module.os
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [count(n) for n in (1, 2, 3, 50)] == [1, 2, 3, 3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert count(50) == detector_module.MAX_WORKERS == 8
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert count(50) == 2
 
 
 def run_on_threads(cfg, workers, monkeypatch, tmp_path):

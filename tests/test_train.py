@@ -1,8 +1,11 @@
 """Training pipeline: sample harvesting, histograms, Bayes grid, file format."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from cora import (
     save_grid,
     train,
 )
+from cora import detector as detector_module
 from cora.detector import TRAINING_CHUNK, TrainingSamples
 
 QUICK_CFG = TrainConfig(n_symbols=2000, seed=3, snr_db=10.0)
@@ -176,6 +180,111 @@ class TestChunkedCollect:
         assert rng.bit_generator.seed_seq.n_children_spawned == cfg.n_symbols
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.spawn(1)[0].random() == ref_rng.spawn(1)[0].random()
+
+
+def train_on_workers(cfg, workers, monkeypatch, tmp_path):
+    """Train with `workers` pool workers: the grid file's bytes, the samples
+    and the number of processes forked."""
+    monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: workers)
+    forks = count_forks(monkeypatch)
+    samples = collect_training_features(cfg)
+    monkeypatch.undo()
+    path = tmp_path / f"{workers}-workers.grid"
+    save_grid(grid_from_samples(samples, cfg), path)
+    return path.read_bytes(), samples, len(forks)
+
+
+def count_forks(monkeypatch):
+    """Note every `os.fork` call this process makes; returns the list of notes."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+class TestTrainingPool:
+    # three full chunks and a short one: more chunks than two or three
+    # workers, and chunks of two sizes
+    CFG = TrainConfig(n_symbols=3 * TRAINING_CHUNK + 37, seed=5, snr_db=10.0)
+
+    def test_worker_count_does_not_show(self, monkeypatch, tmp_path):
+        runs = {w: train_on_workers(self.CFG, w, monkeypatch, tmp_path) for w in (1, 2, 3)}
+        # one worker runs in this process; more fork that many processes
+        assert {w: (run[1].n_workers, run[2]) for w, run in runs.items()} == {
+            1: (0, 0),
+            2: (2, 2),
+            3: (3, 3),
+        }
+        assert runs[1][1].n_kept > 0
+        assert runs[1][0] == runs[2][0] == runs[3][0]
+        # the pairs themselves come in chunk order (the grid's counts would not show it)
+        for name in ("true_features", "interference_features"):
+            want = getattr(runs[1][1], name).tobytes()
+            assert getattr(runs[2][1], name).tobytes() == getattr(runs[3][1], name).tobytes() == want
+        assert multiprocessing.active_children() == []
+
+    def test_caller_generator_moves_as_with_one_worker(self, monkeypatch):
+        ref = np.random.default_rng(2)
+        collect_training_features(self.CFG, ref)
+        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
+        rng = np.random.default_rng(2)
+        assert collect_training_features(self.CFG, rng).n_workers == 2
+        assert rng.bit_generator.seed_seq.n_children_spawned == self.CFG.n_symbols
+        assert rng.spawn(1)[0].random() == ref.spawn(1)[0].random()
+
+    def test_first_failing_chunk_raises_and_no_worker_survives(self, monkeypatch):
+        generate = detector_module.gen_training_windows
+
+        def gen_training_windows(cfg, streams):
+            first = streams[0].bit_generator.seed_seq.spawn_key[0]
+            if first == TRAINING_CHUNK:
+                time.sleep(0.2)  # the last chunk fails first in time
+                raise ValueError("middle chunk")
+            if first == 2 * TRAINING_CHUNK:
+                raise ValueError("last chunk")
+            return generate(cfg, streams)
+
+        # workers are forked, so they run the patched generator
+        monkeypatch.setattr(detector_module, "gen_training_windows", gen_training_windows)
+        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
+        cfg = TrainConfig(n_symbols=3 * TRAINING_CHUNK, seed=5)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(ValueError, match="^middle chunk$"):
+            collect_training_features(cfg)
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_while_another_thread_runs(self, monkeypatch, tmp_path):
+        want = train_on_workers(self.CFG, 1, monkeypatch, tmp_path)[0]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got, samples, forks = train_on_workers(self.CFG, 2, monkeypatch, tmp_path)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert (samples.n_workers, forks) == (0, 0)
+        assert got == want
+
+    def test_in_process_in_a_daemonic_worker(self, monkeypatch):
+        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        forks = count_forks(monkeypatch)
+        samples = collect_training_features(self.CFG)
+        assert (samples.n_workers, len(forks)) == (0, 0)
+
+    def test_in_process_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        forks = count_forks(monkeypatch)
+        samples = collect_training_features(self.CFG)
+        assert (samples.n_workers, len(forks)) == (0, 0)
 
 
 class TestGridFromSamples:
