@@ -3,7 +3,6 @@
 from cora.phy import (
     PhyParams,
     ComplexSignal,
-    DechirpedSpectrum,
     SymbolWindow,
     base_upchirp,
     modulate_symbol,
@@ -31,12 +30,10 @@ from cora.channel import (
 from cora.detector import (
     FeatureField,
     PosteriorGrid,
-    ClassifierState,
     TrainingError,
     GridFormatError,
     pmd,
     hpd,
-    posterior_lookup,
     score_bins,
     classify,
     detect_symbol,
@@ -61,57 +58,3 @@ from cora.harness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PhyParams",
-    "ComplexSignal",
-    "DechirpedSpectrum",
-    "SymbolWindow",
-    "base_upchirp",
-    "modulate_symbol",
-    "downchirp",
-    "build_frame",
-    "build_frames",
-    "dechirp",
-    "baseline_detect",
-    "Interferer",
-    "CollisionScenario",
-    "FadingProfile",
-    "TrainConfig",
-    "add_awgn",
-    "apply_freq_offset",
-    "collide",
-    "compose_collision",
-    "apply_fading",
-    "clipped_tone",
-    "etu_like_profile",
-    "gen_training_symbol",
-    "gen_training_windows",
-    "FeatureField",
-    "PosteriorGrid",
-    "ClassifierState",
-    "TrainingError",
-    "GridFormatError",
-    "pmd",
-    "hpd",
-    "posterior_lookup",
-    "score_bins",
-    "classify",
-    "detect_symbol",
-    "collect_training_features",
-    "feature_histogram",
-    "grid_from_samples",
-    "train",
-    "save_grid",
-    "load_grid",
-    "ScenarioSpec",
-    "ExperimentConfig",
-    "MetricsRecord",
-    "receive",
-    "run_experiment",
-    "simulate_frame",
-    "simulate_frames",
-    "bench_stages",
-    "write_csv",
-    "CSV_COLUMNS",
-]

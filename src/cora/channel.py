@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cora.phy import ComplexSignal, PhyParams, SymbolWindow, DechirpedSpectrum
+from cora.phy import ComplexSignal, PhyParams, SymbolWindow
 
 # Sum-of-sinusoids order for the Jakes Doppler model. 16 oscillators keep
 # the tap statistics close to Rayleigh without noticeable cost.
@@ -521,8 +521,7 @@ def gen_training_windows(
         window[rows] += _tone(amp[:, None], omega, phase, k, n)
     window += _scaled_noise(noise[0], noise[1], 1.0 / 10.0 ** (cfg.snr_db / 10.0))
 
-    bins = np.fft.fft(window, axis=-1)
-    return SymbolWindow(window, DechirpedSpectrum(bins, np.abs(bins))), true_bins, draws
+    return SymbolWindow(window, np.abs(np.fft.fft(window, axis=-1))), true_bins, draws
 
 
 def gen_training_symbol(
@@ -535,8 +534,7 @@ def gen_training_symbol(
     describing the draws (handy when debugging the feature extractors).
     """
     windows, _, [(true_bin, true_dev, _, interferers)] = gen_training_windows(cfg, [rng])
-    spectrum = DechirpedSpectrum(windows.spectrum.bins[0], windows.spectrum.magnitudes[0])
-    sym = SymbolWindow(windows.time_samples[0], spectrum)
+    sym = SymbolWindow(windows.time_samples[0], windows.magnitudes[0])
     meta = {
         "true_bin": true_bin,
         "true_deviation": true_dev,

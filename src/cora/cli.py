@@ -148,7 +148,7 @@ def write_iq(path: str | Path, signal: ComplexSignal) -> None:
 
 
 def read_iq(path: str | Path) -> ComplexSignal:
-    """Read an IQ file, checking the magic, sample count, and byte length."""
+    """Read an IQ file, checking the magic, sample count, byte length and finiteness."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
@@ -173,6 +173,9 @@ def read_iq(path: str | Path) -> ComplexSignal:
             f"file ends at byte {len(header) + len(payload)}"
         )
     inter = np.frombuffer(payload, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(inter))
+    if bad.size:
+        raise IqFormatError(f"{path}: sample {bad[0] // 2} is not finite")
     samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
     return ComplexSignal(samples, fs)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from cora.channel import TrainConfig, fields_from_text, gen_training_windows, text_keys
-from cora.phy import DechirpedSpectrum, SymbolWindow, baseline_detect
+from cora.phy import SymbolWindow, baseline_detect
 
 # A training run must keep at least this many baseline-misclassified
 # windows before the histograms are considered meaningful.
@@ -107,19 +107,6 @@ class PosteriorGrid:
 
 
 @dataclass
-class ClassifierState:
-    """Carries the previous window's per-bin posteriors across a frame."""
-
-    prev_posteriors: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.prev_posteriors is not None:
-            self.prev_posteriors = np.asarray(self.prev_posteriors, dtype=np.float64)
-            if self.prev_posteriors.ndim != 1:
-                raise ValueError("prev_posteriors must be 1-D")
-
-
-@dataclass
 class TrainingSamples:
     """Feature pairs harvested from baseline-misclassified training windows."""
 
@@ -136,7 +123,7 @@ class TrainingSamples:
         )
 
 
-def pmd(spectrum: DechirpedSpectrum, expected_peak: float | np.ndarray) -> np.ndarray:
+def pmd(magnitudes: np.ndarray, expected_peak: float | np.ndarray) -> np.ndarray:
     """Peak magnitude deviation: |magnitude - expected| / expected, capped at 1.
 
     A bin holding the frame's own tone scores near 0; bins holding much
@@ -151,7 +138,7 @@ def pmd(spectrum: DechirpedSpectrum, expected_peak: float | np.ndarray) -> np.nd
         valid = 0 < expected_peak < np.inf
     if not valid:
         raise ValueError(f"expected_peak must be finite and positive, got {expected_peak}")
-    dev = np.abs(spectrum.magnitudes - expected_peak) / expected_peak
+    dev = np.abs(magnitudes - expected_peak) / expected_peak
     return np.minimum(dev, 1.0)
 
 
@@ -187,7 +174,7 @@ def hpd(window: SymbolWindow) -> np.ndarray:
     if n % 2 != 0:
         raise ValueError(f"window length must be even, got {n}")
     masked_bins = np.fft.fft(window.time_samples * _half_mask(n), axis=-1)
-    x_mag = window.spectrum.magnitudes
+    x_mag = window.magnitudes
     z = np.minimum(x_mag, np.abs(masked_bins))
     live = x_mag > DEAD_BIN_RELATIVE_FLOOR * x_mag.max(axis=-1, keepdims=True)
     return np.divide(z, x_mag, out=np.ones_like(z), where=live)
@@ -205,46 +192,25 @@ def _lookup(grid: PosteriorGrid, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     return grid.cells.ravel().take(_cell_index(p, res) * res + _cell_index(h, res))
 
 
-def posterior_lookup(grid: PosteriorGrid, p, h):
-    """Posterior for feature pair(s) (p, h) via nearest grid cell.
-
-    Accepts scalars or equal-shaped arrays; values must lie in [0, 1].
-    """
-    p_arr = np.asarray(p, dtype=np.float64)
-    h_arr = np.asarray(h, dtype=np.float64)
-    if p_arr.shape != h_arr.shape:
-        raise ValueError("p and h must have the same shape")
-    for name, arr in (("p", p_arr), ("h", h_arr)):
-        # a single range test also rejects NaN and both infinities
-        if not ((arr >= 0.0) & (arr <= 1.0)).all():
-            raise ValueError(f"feature {name} must lie in [0, 1]")
-    out = _lookup(grid, p_arr, h_arr)
-    if np.isscalar(p) or (isinstance(p, np.ndarray) and p.ndim == 0):
-        return float(out)
-    return out
-
-
 def score_bins(
-    features: FeatureField, grid: PosteriorGrid, state: ClassifierState | None = None
+    features: FeatureField, grid: PosteriorGrid, prev: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin posteriors q and history-damped scores, without the argmax.
 
     Each bin's score is its posterior q_k, damped by how occupied the bin
     looked in the previous window: q_k * (1 - prev_q_k). The rows of a
     (K, N) field are consecutive windows, so row k is damped by row k - 1
-    and row 0 by the state's posteriors; a frame's first window has no
-    history and scores q_k alone. An (F, K, N) field holds F frames, and
-    damping restarts at each frame's row 0, which the state damps. Skips
-    feature validation: a FeatureField guarantees its arrays are finite
-    and in [0, 1].
+    and row 0 by `prev`, the (N,) posteriors of the window before; a
+    frame's first window has no history (`prev` None) and scores q_k
+    alone. An (F, K, N) field holds F frames, and damping restarts at
+    each frame's row 0, which `prev` damps. Skips feature validation: a
+    FeatureField guarantees its arrays are finite and in [0, 1].
     """
     q = _lookup(grid, features.p, features.h)
-    if state is None or state.prev_posteriors is None:
-        prev = np.zeros(q.shape[-1])  # damping by (1 - 0) leaves q exact
-    else:
-        prev = state.prev_posteriors
+    # damping by (1 - 0) leaves q exact
+    prev = np.zeros(q.shape[-1]) if prev is None else np.asarray(prev, dtype=np.float64)
     if prev.shape != q.shape[-1:]:
-        raise ValueError(f"state carries {prev.shape} posteriors, window has {q.shape[-1:]}")
+        raise ValueError(f"prev holds {prev.shape} posteriors, window has {q.shape[-1:]}")
     if q.ndim > 1:
         first = np.broadcast_to(prev, q[..., :1, :].shape)
         prev = np.concatenate([first, q[..., :-1, :]], axis=-2)
@@ -252,36 +218,36 @@ def score_bins(
 
 
 def classify(
-    features: FeatureField, grid: PosteriorGrid, state: ClassifierState | None = None
-) -> tuple[int | np.ndarray, float | np.ndarray, ClassifierState]:
+    features: FeatureField, grid: PosteriorGrid, prev: np.ndarray | None = None
+) -> tuple[int | np.ndarray, float | np.ndarray, np.ndarray]:
     """Pick the bin most likely to hold the frame's own tone, per window.
 
     Scores come from `score_bins`; ties resolve to the lowest bin.
-    Returns (bin, score, state for the next window): an int and a float
-    for one window, arrays with one entry per window for more. The state
-    carries the last window's posteriors.
+    Returns (bin, score, posteriors): an int and a float for one window,
+    arrays with one entry per window for more, and the last window's (N,)
+    posteriors q, which the next window takes as `prev`.
     """
-    q, scores = score_bins(features, grid, state)
+    q, scores = score_bins(features, grid, prev)
     best = scores.argmax(axis=-1)
     score = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
     if best.ndim == 0:
         best, score = int(best), float(score)
-    return best, score, ClassifierState(q.reshape(-1, q.shape[-1])[-1])
+    return best, score, q.reshape(-1, q.shape[-1])[-1]
 
 
 def detect_symbol(
     window: SymbolWindow,
     expected_peak: float | np.ndarray,
     grid: PosteriorGrid,
-    state: ClassifierState | None = None,
-) -> tuple[int | np.ndarray, float | np.ndarray, ClassifierState]:
+    prev: np.ndarray | None = None,
+) -> tuple[int | np.ndarray, float | np.ndarray, np.ndarray]:
     """Full collision-aware detection for dechirped window(s), (N,), (K, N) or (F, K, N).
 
     The expected peak broadcasts against the magnitudes, as in `pmd`:
     (F, 1, 1) gives each frame its own preamble reference.
     """
-    features = FeatureField(pmd(window.spectrum, expected_peak), hpd(window))
-    return classify(features, grid, state)
+    features = FeatureField(pmd(window.magnitudes, expected_peak), hpd(window))
+    return classify(features, grid, prev)
 
 
 def _feature_pairs(p: np.ndarray, h: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -296,12 +262,12 @@ def _training_chunk(
     """One chunk's wanted-tone and interference (p, h) pairs, window k drawn from seeds[k]."""
     streams = [np.random.Generator(bit_generator(seed)) for seed in seeds]
     windows, true_bins, _ = gen_training_windows(cfg, streams)
-    missed = baseline_detect(windows.spectrum) != true_bins
+    missed = baseline_detect(windows.magnitudes) != true_bins
     if not missed.any():
         return np.empty((0, 2)), np.empty((0, 2))
-    spectrum = DechirpedSpectrum(windows.spectrum.bins[missed], windows.spectrum.magnitudes[missed])
-    p = pmd(spectrum, spectrum.magnitudes.max(axis=-1, keepdims=True))
-    h = hpd(SymbolWindow(windows.time_samples[missed], spectrum))
+    kept = SymbolWindow(windows.time_samples[missed], windows.magnitudes[missed])
+    p = pmd(kept.magnitudes, kept.magnitudes.max(axis=-1, keepdims=True))
+    h = hpd(kept)
     true_cols = true_bins[missed, None]
     p_others = p.copy()
     np.put_along_axis(p_others, true_cols, np.inf, axis=-1)

@@ -21,7 +21,6 @@ import numpy as np
 
 from cora.channel import FadingProfile, _check_snr_db, _scaled_noise, apply_fading, collide
 from cora.detector import (
-    ClassifierState,
     FeatureField,
     PosteriorGrid,
     _worker_count,
@@ -224,7 +223,7 @@ def expected_peak_from_preamble(samples: np.ndarray, cfg: ExperimentConfig) -> f
     n = cfg.phy.n
     lead = samples.shape[:-1]
     preamble = dechirp(samples[..., : cfg.preamble_len * n].reshape(lead + (-1, n)), cfg.phy)
-    return np.mean(preamble.spectrum.magnitudes[..., 0], axis=-1)
+    return np.mean(preamble.magnitudes[..., 0], axis=-1)
 
 
 def receive(
@@ -254,8 +253,8 @@ def receive(
         windows = samples[..., starts[:, None] + np.arange(n)]
     window = dechirp(windows, cfg.phy)
     if cfg.detector == "baseline":
-        bins = baseline_detect(window.spectrum)
-        return bins, np.take_along_axis(window.spectrum.magnitudes, bins[..., None], axis=-1)[..., 0]
+        bins = baseline_detect(window.magnitudes)
+        return bins, np.take_along_axis(window.magnitudes, bins[..., None], axis=-1)[..., 0]
     expected_peak = np.reshape(expected_peak_from_preamble(samples, cfg), lead + (1, 1))
     bins, scores, _ = detect_symbol(window, expected_peak, cfg.grid)
     return bins, scores
@@ -362,23 +361,22 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     expected_peak = float(n)
     t_dechirp = t_features = t_classifier = t_argmax = 0.0
     errors = 0
-    state = None
+    prev = None
     clock = time.perf_counter
     for i in range(total):
         t0 = clock()
         window = dechirp(raw[i], phy)
         t1 = clock()
         if cfg.detector == "cora":
-            features = FeatureField(pmd(window.spectrum, expected_peak), hpd(window))
+            features = FeatureField(pmd(window.magnitudes, expected_peak), hpd(window))
             t2 = clock()
-            q, scores = score_bins(features, cfg.grid, state)
-            state = ClassifierState(q)
+            prev, scores = score_bins(features, cfg.grid, prev)
             t3 = clock()
             detected = int(np.argmax(scores))
             t4 = clock()
         else:
             t2 = t3 = t1
-            detected = baseline_detect(window.spectrum)
+            detected = baseline_detect(window.magnitudes)
             t4 = clock()
         if i >= n_warmup:
             t_dechirp += t1 - t0

@@ -73,48 +73,29 @@ class ComplexSignal:
 
 
 @dataclass
-class DechirpedSpectrum:
-    """FFT of dechirped symbol windows: complex bins plus magnitudes, (..., N)."""
-
-    bins: np.ndarray
-    magnitudes: np.ndarray
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        if self.bins.ndim == 0 or self.bins.size == 0:
-            raise ValueError("bins must be a non-empty array of one or more windows")
-        if self.magnitudes.shape != self.bins.shape:
-            raise ValueError("magnitudes must match bins in shape")
-
-    @property
-    def n(self) -> int:
-        return self.bins.shape[-1]
-
-
-@dataclass
 class SymbolWindow:
-    """Dechirped symbols, one per row: the time-domain product and its spectrum.
+    """Dechirped symbols, one per row: the time-domain product and its FFT magnitudes.
 
-    `time_samples` holds the window already multiplied by the conjugate
-    base chirp, which is what the half-symbol feature needs; the raw
-    received samples are not kept.
+    Both arrays are (..., N). `time_samples` holds the window already
+    multiplied by the conjugate base chirp, which is what the half-symbol
+    feature needs; the raw received samples are not kept.
     """
 
     time_samples: np.ndarray
-    spectrum: DechirpedSpectrum
+    magnitudes: np.ndarray
 
     def __post_init__(self):
         self.time_samples = np.asarray(self.time_samples, dtype=np.complex128)
-        if self.time_samples.shape != self.spectrum.bins.shape:
+        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
+        if self.time_samples.shape != self.magnitudes.shape:
             raise ValueError(
                 f"time_samples shape {self.time_samples.shape} does not match "
-                f"spectrum shape {self.spectrum.bins.shape}"
+                f"magnitudes shape {self.magnitudes.shape}"
             )
 
     @property
     def n(self) -> int:
-        return self.spectrum.n
+        return self.time_samples.shape[-1]
 
 
 @lru_cache(maxsize=16)
@@ -243,8 +224,8 @@ def dechirp(window: ComplexSignal | np.ndarray, params: PhyParams) -> SymbolWind
 
     Takes one window (N,) or windows on the last axis of any array, such
     as (K, N) or (F, K, N), with one FFT for all of them. A clean symbol m
-    collapses to a single tone, so its spectrum has one bin of magnitude N
-    at index m and zeros elsewhere.
+    collapses to a single tone, so its magnitudes are N at index m and
+    zero elsewhere.
     """
     samples = window.samples if isinstance(window, ComplexSignal) else np.asarray(window)
     samples = samples.astype(np.complex128, copy=False)
@@ -252,14 +233,13 @@ def dechirp(window: ComplexSignal | np.ndarray, params: PhyParams) -> SymbolWind
     if samples.ndim == 0 or samples.shape[-1] != n:
         raise ValueError(f"window must hold exactly {n} samples, got shape {samples.shape}")
     flattened = samples * _downchirp_table(n)
-    bins = np.fft.fft(flattened, axis=-1)
-    return SymbolWindow(flattened, DechirpedSpectrum(bins, np.abs(bins)))
+    return SymbolWindow(flattened, np.abs(np.fft.fft(flattened, axis=-1)))
 
 
-def baseline_detect(spectrum: DechirpedSpectrum) -> int | np.ndarray:
-    """Magnitude argmax detector; ties resolve to the lowest bin index.
+def baseline_detect(magnitudes: np.ndarray) -> int | np.ndarray:
+    """Magnitude argmax detector over the last axis; ties resolve to the lowest bin.
 
-    Returns an int for one window and an array of bins for more.
+    Returns an int for one window (N,) and an array of bins for more.
     """
-    best = spectrum.magnitudes.argmax(axis=-1)
+    best = magnitudes.argmax(axis=-1)
     return int(best) if best.ndim == 0 else best

@@ -119,7 +119,7 @@ class TestFreqOffset:
         for m in (0, 100, 255):
             shifted = apply_freq_offset(modulate_symbol(m, phy), 1.0, phy)
             win = dechirp(shifted, phy)
-            assert baseline_detect(win.spectrum) == (m + 1) % phy.n
+            assert baseline_detect(win.magnitudes) == (m + 1) % phy.n
 
     def test_fractional_offset_degrades_hpd(self):
         # An eighth-bin deviation breaks the half-period cancellation, so
@@ -157,7 +157,7 @@ class TestComposeCollision:
             np.random.default_rng(0),
         )
         win = dechirp(out.samples[n : 2 * n], phy)
-        mags = win.spectrum.magnitudes
+        mags = win.magnitudes
         local_max = (
             (mags > np.roll(mags, 1))
             & (mags > np.roll(mags, -1))
@@ -178,8 +178,8 @@ class TestComposeCollision:
             np.random.default_rng(0),
         )
         win = dechirp(out.samples[n : 2 * n], phy)
-        assert baseline_detect(win.spectrum) == 103
-        assert win.spectrum.magnitudes[30] > 0.99 * n
+        assert baseline_detect(win.magnitudes) == 103
+        assert win.magnitudes[30] > 0.99 * n
         h = hpd(win)
         assert h[30] < 0.1, f"true bin no longer tone-like, h={h[30]}"
         assert h[103] > 0.5 and h[163] > 0.5
@@ -349,7 +349,7 @@ class TestFading:
         peaks = []
         for i in range(30):
             win = dechirp(out.samples[i * n : (i + 1) * n], phy)
-            peaks.append(np.max(win.spectrum.magnitudes))
+            peaks.append(np.max(win.magnitudes))
         assert np.var(peaks) > 0.0
 
     def test_profile_validation(self):
@@ -502,10 +502,8 @@ class TestTrainingWindows:
         ref_streams = np.random.default_rng(8).spawn(40)
         for row, stream in enumerate(ref_streams):
             window, true_bin, _ = per_window_training_symbol(cfg, stream)
-            bins = np.fft.fft(window)
             assert windows.time_samples[row].tobytes() == window.tobytes()
-            assert windows.spectrum.bins[row].tobytes() == bins.tobytes()
-            assert windows.spectrum.magnitudes[row].tobytes() == np.abs(bins).tobytes()
+            assert windows.magnitudes[row].tobytes() == np.abs(np.fft.fft(window)).tobytes()
             assert true_bins[row] == true_bin
         streams = np.random.default_rng(8).spawn(40)
         gen_training_windows(cfg, streams)
@@ -534,10 +532,10 @@ class TestTrainingSymbol:
         rng = np.random.default_rng(5)
         for _ in range(20):
             window, true_bin, meta = gen_training_symbol(cfg, rng)
-            assert baseline_detect(window.spectrum) == true_bin
+            assert baseline_detect(window.magnitudes) == true_bin
             assert meta["true_bin"] == true_bin
             npt.assert_allclose(
-                window.spectrum.magnitudes[true_bin], cfg.n_bins, rtol=1e-6
+                window.magnitudes[true_bin], cfg.n_bins, rtol=1e-6
             )
 
     def test_strong_interferers_defeat_baseline_sometimes(self):
@@ -550,7 +548,7 @@ class TestTrainingSymbol:
         wrong = 0
         for _ in range(10):
             windows, true_bins, _ = gen_training_windows(cfg, [rng] * 1000)
-            wrong += int(np.count_nonzero(baseline_detect(windows.spectrum) != true_bins))
+            wrong += int(np.count_nonzero(baseline_detect(windows.magnitudes) != true_bins))
         assert wrong > 0, "no misclassified windows in 10k draws"
 
     def test_interferer_count_and_meta_fields(self):

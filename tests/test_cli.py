@@ -27,7 +27,7 @@ from cora.cli import (
     write_sidecar,
 )
 from cora.detector import GridFormatError, PosteriorGrid, load_grid, save_grid
-from cora.phy import ComplexSignal
+from cora.phy import ComplexSignal, PhyParams, payload_start
 
 
 def write_cfg(path, text):
@@ -525,6 +525,22 @@ class TestDemod:
         rc, stdout, _ = run_cli(["demod", str(iq), "--config", cfg], capsys)
         assert rc == 0
         assert len(self.parse_demod(stdout)) == 10
+
+    @pytest.mark.parametrize("detector", ["baseline", "cora"])
+    def test_non_finite_sample_rejected(self, tmp_path, capsys, detector_grid_file, detector):
+        # NaN in the real part of the first sample of the third payload window
+        iq = self.gen_clean_capture(tmp_path, capsys)
+        data = bytearray(iq.read_bytes())
+        header = data.index(b"\n") + 1
+        bad = payload_start(8, PhyParams(sf=8)) + 2 * 256
+        data[header + 8 * bad : header + 8 * bad + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        iq.write_bytes(bytes(data))
+        cfg = write_cfg(tmp_path / "d.cfg", f"sf=8\ndetector={detector}\n")
+        grid = ["--grid", str(detector_grid_file)] if detector == "cora" else []
+        rc, stdout, err = run_cli(["demod", str(iq), "--config", cfg, *grid], capsys)
+        assert rc == 1
+        assert stdout == ""
+        assert f"sample {bad} is not finite" in err
 
     def test_window_outside_stream_rejected(self, tmp_path, capsys):
         iq = self.gen_clean_capture(tmp_path, capsys)

@@ -5,9 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from cora import (
-    ClassifierState,
     ComplexSignal,
-    DechirpedSpectrum,
     FeatureField,
     Interferer,
     CollisionScenario,
@@ -23,7 +21,7 @@ from cora import (
     hpd,
     modulate_symbol,
     pmd,
-    posterior_lookup,
+    score_bins,
 )
 from cora.phy import SymbolWindow
 from oracles import hpd_identity_error
@@ -32,14 +30,12 @@ from oracles import hpd_identity_error
 def tone_window(freq_bins: float, n: int, amp: float = 1.0, phase: float = 0.0,
                 start: int = 0, stop: int | None = None) -> SymbolWindow:
     samples = clipped_tone(freq_bins, amp, phase, start, n if stop is None else stop, n)
-    bins = np.fft.fft(samples)
-    return SymbolWindow(samples, DechirpedSpectrum(bins, np.abs(bins)))
+    return SymbolWindow(samples, np.abs(np.fft.fft(samples)))
 
 
 def random_window(rng: np.random.Generator, n: int) -> SymbolWindow:
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    bins = np.fft.fft(samples)
-    return SymbolWindow(samples, DechirpedSpectrum(bins, np.abs(bins)))
+    return SymbolWindow(samples, np.abs(np.fft.fft(samples)))
 
 
 def tiny_grid(cells, prior=0.5) -> PosteriorGrid:
@@ -57,39 +53,35 @@ class TestPmd:
     def test_formula_values(self):
         ep = 8.0
         mags = np.array([8.0, 0.0, 16.0, 4.0, 20.0])
-        spec = DechirpedSpectrum(np.zeros(5, dtype=complex), mags)
-        npt.assert_allclose(pmd(spec, ep), [0.0, 1.0, 1.0, 0.5, 1.0])
+        npt.assert_allclose(pmd(mags, ep), [0.0, 1.0, 1.0, 0.5, 1.0])
 
     def test_true_bin_scores_zero_on_clean_symbol(self):
         phy = PhyParams(sf=8)
         win = dechirp(modulate_symbol(33, phy), phy)
-        p = pmd(win.spectrum, float(phy.n))
+        p = pmd(win.magnitudes, float(phy.n))
         assert p[33] < 1e-9
         assert np.all(p >= 0) and np.all(p <= 1)
 
     def test_rejects_nonpositive_expected_peak(self):
-        spec = DechirpedSpectrum(np.zeros(4, dtype=complex), np.ones(4))
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
-                pmd(spec, bad)
+                pmd(np.ones(4), bad)
 
 
     def test_per_row_expected_peak(self):
         mags = np.array([[8.0, 0.0, 16.0, 4.0], [2.0, 1.0, 3.0, 6.0]])
-        spec = DechirpedSpectrum(np.zeros(mags.shape, dtype=complex), mags)
-        p = pmd(spec, np.array([[8.0], [2.0]]))
+        p = pmd(mags, np.array([[8.0], [2.0]]))
         npt.assert_allclose(p, [[0.0, 1.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0]])
         for row, peak in enumerate((8.0, 2.0)):
-            one = DechirpedSpectrum(spec.bins[row], mags[row])
-            assert p[row].tobytes() == pmd(one, peak).tobytes()
+            assert p[row].tobytes() == pmd(mags[row], peak).tobytes()
 
     def test_rejects_any_bad_expected_peak_entry(self):
-        spec = DechirpedSpectrum(np.zeros((2, 4), dtype=complex), np.ones((2, 4)))
+        mags = np.ones((2, 4))
         for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="expected_peak"):
-                pmd(spec, np.array([[1.0], [bad]]))
+                pmd(mags, np.array([[1.0], [bad]]))
             with pytest.raises(ValueError, match="expected_peak"):
-                pmd(spec, bad)
+                pmd(mags, bad)
 
 
 class TestHpd:
@@ -115,10 +107,7 @@ class TestHpd:
         npt.assert_allclose(h[100], np.tan(np.pi / 16), rtol=1e-9)
 
     def test_all_zero_window_takes_max_penalty(self):
-        win = SymbolWindow(
-            np.zeros(64, dtype=np.complex128),
-            DechirpedSpectrum(np.zeros(64, dtype=complex), np.zeros(64)),
-        )
+        win = SymbolWindow(np.zeros(64, dtype=np.complex128), np.zeros(64))
         npt.assert_array_equal(hpd(win), np.ones(64))
 
     def test_vanishing_bins_take_max_penalty(self):
@@ -126,7 +115,7 @@ class TestHpd:
         # must not produce a ratio of rounding errors.
         n = 256
         win = tone_window(10.0, n)
-        dead = win.spectrum.magnitudes < 1e-6
+        dead = win.magnitudes < 1e-6
         assert dead.sum() > 100  # integer tone: every other bin is empty
         h = hpd(win)
         npt.assert_array_equal(h[dead], 1.0)
@@ -139,8 +128,7 @@ class TestHpd:
 
     def test_odd_length_rejected(self):
         samples = np.ones(63, dtype=np.complex128)
-        bins = np.fft.fft(samples)
-        win = SymbolWindow(samples, DechirpedSpectrum(bins, np.abs(bins)))
+        win = SymbolWindow(samples, np.abs(np.fft.fft(samples)))
         with pytest.raises(ValueError):
             hpd(win)
 
@@ -154,10 +142,7 @@ class TestHpdIdentity:
             assert err < 1e-9 * n
 
     def test_zero_window_is_exact(self):
-        win = SymbolWindow(
-            np.zeros(32, dtype=np.complex128),
-            DechirpedSpectrum(np.zeros(32, dtype=complex), np.zeros(32)),
-        )
+        win = SymbolWindow(np.zeros(32, dtype=np.complex128), np.zeros(32))
         assert hpd_identity_error(win) == 0.0
 
     def test_even_tone_cancels_samplewise(self):
@@ -170,32 +155,27 @@ class TestHpdIdentity:
         assert np.max(np.abs(masked[::2])) < 1e-9
 
 
+def lookup(grid: PosteriorGrid, p, h) -> np.ndarray:
+    """Posteriors q of feature values, before damping, through `score_bins`."""
+    return score_bins(FeatureField(p, h), grid)[0]
+
+
 class TestPosteriorLookup:
     def test_cell_centers_and_corners(self):
         cells = np.array([[0.1, 0.2], [0.3, 0.4]])
         grid = tiny_grid(cells)
-        npt.assert_allclose(posterior_lookup(grid, 0.25, 0.25), 0.1)
-        npt.assert_allclose(posterior_lookup(grid, 0.25, 0.75), 0.2)
-        npt.assert_allclose(posterior_lookup(grid, 0.75, 0.25), 0.3)
-        # boundary values clamp to the edge cells
-        npt.assert_allclose(posterior_lookup(grid, 0.0, 0.0), 0.1)
-        npt.assert_allclose(posterior_lookup(grid, 1.0, 1.0), 0.4)
+        # cell centres, then boundary values, which clamp to the edge cells
+        p = [0.25, 0.25, 0.75, 0.75, 0.0, 1.0, 0.0, 1.0]
+        h = [0.25, 0.75, 0.25, 0.75, 0.0, 1.0, 1.0, 0.0]
+        npt.assert_array_equal(lookup(grid, p, h), [0.1, 0.2, 0.3, 0.4, 0.1, 0.4, 0.2, 0.3])
 
     def test_array_input_keeps_shape(self):
         grid = tiny_grid(np.array([[0.1, 0.2], [0.3, 0.4]]))
         p = np.array([0.0, 1.0, 0.6])
         h = np.array([0.0, 1.0, 0.1])
-        out = posterior_lookup(grid, p, h)
-        npt.assert_allclose(out, [0.1, 0.4, 0.3])
-        assert isinstance(posterior_lookup(grid, 0.5, 0.5), float)
-
-    def test_out_of_range_rejected(self):
-        grid = tiny_grid(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        for p, h in ((-0.1, 0.5), (0.5, 1.2), (float("nan"), 0.5)):
-            with pytest.raises(ValueError):
-                posterior_lookup(grid, p, h)
-        with pytest.raises(ValueError):
-            posterior_lookup(grid, np.array([0.1, 0.2]), np.array([0.1]))
+        npt.assert_array_equal(lookup(grid, p, h), [0.1, 0.4, 0.3])
+        for shape in ((1,), (3, 4), (2, 3, 4)):
+            assert lookup(grid, np.full(shape, 0.6), np.full(shape, 0.1)).shape == shape
 
     def test_trained_grid_orders_corners(self, detector_grid):
         res = detector_grid.resolution
@@ -215,10 +195,10 @@ class TestClassify:
         p[5] = h[5] = 0.1
         prev = np.zeros(n)
         prev[5] = 0.1
-        best, score, state = classify(FeatureField(p, h), grid, ClassifierState(prev))
+        best, score, q = classify(FeatureField(p, h), grid, prev)
         assert best == 5
         npt.assert_allclose(score, 0.81)
-        npt.assert_allclose(state.prev_posteriors[5], 0.9)
+        npt.assert_allclose(q[5], 0.9)
 
     def test_saturated_previous_bin_is_suppressed(self):
         # A bin the previous window pinned at posterior 1 scores zero now,
@@ -230,7 +210,7 @@ class TestClassify:
         p[0] = h[0] = 0.1
         prev = np.zeros(n)
         prev[0] = 1.0
-        best, score, _ = classify(FeatureField(p, h), grid, ClassifierState(prev))
+        best, score, _ = classify(FeatureField(p, h), grid, prev)
         assert best != 0
         npt.assert_allclose(score, 0.2)
 
@@ -240,8 +220,8 @@ class TestClassify:
         p = np.full(n, 0.9)
         h = np.full(n, 0.9)
         p[3] = h[3] = 0.0
-        for state in (None, ClassifierState()):
-            best, score, _ = classify(FeatureField(p, h), grid, state)
+        for prev in (None, np.zeros(n)):
+            best, score, _ = classify(FeatureField(p, h), grid, prev)
             assert best == 3
             npt.assert_allclose(score, 0.7)
 
@@ -254,8 +234,9 @@ class TestClassify:
     def test_state_shape_mismatch_rejected(self):
         grid = tiny_grid(np.full((2, 2), 0.5))
         feats = FeatureField(np.full(5, 0.2), np.full(5, 0.2))
-        with pytest.raises(ValueError):
-            classify(feats, grid, ClassifierState(np.zeros(7)))
+        for prev in (np.zeros(7), np.zeros((1, 5)), np.zeros((2, 5))):
+            with pytest.raises(ValueError, match="posteriors"):
+                classify(feats, grid, prev)
 
 
 class TestGainInvariance:
@@ -263,15 +244,12 @@ class TestGainInvariance:
         rng = np.random.default_rng(88)
         n = 256
         win = random_window(rng, n)
-        ep = float(np.max(win.spectrum.magnitudes))
-        p_ref = pmd(win.spectrum, ep)
+        ep = float(np.max(win.magnitudes))
+        p_ref = pmd(win.magnitudes, ep)
         h_ref = hpd(win)
         for g in (0.125, 3.0, 1e4):
-            scaled = SymbolWindow(
-                g * win.time_samples,
-                DechirpedSpectrum(g * win.spectrum.bins, g * win.spectrum.magnitudes),
-            )
-            npt.assert_allclose(pmd(scaled.spectrum, g * ep), p_ref, atol=1e-12)
+            scaled = SymbolWindow(g * win.time_samples, g * win.magnitudes)
+            npt.assert_allclose(pmd(scaled.magnitudes, g * ep), p_ref, atol=1e-12)
             npt.assert_allclose(hpd(scaled), h_ref, atol=1e-12)
 
 
@@ -306,7 +284,7 @@ class TestDetectSymbol:
             np.random.default_rng(0),
         )
         win = dechirp(out.samples[n : 2 * n], phy)
-        assert baseline_detect(win.spectrum) == 103
+        assert baseline_detect(win.magnitudes) == 103
         best, _, _ = detect_symbol(win, float(n), detector_grid)
         assert best == 30
 
@@ -316,8 +294,7 @@ class TestDetectSymbol:
         n = 256
         for _ in range(50):
             noise = np.sqrt(0.05) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            bins = np.fft.fft(noise)
-            win = SymbolWindow(noise, DechirpedSpectrum(bins, np.abs(bins)))
+            win = SymbolWindow(noise, np.abs(np.fft.fft(noise)))
             _, score, _ = detect_symbol(win, float(n), detector_grid)
             assert score < 0.5
 
@@ -345,6 +322,9 @@ class TestFeatureField:
     def test_validation(self):
         with pytest.raises(ValueError):
             FeatureField(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
+        for p, h in ((-0.1, 0.5), (0.5, 1.2), (np.nan, 0.5), (0.5, np.inf)):
+            with pytest.raises(ValueError, match="must lie in"):
+                FeatureField(np.array([p]), np.array([h]))
         with pytest.raises(ValueError):
             FeatureField(np.array([0.5]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):

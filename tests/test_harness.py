@@ -23,9 +23,9 @@ from cora import (
     etu_like_profile,
     hpd,
     pmd,
-    posterior_lookup,
     receive,
     run_experiment,
+    score_bins,
     simulate_frame,
     write_csv,
 )
@@ -213,7 +213,7 @@ def per_window_receive(samples, starts, cfg):
     damped lookup, argmax; the reference the batched path must match."""
     phy = cfg.phy
     n = phy.n
-    peaks = [dechirp(samples[i * n : (i + 1) * n], phy).spectrum.magnitudes[0]
+    peaks = [dechirp(samples[i * n : (i + 1) * n], phy).magnitudes[0]
              for i in range(cfg.preamble_len)]
     expected_peak = float(np.mean(peaks))
     prev = None
@@ -221,11 +221,11 @@ def per_window_receive(samples, starts, cfg):
     for start in starts:
         window = dechirp(samples[start : start + n], phy)
         if cfg.detector == "baseline":
-            best = baseline_detect(window.spectrum)
-            score = window.spectrum.magnitudes[best]
+            best = baseline_detect(window.magnitudes)
+            score = window.magnitudes[best]
         else:
-            f = FeatureField(pmd(window.spectrum, expected_peak), hpd(window))
-            q = posterior_lookup(cfg.grid, f.p, f.h)
+            f = FeatureField(pmd(window.magnitudes, expected_peak), hpd(window))
+            q, _ = score_bins(f, cfg.grid)
             damped = q if prev is None else q * (1.0 - prev)
             best = int(np.argmax(damped))
             score = damped[best]

@@ -15,6 +15,7 @@ from scipy.ndimage import gaussian_filter
 
 import cora
 from cora import (
+    FeatureField,
     GridFormatError,
     PosteriorGrid,
     TrainConfig,
@@ -27,8 +28,8 @@ from cora import (
     hpd,
     load_grid,
     pmd,
-    posterior_lookup,
     save_grid,
+    score_bins,
     train,
 )
 from cora import detector as detector_module
@@ -125,9 +126,9 @@ def per_window_features(cfg, rng):
     true_rows, intf_rows = [], []
     for stream in rng.spawn(cfg.n_symbols):
         window, true_bin, _ = gen_training_symbol(cfg, stream)
-        if baseline_detect(window.spectrum) == true_bin:
+        if baseline_detect(window.magnitudes) == true_bin:
             continue
-        p = pmd(window.spectrum, float(np.max(window.spectrum.magnitudes)))
+        p = pmd(window.magnitudes, float(np.max(window.magnitudes)))
         h = hpd(window)
         true_rows.append((p[true_bin], h[true_bin]))
         p_others = p.copy()
@@ -321,7 +322,8 @@ class TestGridFromSamples:
         samples = TrainingSamples(true_f, intf_f, 400, 200)
         cfg = TrainConfig(n_symbols=400, seed=0)
         grid = grid_from_samples(samples, cfg)
-        npt.assert_allclose(posterior_lookup(grid, 0.9, 0.1), 0.5, atol=1e-3)
+        q, _ = score_bins(FeatureField([0.9], [0.1]), grid)
+        npt.assert_allclose(q, [0.5], atol=1e-3)
 
     def test_insufficient_windows_rejected(self):
         samples = TrainingSamples(
