@@ -2,23 +2,17 @@
 
 from cora.phy import (
     PhyParams,
-    ComplexSignal,
     SymbolWindow,
     base_upchirp,
     modulate_symbol,
-    downchirp,
     build_frame,
     build_frames,
     dechirp,
     baseline_detect,
 )
 from cora.channel import (
-    Interferer,
-    CollisionScenario,
     FadingProfile,
     TrainConfig,
-    add_awgn,
-    apply_freq_offset,
     collide,
     compose_collision,
     apply_fading,

@@ -1,8 +1,9 @@
-"""Channel impairments and collision scenarios.
+"""Channel impairments on sample streams (complex128 arrays).
 
-Covers complex AWGN, carrier frequency offset, multipath Rayleigh fading
-with a Jakes Doppler spectrum, frame-on-frame collisions, and the
-dechirped-domain symbol generator used to train the collision classifier.
+Covers multipath Rayleigh fading with a Jakes Doppler spectrum,
+frame-on-frame collisions with AWGN calibrated to the target frame's
+power, and the dechirped-domain symbol generator used to train the
+collision classifier.
 Next to `TrainConfig` sits the one parser of `key=value` config text,
 typed by the annotations of the dataclass a value configures.
 """
@@ -11,12 +12,12 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from cora.phy import ComplexSignal, PhyParams, SymbolWindow
+from cora.phy import SymbolWindow
 
 # Sum-of-sinusoids order for the Jakes Doppler model. 16 oscillators keep
 # the tap statistics close to Rayleigh without noticeable cost.
@@ -38,56 +39,6 @@ def _check_snr_db(snr_db: float) -> None:
         ratio = math.inf
     if not (0.0 < ratio < math.inf and 1.0 / ratio < math.inf):
         raise ValueError(f"snr_db must be +inf or finite within about ±3082 dB, got {snr_db}")
-
-
-@dataclass
-class Interferer:
-    """One colliding frame: its waveform, power offset, and start sample.
-
-    `offset_samples` places the interferer's first sample relative to the
-    target frame's first sample; anything falling outside the target
-    extent is discarded.
-    """
-
-    frame: ComplexSignal
-    gain_db: float
-    offset_samples: int
-
-    def __post_init__(self):
-        if not isinstance(self.frame, ComplexSignal):
-            raise ValueError("frame must be a ComplexSignal")
-        if not isinstance(self.offset_samples, (int, np.integer)):
-            raise ValueError(f"offset_samples must be an integer, got {self.offset_samples!r}")
-        if self.offset_samples < 0:
-            raise ValueError(f"offset_samples must be >= 0, got {self.offset_samples}")
-        if math.isnan(self.gain_db):
-            raise ValueError("gain_db must not be NaN")
-
-
-@dataclass
-class CollisionScenario:
-    """A target frame plus colliding frames and a noise level.
-
-    `snr_db` is measured against the target frame's mean power, so the
-    noise floor does not move when interferers are added.
-    """
-
-    target: ComplexSignal
-    interferers: list[Interferer] = field(default_factory=list)
-    snr_db: float = math.inf
-
-    def __post_init__(self):
-        if not isinstance(self.target, ComplexSignal):
-            raise ValueError("target must be a ComplexSignal")
-        for itf in self.interferers:
-            if not isinstance(itf, Interferer):
-                raise ValueError("interferers must be Interferer instances")
-            if itf.offset_samples >= len(self.target):
-                raise ValueError(
-                    f"interferer offset {itf.offset_samples} lies beyond the "
-                    f"target frame ({len(self.target)} samples)"
-                )
-        _check_snr_db(self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -234,34 +185,6 @@ def _scaled_noise(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray
     return scale * (re + 1j * im)
 
 
-def add_awgn(signal: ComplexSignal, snr_db: float, rng: np.random.Generator) -> ComplexSignal:
-    """Add complex white Gaussian noise at the given SNR.
-
-    The noise variance is set from the mean power of `signal` itself:
-    sigma^2 = P / 10^(snr_db / 10), split evenly between I and Q.
-    """
-    _check_snr_db(snr_db)
-    power = float(np.mean(np.abs(signal.samples) ** 2))
-    if power == 0.0:
-        raise ValueError("cannot set an SNR against an all-zero signal")
-    variance = power / 10.0 ** (snr_db / 10.0)
-    n = len(signal)
-    noisy = signal.samples + _scaled_noise(rng.standard_normal(n), rng.standard_normal(n), variance)
-    return ComplexSignal(noisy, signal.sample_rate_hz)
-
-
-def apply_freq_offset(signal: ComplexSignal, delta_f: float, params: PhyParams) -> ComplexSignal:
-    """Rotate the signal by a carrier offset of `delta_f` FFT bins.
-
-    One bin equals bandwidth / N Hz; an offset of exactly 1.0 moves a
-    dechirped peak up one bin, fractional values split energy between
-    neighbours.
-    """
-    k = np.arange(len(signal))
-    rotated = signal.samples * np.exp(2j * np.pi * delta_f * k / params.n)
-    return ComplexSignal(rotated, signal.sample_rate_hz)
-
-
 def collide(
     out: np.ndarray,
     interferers: list[list[tuple[np.ndarray, float, int]]],
@@ -291,22 +214,31 @@ def collide(
 
 
 def compose_collision(
-    scenario: CollisionScenario, rng: np.random.Generator
-) -> ComplexSignal:
+    target: np.ndarray,
+    interferers: list[tuple[np.ndarray, float, int]],
+    snr_db: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
     """Sum the target frame, offset interferers, and noise into one stream.
 
-    The output has the target's length. Interferer samples beyond the
-    target's last sample are dropped, and the AWGN level is calibrated to
-    the target's own power, so an infinite-SNR scenario with no
-    interferers returns the target unchanged.
+    `interferers` lists `collide`'s (samples, gain_db, offset) triples, each
+    offset in [0, len(target)) from the target's first sample. The output
+    has the target's length: interferer samples beyond the target's last
+    sample are dropped. The AWGN level is calibrated to the target's own
+    power, so an infinite-SNR call with no interferers returns the target.
     """
-    target = scenario.target.samples
-    interferers = [
-        (itf.frame.samples, itf.gain_db, int(itf.offset_samples)) for itf in scenario.interferers
-    ]
+    target = np.asarray(target, dtype=np.complex128)
+    if target.ndim != 1 or target.size == 0:
+        raise ValueError(f"target must be a non-empty 1-D stream, got shape {target.shape}")
+    for _, gain_db, offset in interferers:
+        if not isinstance(offset, (int, np.integer)) or not 0 <= offset < target.size:
+            raise ValueError(f"interferer offset {offset!r} not an integer in [0, {target.size})")
+        if math.isnan(gain_db):
+            raise ValueError("interferer gain_db must not be NaN")
+    _check_snr_db(snr_db)
+    placed = [(np.asarray(frame), gain_db, int(offset)) for frame, gain_db, offset in interferers]
     noise = np.stack([rng.standard_normal(target.size), rng.standard_normal(target.size)])
-    out = collide(target[None].copy(), [interferers], scenario.snr_db, noise[:, None])
-    return ComplexSignal(out[0], scenario.target.sample_rate_hz)
+    return collide(target[None].copy(), [placed], snr_db, noise[:, None])[0]
 
 
 # Terms of the Taylor series that stands in for each tone's fine factor in
@@ -365,9 +297,9 @@ def _tone_sum(
 
 
 def apply_fading(
-    signal: ComplexSignal, profile: FadingProfile, rng: np.random.Generator
-) -> ComplexSignal:
-    """Pass the signal through a time-varying tapped delay line.
+    samples: np.ndarray, fs: float, profile: FadingProfile, rng: np.random.Generator
+) -> np.ndarray:
+    """Pass a stream sampled at `fs` Hz through a time-varying tapped delay line.
 
     Each tap gets an independent Jakes sum-of-sinusoids Rayleigh process:
     the sum of JAKES_OSCILLATORS complex tones at Dopplers
@@ -383,10 +315,9 @@ def apply_fading(
     of all their tones, computed by `_tone_sum` from a few exponentials per
     tone and a cached Taylor power table. The realised channel is that of
     a tap-by-tap, tone-by-tone evaluation, up to floating-point rounding.
-    Groups delayed by the whole signal length or more contribute nothing.
+    Groups delayed by the whole stream length or more contribute nothing.
     """
-    fs = signal.sample_rate_hz
-    x = signal.samples
+    x = np.asarray(samples)
     n = x.size
 
     # relative to the strongest tap, so no finite dB value overflows
@@ -410,7 +341,7 @@ def apply_fading(
             out += gain * x
         else:
             out[delay:] += gain[delay:] * x[: n - delay]
-    return ComplexSignal(out, fs)
+    return out
 
 
 def _tone(amplitude, omega, phase, k, n: int) -> np.ndarray:

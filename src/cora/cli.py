@@ -21,6 +21,7 @@ from cora.detector import (
     GridFormatError,
     PosteriorGrid,
     TrainingError,
+    _read_utf8,
     collect_training_features,
     grid_from_samples,
     load_grid,
@@ -35,7 +36,7 @@ from cora.harness import (
     simulate_frame,
     write_csv,
 )
-from cora.phy import ComplexSignal, PhyParams, payload_start
+from cora.phy import PhyParams, payload_start
 
 IQ_MAGIC = "CORA-IQ v1"
 
@@ -54,7 +55,7 @@ class IqFormatError(ValueError):
 def read_config(path: str | Path) -> dict[str, str]:
     """Parse a flat key=value file into a string map."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(path, ConfigError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -135,10 +136,9 @@ def _cora_grid(cfg: dict[str, str]) -> PosteriorGrid:
 # --- IQ and sidecar files ----------------------------------------------------
 
 
-def write_iq(path: str | Path, signal: ComplexSignal) -> None:
+def write_iq(path: str | Path, samples: np.ndarray, fs: float) -> None:
     """Write `CORA-IQ v1` header plus interleaved little-endian float32 I/Q."""
-    samples = signal.samples
-    header = f"{IQ_MAGIC} fs={format(signal.sample_rate_hz, '.17g')} n={samples.size}\n"
+    header = f"{IQ_MAGIC} fs={format(fs, '.17g')} n={samples.size}\n"
     inter = np.empty(2 * samples.size, dtype="<f4")
     inter[0::2] = samples.real.astype(np.float32)
     inter[1::2] = samples.imag.astype(np.float32)
@@ -147,8 +147,8 @@ def write_iq(path: str | Path, signal: ComplexSignal) -> None:
         fh.write(inter.tobytes())
 
 
-def read_iq(path: str | Path) -> ComplexSignal:
-    """Read an IQ file, checking the magic, sample count, byte length and finiteness."""
+def read_iq(path: str | Path) -> tuple[np.ndarray, float]:
+    """An IQ file's samples and rate in Hz, checking magic, rate, count, length, finiteness."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
@@ -166,6 +166,8 @@ def read_iq(path: str | Path) -> ComplexSignal:
         n = int(parts[3][2:])
     except ValueError:
         raise IqFormatError(f"{path}: unparseable header numbers in {text!r}") from None
+    if not (fs > 0 and n >= 1):
+        raise IqFormatError(f"{path}: header needs fs > 0 and n >= 1, got {text!r}")
     expected = 8 * n
     if len(payload) != expected:
         raise IqFormatError(
@@ -177,7 +179,7 @@ def read_iq(path: str | Path) -> ComplexSignal:
     if bad.size:
         raise IqFormatError(f"{path}: sample {bad[0] // 2} is not finite")
     samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
-    return ComplexSignal(samples, fs)
+    return samples, fs
 
 
 def write_sidecar(
@@ -201,7 +203,7 @@ def read_sidecar(path: str | Path) -> tuple[list[tuple[int, int]], list[tuple[in
     rows: list[tuple[int, int]] = []
     interferers: list[tuple[int, float]] = []
     saw_header = False
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(path, IqFormatError).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -324,7 +326,7 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     )
     rng = np.random.default_rng(np.random.SeedSequence(exp.seed).spawn(1)[0])
     samples, payload, interferers = simulate_frame(exp, rng)
-    write_iq(args.out, ComplexSignal(samples, phy.sample_rate_hz))
+    write_iq(args.out, samples, phy.sample_rate_hz)
     start = payload_start(exp.preamble_len, phy)
     starts = [start + k * phy.n for k in range(exp.symbols_per_frame)]
     write_sidecar(_sidecar_path(args.out), starts, [int(b) for b in payload], interferers)
@@ -336,22 +338,22 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
 def cmd_demod(args: argparse.Namespace) -> int:
     cfg = _load_config(args, _DEMOD_KEYS, "demod config")
     detector = cfg.setdefault("detector", "baseline")
-    signal = read_iq(args.iq_path)
+    samples, fs = read_iq(args.iq_path)
     sidecar = cfg.get("sidecar", str(_sidecar_path(args.iq_path)))
     rows, _ = read_sidecar(sidecar)
-    phy = _build(PhyParams, cfg, bandwidth_hz=signal.sample_rate_hz)
+    phy = _build(PhyParams, cfg, bandwidth_hz=fs)
     n = phy.n
     grid = _cora_grid(cfg) if detector == "cora" else None
     exp = _build(ExperimentConfig, cfg, phy=phy, detector=detector, grid=grid)
-    if grid is not None and len(signal) < exp.preamble_len * n:
+    if grid is not None and samples.size < exp.preamble_len * n:
         raise IqFormatError(f"{args.iq_path}: too short for a {exp.preamble_len}-symbol preamble")
     starts = np.array([start for start, _true in rows], dtype=np.int64)
-    outside = starts[(starts < 0) | (starts + n > len(signal))]
+    outside = starts[(starts < 0) | (starts + n > samples.size)]
     if outside.size:
         raise IqFormatError(
-            f"{sidecar}: window at {outside[0]} falls outside the {len(signal)}-sample stream"
+            f"{sidecar}: window at {outside[0]} falls outside the {samples.size}-sample stream"
         )
-    bins, scores = receive(signal.samples, starts, exp)
+    bins, scores = receive(samples, starts, exp)
     print("window_start,detected_bin,score")
     for start, bin_, score in zip(starts, bins, scores):
         print(f"{start},{bin_},{format(float(score), '.17g')}")

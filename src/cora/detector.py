@@ -491,6 +491,8 @@ def _parse_config_tokens(line: str, lineno: int) -> TrainConfig:
         key, sep, raw = token.partition("=")
         if not sep or key not in keys:
             raise GridFormatError(f"line {lineno}: unknown config token {token!r}")
+        if key in text:
+            raise GridFormatError(f"line {lineno}: duplicate config token {token!r}")
         text[key] = raw
     try:
         kwargs = fields_from_text(TrainConfig, text)
@@ -556,10 +558,17 @@ def _parse_cells(rows: list[str], resolution: int) -> np.ndarray:
     return cells
 
 
+def _read_utf8(path: str | Path, error: type[ValueError]) -> str:
+    """The text of file `path`; `error` naming the file if its bytes are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_grid(source: str | Path) -> PosteriorGrid:
     """Parse a grid file, rejecting wrong versions and malformed content."""
-    text = Path(source).read_text(encoding="utf-8")
-    lines = text.split("\n")
+    lines = _read_utf8(source, GridFormatError).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 3:

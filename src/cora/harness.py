@@ -30,7 +30,6 @@ from cora.detector import (
     score_bins,
 )
 from cora.phy import (
-    ComplexSignal,
     PhyParams,
     base_upchirp,
     baseline_detect,
@@ -184,8 +183,7 @@ def simulate_frames(
     for row, rng in enumerate(streams):
         if sc.fading_profile is not None:
             for frame in (samples[row], *others[row]):
-                signal = ComplexSignal(frame, phy.sample_rate_hz)
-                frame[:] = apply_fading(signal, sc.fading_profile, rng).samples
+                frame[:] = apply_fading(frame, phy.sample_rate_hz, sc.fading_profile, rng)
         rng.standard_normal(total, out=noise[0, row])
         rng.standard_normal(total, out=noise[1, row])
     interferers = [
@@ -354,7 +352,7 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     rng = np.random.default_rng(cfg.seed)
     total = n_warmup + n_iter
     bins = rng.integers(0, n, total)
-    raw = np.take(base_upchirp(phy).samples, np.arange(n) + bins[:, None], mode="wrap")
+    raw = np.take(base_upchirp(phy), np.arange(n) + bins[:, None], mode="wrap")
     variance = 1.0 / 10.0 ** (cfg.scenario.snr_db / 10.0)
     raw += _scaled_noise(rng.standard_normal(raw.shape), rng.standard_normal(raw.shape), variance)
 

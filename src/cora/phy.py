@@ -2,7 +2,8 @@
 
 Everything works at critical sampling (sample rate == bandwidth), so one
 symbol is exactly N = 2**sf complex samples and the dechirped FFT has one
-bin per candidate symbol value. Windows live on the last axis: the
+bin per candidate symbol value. A sample stream is a complex128 array
+at `PhyParams.sample_rate_hz`. Windows live on the last axis: the
 dechirp and detection stages take one window (N,), a whole frame's
 windows (K, N), or the windows of F frames (F, K, N) at once.
 """
@@ -53,26 +54,6 @@ class PhyParams:
 
 
 @dataclass
-class ComplexSignal:
-    """A 1-D complex baseband sample stream tagged with its sample rate."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
-        if self.samples.size == 0:
-            raise ValueError("samples must be non-empty")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass
 class SymbolWindow:
     """Dechirped symbols, one per row: the time-domain product and its FFT magnitudes.
 
@@ -114,17 +95,12 @@ def _downchirp_table(n: int) -> np.ndarray:
     return table
 
 
-def base_upchirp(params: PhyParams) -> ComplexSignal:
+def base_upchirp(params: PhyParams) -> np.ndarray:
     """Unit-amplitude upchirp sweeping the full bandwidth once."""
-    return ComplexSignal(_upchirp_table(params.n).copy(), params.sample_rate_hz)
+    return _upchirp_table(params.n).copy()
 
 
-def downchirp(params: PhyParams) -> ComplexSignal:
-    """Conjugate of the base upchirp; sweeps the band in the other direction."""
-    return ComplexSignal(_downchirp_table(params.n).copy(), params.sample_rate_hz)
-
-
-def modulate_symbol(m: int, params: PhyParams) -> ComplexSignal:
+def modulate_symbol(m: int, params: PhyParams) -> np.ndarray:
     """Encode symbol value m as a cyclic shift of the base upchirp.
 
     Sample k of the output equals base[(k + m) mod N], so after dechirp the
@@ -135,8 +111,7 @@ def modulate_symbol(m: int, params: PhyParams) -> ComplexSignal:
         raise ValueError(f"symbol value must be an integer, got {m!r}")
     if not 0 <= m < n:
         raise ValueError(f"symbol value must be in [0, {n}), got {m}")
-    shifted = np.roll(_upchirp_table(n), -int(m))
-    return ComplexSignal(shifted, params.sample_rate_hz)
+    return np.roll(_upchirp_table(n), -int(m))
 
 
 @lru_cache(maxsize=16)
@@ -195,7 +170,7 @@ def build_frame(
     payload_symbols: np.ndarray | list[int],
     preamble_len: int,
     params: PhyParams,
-) -> ComplexSignal:
+) -> np.ndarray:
     """Assemble a frame: preamble, two sync symbols, 2.25 downchirps, payload.
 
     The quarter downchirp keeps the conventional header length of 4.25
@@ -203,7 +178,10 @@ def build_frame(
     (preamble_len + 4) * N + N // 4. The one-frame view of `build_frames`:
     payload symbols that are not one row give no 1-D frame, and raise.
     """
-    return ComplexSignal(build_frames(payload_symbols, preamble_len, params), params.sample_rate_hz)
+    frame = build_frames(payload_symbols, preamble_len, params)
+    if frame.ndim != 1:
+        raise ValueError(f"payload symbols must be one row, got shape {np.shape(payload_symbols)}")
+    return frame
 
 
 def frame_length(n_payload: int, preamble_len: int, params: PhyParams) -> int:
@@ -219,7 +197,7 @@ def payload_start(preamble_len: int, params: PhyParams) -> int:
     return (preamble_len + N_SYNC_SYMBOLS + N_FULL_DOWNCHIRPS) * n + n // 4
 
 
-def dechirp(window: ComplexSignal | np.ndarray, params: PhyParams) -> SymbolWindow:
+def dechirp(window: np.ndarray, params: PhyParams) -> SymbolWindow:
     """Multiply symbol windows by the conjugate base chirp and FFT them.
 
     Takes one window (N,) or windows on the last axis of any array, such
@@ -227,8 +205,7 @@ def dechirp(window: ComplexSignal | np.ndarray, params: PhyParams) -> SymbolWind
     collapses to a single tone, so its magnitudes are N at index m and
     zero elsewhere.
     """
-    samples = window.samples if isinstance(window, ComplexSignal) else np.asarray(window)
-    samples = samples.astype(np.complex128, copy=False)
+    samples = np.asarray(window).astype(np.complex128, copy=False)
     n = params.n
     if samples.ndim == 0 or samples.shape[-1] != n:
         raise ValueError(f"window must hold exactly {n} samples, got shape {samples.shape}")

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cora.channel import CollisionScenario, Interferer, apply_fading, compose_collision
+from cora.channel import apply_fading, compose_collision
 from cora.detector import _half_mask
 from cora.harness import MetricsRecord, receive
 from cora.phy import SymbolWindow, build_frame, frame_length, payload_start
@@ -58,7 +58,7 @@ def per_frame_campaign(cfg):
         rng = np.random.default_rng(child)
         payload = rng.integers(0, n, cfg.symbols_per_frame)
         target = build_frame(payload, cfg.preamble_len, phy)
-        total = len(target)
+        total = target.size
         interferers = []
         for _ in range(sc.n_interferers):
             frame = build_frame(rng.integers(0, n, cfg.symbols_per_frame), cfg.preamble_len, phy)
@@ -67,14 +67,15 @@ def per_frame_campaign(cfg):
                 offset = int(rng.integers(total))
             else:
                 offset = min(sc.offset_samples, total - 1)
-            interferers.append(Interferer(frame, -sir, offset))
+            interferers.append((frame, -sir, offset))
         if sc.fading_profile is not None:
-            target = apply_fading(target, sc.fading_profile, rng)
+            fs = phy.sample_rate_hz
+            target = apply_fading(target, fs, sc.fading_profile, rng)
             interferers = [
-                Interferer(apply_fading(i.frame, sc.fading_profile, rng), i.gain_db, i.offset_samples)
-                for i in interferers
+                (apply_fading(frame, fs, sc.fading_profile, rng), gain_db, offset)
+                for frame, gain_db, offset in interferers
             ]
-        samples = compose_collision(CollisionScenario(target, interferers, sc.snr_db), rng).samples
+        samples = compose_collision(target, interferers, sc.snr_db, rng)
         detected, score = receive(samples, starts, cfg)
         bins.append(detected)
         scores.append(score)

@@ -5,15 +5,40 @@ and fails when a per-layer metric declared in BENCHMARK.json was not
 measured. A metric `<layer>.<func>.calls` or `<layer>.<func>.self_s`
 therefore needs `cora.<layer>.<func>` to stay a public function defined
 in that module; this test catches a rename or a removal before a traced
-benchmark run does.
+benchmark run does. The tracer's work counters read call arguments, so
+a signature change can break them as well; the last test runs one.
 """
 
 import importlib
+import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+import numpy as np
+
+import cora.cli  # the tracer wraps every layer, cli included
+from cora import harness
+from cora.channel import etu_like_profile
+from cora.harness import ExperimentConfig, ScenarioSpec
+from cora.phy import PhyParams
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
+
+
+def load_tracer():
+    """bench/tracer.py as a module, loaded without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location("cora_bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 def declared_functions() -> list[tuple[str, str]]:
@@ -38,3 +63,17 @@ def test_declared_layer_functions_are_public_functions_of_their_module():
         ):
             missing.append(f"{layer}.{func}")
     assert not missing, f"declared in BENCHMARK.json, not a public function there: {missing}"
+
+
+def test_tracer_counts_every_faded_sample():
+    # 3 frames with 2 interferers each: every one of the 9 frames fades once
+    scenario = ScenarioSpec(snr_db=5.0, n_interferers=2, fading_profile=etu_like_profile())
+    cfg = ExperimentConfig(
+        phy=PhyParams(sf=7), detector="baseline", scenario=scenario, symbols_per_frame=4
+    )
+    streams = [np.random.default_rng(seed) for seed in range(3)]
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        samples, _, _ = harness.simulate_frames(cfg, streams)
+    assert tracer.calls["channel.apply_fading"] == 9
+    assert tracer.counts["channel.apply_fading.samples"] == 9 * samples.shape[-1]

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cora import cli, detector
 from cora.channel import TrainConfig, fields_from_text
@@ -27,7 +29,7 @@ from cora.cli import (
     write_sidecar,
 )
 from cora.detector import GridFormatError, PosteriorGrid, load_grid, save_grid
-from cora.phy import ComplexSignal, PhyParams, payload_start
+from cora.phy import PhyParams, payload_start
 
 
 def write_cfg(path, text):
@@ -401,11 +403,11 @@ class TestGenScenario:
         out = tmp_path / "cap.iq"
         rc, stdout, _ = run_cli(["gen-scenario", "--config", cfg, "--out", str(out)], capsys)
         assert rc == 0
-        signal = read_iq(out)
+        samples, fs = read_iq(out)
         # preamble 8 + 2 sync + 2.25 downchirps + 10 payload symbols of 256
-        assert len(signal) == int(22.25 * 256)
-        assert signal.sample_rate_hz == 125e3
-        assert f"wrote {len(signal)} samples" in stdout
+        assert samples.shape == (int(22.25 * 256),)
+        assert fs == 125e3
+        assert f"wrote {samples.size} samples" in stdout
         rows, interferers = read_sidecar(str(out) + ".truth.csv")
         assert interferers == []
         starts = [s for s, _ in rows]
@@ -551,23 +553,54 @@ class TestDemod:
         assert rc == 1
         assert "outside" in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        ["fs=125000 n=0", "fs=0 n=5696", "fs=nan n=5696"],
+        ids=["empty", "zero-rate", "nan-rate"],
+    )
+    def test_header_needs_positive_rate_and_count(self, tmp_path, capsys, fields):
+        iq = self.gen_clean_capture(tmp_path, capsys)
+        data = iq.read_bytes()
+        iq.write_bytes(f"CORA-IQ v1 {fields}".encode() + data[data.index(b"\n") :])
+        cfg = write_cfg(tmp_path / "d.cfg", "sf=8\n")
+        rc, stdout, err = run_cli(["demod", str(iq), "--config", cfg], capsys)
+        assert (rc, stdout) == (1, "")
+        assert err.startswith(f"error: {iq}: header needs fs > 0 and n >= 1"), err
+
+    @pytest.mark.parametrize("target", ["config", "sidecar", "grid"])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, detector_grid_file, target):
+        # a byte that is no UTF-8 fails as that file's format error
+        iq = self.gen_clean_capture(tmp_path, capsys)
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("sf=8\ndetector=cora\n", encoding="utf-8")
+        grid = tmp_path / "copy.grid"
+        grid.write_bytes(detector_grid_file.read_bytes())
+        path = {"config": cfg, "sidecar": tmp_path / "cap.iq.truth.csv", "grid": grid}[target]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        rc, stdout, err = run_cli(
+            ["demod", str(iq), "--config", str(cfg), "--grid", str(grid)], capsys
+        )
+        assert (rc, stdout) == (1, "")
+        assert err == f"error: {path}: not UTF-8 text (byte {path.stat().st_size - 2})\n"
+
 
 class TestFileRoundTrips:
     def test_iq_survives_float32_quantisation(self, tmp_path):
         rng = np.random.default_rng(6)
         samples = rng.normal(size=512) + 1j * rng.normal(size=512)
         path = tmp_path / "x.iq"
-        write_iq(path, ComplexSignal(samples, 125e3))
-        back = read_iq(path)
+        write_iq(path, samples, 125e3)
+        back, fs = read_iq(path)
         expected = samples.real.astype(np.float32).astype(np.float64) + 1j * samples.imag.astype(
             np.float32
         ).astype(np.float64)
-        assert back.sample_rate_hz == 125e3
-        assert np.array_equal(back.samples, expected)
+        assert fs == 125e3
+        assert back.dtype == np.complex128
+        assert np.array_equal(back, expected)
 
     def test_iq_header_count_mismatch(self, tmp_path):
         path = tmp_path / "x.iq"
-        write_iq(path, ComplexSignal(np.ones(16, dtype=complex), 125e3))
+        write_iq(path, np.ones(16, dtype=complex), 125e3)
         data = path.read_bytes()
         path.write_bytes(data.replace(b"n=16", b"n=17"))
         try:
@@ -593,6 +626,48 @@ class TestFileRoundTrips:
             assert "window_start,true_bin" in str(exc)
         else:
             assert False, "bad header accepted"
+
+
+def byte_edits(limit: int):
+    """One to three (offset, value) byte replacements within the first `limit` bytes."""
+    return st.lists(
+        st.tuples(st.integers(0, limit - 1), st.integers(0, 255)), min_size=1, max_size=3
+    )
+
+
+def edited(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for offset, value in edits:
+        out[offset] = value
+    return bytes(out)
+
+
+class TestCorruptedFiles:
+    # A corrupted grid or capture either still parses or raises the
+    # reader's documented error, which the CLI turns into exit code 1.
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("corrupted")
+        grid = PosteriorGrid(8, np.linspace(0.05, 0.95, 64).reshape(8, 8), 0.1, TrainConfig())
+        save_grid(grid, folder / "a.grid")
+        write_iq(folder / "a.iq", np.exp(1j * np.arange(64) / 3.0), 125e3)
+        return folder, (folder / "a.grid").read_bytes(), (folder / "a.iq").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["grid", "capture"])
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(edits=byte_edits(300))
+    def test_reads_or_raises_format_error(self, originals, kind, edits):
+        folder, grid, capture = originals
+        data, read, error = {
+            "grid": (grid, load_grid, GridFormatError),
+            "capture": (capture, read_iq, IqFormatError),
+        }[kind]
+        path = folder / f"edited.{kind}"
+        path.write_bytes(edited(data, edits))
+        try:
+            read(path)
+        except error:
+            pass
 
 
 class TestSnrRule:

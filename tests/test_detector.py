@@ -5,10 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from cora import (
-    ComplexSignal,
     FeatureField,
-    Interferer,
-    CollisionScenario,
     PhyParams,
     PosteriorGrid,
     TrainConfig,
@@ -267,23 +264,10 @@ class TestDetectSymbol:
         # bin 103; the complete-waveform features still pick out bin 30.
         phy = PhyParams(sf=8)
         n = phy.n
-        target = ComplexSignal(
-            np.concatenate(
-                [modulate_symbol(5, phy).samples, modulate_symbol(30, phy).samples]
-            ),
-            phy.sample_rate_hz,
-        )
-        interferer = ComplexSignal(
-            np.concatenate(
-                [modulate_symbol(0, phy).samples, modulate_symbol(60, phy).samples]
-            ),
-            phy.sample_rate_hz,
-        )
-        out = compose_collision(
-            CollisionScenario(target, [Interferer(interferer, 6.0, 153)], snr_db=np.inf),
-            np.random.default_rng(0),
-        )
-        win = dechirp(out.samples[n : 2 * n], phy)
+        target = np.concatenate([modulate_symbol(5, phy), modulate_symbol(30, phy)])
+        interferer = np.concatenate([modulate_symbol(0, phy), modulate_symbol(60, phy)])
+        out = compose_collision(target, [(interferer, 6.0, 153)], np.inf, np.random.default_rng(0))
+        win = dechirp(out[n : 2 * n], phy)
         assert baseline_detect(win.magnitudes) == 103
         best, _, _ = detect_symbol(win, float(n), detector_grid)
         assert best == 30

@@ -241,7 +241,7 @@ def receive_case(case, phy):
     rng = np.random.default_rng(np.random.SeedSequence(phy.sf).spawn(1)[0])
     start = payload_start(8, phy)
     if case == "repeated-symbol":
-        samples = build_frame([5, 5, 5, 9, 9, 5, 0, 0], 8, phy).samples
+        samples = build_frame([5, 5, 5, 9, 9, 5, 0, 0], 8, phy)
         samples = samples + 0.3 * rng.standard_normal(samples.size)
         return samples, start + n * np.arange(8)
     sc = ScenarioSpec(snr_db=5.0, n_interferers=1, sir_db=(-6.0, 0.0))

@@ -7,13 +7,12 @@ import numpy.testing as npt
 import pytest
 
 from cora import (
-    ComplexSignal,
     PhyParams,
     base_upchirp,
     baseline_detect,
     build_frame,
+    build_frames,
     dechirp,
-    downchirp,
     modulate_symbol,
 )
 from cora.phy import SYNC_WORD_BIN, frame_length, payload_start
@@ -45,57 +44,48 @@ class TestParams:
             assert PhyParams(sf=sf).n == 2**sf
 
 
-class TestComplexSignal:
-    def test_coerces_to_complex128(self):
-        s = ComplexSignal(np.ones(4, dtype=np.float32), 125e3)
-        assert s.samples.dtype == np.complex128
-        assert len(s) == 4
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            ComplexSignal(np.ones((2, 2)), 125e3)
-        with pytest.raises(ValueError):
-            ComplexSignal(np.ones(0), 125e3)
-        with pytest.raises(ValueError):
-            ComplexSignal(np.ones(4), 0.0)
-
-
 class TestChirps:
     def test_unit_modulus_and_first_sample(self):
         sig = base_upchirp(PhyParams(sf=7))
-        npt.assert_allclose(np.abs(sig.samples), 1.0, atol=1e-12)
-        assert sig.samples[0] == 1.0 + 0.0j
+        assert sig.dtype == np.complex128
+        npt.assert_allclose(np.abs(sig), 1.0, atol=1e-12)
+        assert sig[0] == 1.0 + 0.0j
 
     def test_samples_match_scalar_reference(self):
         n = 128
         sig = base_upchirp(PhyParams(sf=7))
         for k in (0, 1, 5, 63, 64, 127):
-            npt.assert_allclose(sig.samples[k], ref_chirp_sample(k, n), atol=1e-12)
+            npt.assert_allclose(sig[k], ref_chirp_sample(k, n), atol=1e-12)
 
     def test_downchirp_is_conjugate(self):
+        # both full downchirps of every frame's header, after the preamble
+        # and the two sync symbols
         p = PhyParams(sf=9)
-        npt.assert_array_equal(downchirp(p).samples, np.conj(base_upchirp(p).samples))
+        n = p.n
+        frames = build_frames(np.array([[3, 7], [0, 511]]), 2, p)
+        head = (2 + 2) * n
+        down = frames[:, head : head + 2 * n].reshape(2, 2, n)
+        npt.assert_array_equal(down, np.broadcast_to(np.conj(base_upchirp(p)), (2, 2, n)))
 
     def test_cache_is_not_aliased(self):
         p = PhyParams(sf=7)
         a = base_upchirp(p)
-        a.samples[:] = 0.0
+        a[:] = 0.0
         b = base_upchirp(p)
-        npt.assert_allclose(np.abs(b.samples), 1.0, atol=1e-12)
+        npt.assert_allclose(np.abs(b), 1.0, atol=1e-12)
 
 
 class TestModulate:
     def test_cyclic_shift_definition(self):
         p = PhyParams(sf=7)
         n = p.n
-        base = base_upchirp(p).samples
+        base = base_upchirp(p)
         for m in (0, 1, 17, n - 1):
-            sig = modulate_symbol(m, p)
-            npt.assert_array_equal(sig.samples, base[(np.arange(n) + m) % n])
+            npt.assert_array_equal(modulate_symbol(m, p), base[(np.arange(n) + m) % n])
 
     def test_symbol_zero_is_base_chirp(self):
         p = PhyParams(sf=8)
-        npt.assert_array_equal(modulate_symbol(0, p).samples, base_upchirp(p).samples)
+        npt.assert_array_equal(modulate_symbol(0, p), base_upchirp(p))
 
     def test_rejects_out_of_range(self):
         p = PhyParams(sf=7)
@@ -140,7 +130,7 @@ class TestDechirp:
 
     def test_accepts_plain_arrays(self):
         p = PhyParams(sf=7)
-        raw = modulate_symbol(5, p).samples
+        raw = modulate_symbol(5, p).tolist()
         win = dechirp(raw, p)
         assert baseline_detect(win.magnitudes) == 5
 
@@ -184,7 +174,7 @@ class TestFrame:
         n = p.n
         payload = [5, 0, 127, 64, 9]
         pre = 6
-        frame = build_frame(payload, pre, p).samples
+        frame = build_frame(payload, pre, p)
         for i in range(pre):
             win = dechirp(frame[i * n : (i + 1) * n], p)
             assert baseline_detect(win.magnitudes) == 0
@@ -199,8 +189,8 @@ class TestFrame:
     def test_downchirp_section_content(self):
         p = PhyParams(sf=7)
         n = p.n
-        frame = build_frame([3], 4, p).samples
-        down = downchirp(p).samples
+        frame = build_frame([3], 4, p)
+        down = np.conj(base_upchirp(p))
         head = (4 + 2) * n
         npt.assert_array_equal(frame[head : head + n], down)
         npt.assert_array_equal(frame[head + n : head + 2 * n], down)
@@ -218,4 +208,7 @@ class TestFrame:
             build_frame([1.0, 2.0], 8, p)
         with pytest.raises(ValueError):
             build_frame([1], 0, p)
+        # two rows of payload make two frames, not one stream
+        with pytest.raises(ValueError, match="one row"):
+            build_frame([[1, 2], [3, 4]], 8, p)
 

@@ -497,3 +497,9 @@ class TestGridFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(GridFormatError, match="line 3"):
             load_grid(path)
+
+    def test_duplicate_config_token_rejected(self, tmp_path, detector_grid):
+        # as in a config file, a repeated key is an error, not an override
+        path = self._with_row(tmp_path, detector_grid, 2, lambda line: line + " n_symbols=5")
+        with pytest.raises(GridFormatError, match="^line 3: duplicate config token 'n_symbols=5'$"):
+            load_grid(path)
