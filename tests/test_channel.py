@@ -86,14 +86,21 @@ class TestAwgn:
         [math.nan, -math.inf, 4000.0, -4000.0, 3083.0, -3083.0],
         ids=["nan", "minus-inf", "plus-4000", "minus-4000", "plus-3083", "minus-3083"],
     )
-    @pytest.mark.parametrize("holder", ["compose_collision", "TrainConfig", "ScenarioSpec"])
+    @pytest.mark.parametrize(
+        "holder", ["add_awgn", "CollisionScenario", "TrainConfig", "ScenarioSpec"]
+    )
     def test_one_snr_rule(self, holder, snr_db):
         # every place that takes an SNR rejects the ones that set no
         # representable noise level: 10^(snr_db/10) or its reciprocal
-        # would overflow the double range or vanish
+        # would overflow the double range or vanish. The first two case ids
+        # keep the names of the entry points `compose_collision` replaced:
+        # plain AWGN (no interferers) and a collision (one interferer).
         sig = np.ones(16, dtype=np.complex128)
         make = {
-            "compose_collision": lambda: add_noise(sig, snr_db, np.random.default_rng(0)),
+            "add_awgn": lambda: add_noise(sig, snr_db, np.random.default_rng(0)),
+            "CollisionScenario": lambda: compose_collision(
+                sig, [(sig, 0.0, 0)], snr_db, np.random.default_rng(0)
+            ),
             "TrainConfig": lambda: TrainConfig(snr_db=snr_db),
             "ScenarioSpec": lambda: ScenarioSpec(snr_db=snr_db),
         }[holder]
