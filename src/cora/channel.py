@@ -4,8 +4,8 @@ Covers multipath Rayleigh fading with a Jakes Doppler spectrum,
 frame-on-frame collisions with AWGN calibrated to the target frame's
 power, and the dechirped-domain symbol generator used to train the
 collision classifier.
-Next to `TrainConfig` sits the one parser of `key=value` config text,
-typed by the annotations of the dataclass a value configures.
+Next to `TrainConfig` sits the one text codec of grid, IQ, sidecar and CSV
+files: `format_value` writes each value, `parse_tokens` reads `key=value` tokens.
 """
 
 from __future__ import annotations
@@ -169,12 +169,40 @@ def text_keys(cls) -> dict[str, str]:
     return {p.name: p.annotation for p in params if p.annotation in _TEXT_PARSERS}
 
 
-def fields_from_text(cls, text: dict[str, str]) -> dict:
-    """Typed values for the `text_keys(cls)` that `text` sets; other keys are ignored.
+def format_value(value) -> str:
+    """`value` as text `parse_value` reads back exactly: floats to 17 digits, bools true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, tuple):
+        return ",".join(map(format_value, value))
+    return str(value)
 
-    The one parser of config values: the CLI's config files and the grid
-    file's config line both go through it.
+
+def parse_tokens(tokens: list[str], kinds: dict[str, str], required: bool = True) -> dict:
+    """Typed values of `key=value` tokens whose keys are among `kinds` (name -> annotation).
+
+    ValueError for a token without '=', an unknown or repeated key, a
+    value `parse_value` rejects, or, if `required`, a key no token sets.
     """
+    out = {}
+    for token in tokens:
+        key, sep, text = token.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {token!r}")
+        if key not in kinds:
+            raise ValueError(f"unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = parse_value(kinds[key], key, text)
+    if required and len(out) < len(kinds):
+        raise ValueError(f"missing key {next(k for k in kinds if k not in out)!r}")
+    return out
+
+
+def fields_from_text(cls, text: dict[str, str]) -> dict:
+    """Typed values for the `text_keys(cls)` that a config map sets; other keys are ignored."""
     kinds = text_keys(cls)
     return {key: parse_value(kinds[key], key, value) for key, value in text.items() if key in kinds}
 
@@ -316,7 +344,10 @@ def apply_fading(
     tone and a cached Taylor power table. The realised channel is that of
     a tap-by-tap, tone-by-tone evaluation, up to floating-point rounding.
     Groups delayed by the whole stream length or more contribute nothing.
+    An `fs` that is not finite and positive raises ValueError before any draw.
     """
+    if not 0 < fs < math.inf:
+        raise ValueError(f"fs must be finite and > 0, got {fs}")
     x = np.asarray(samples)
     n = x.size
 

@@ -16,7 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from cora.channel import TrainConfig, etu_like_profile, fields_from_text, parse_value, text_keys
+from cora.channel import (
+    TrainConfig,
+    etu_like_profile,
+    fields_from_text,
+    format_value,
+    parse_tokens,
+    parse_value,
+    text_keys,
+)
 from cora.detector import (
     GridFormatError,
     PosteriorGrid,
@@ -63,10 +71,9 @@ def read_config(path: str | Path) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip()
-        value = value.strip()
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value
+        out[key] = value.strip()
     return out
 
 
@@ -138,13 +145,8 @@ def _cora_grid(cfg: dict[str, str]) -> PosteriorGrid:
 
 def write_iq(path: str | Path, samples: np.ndarray, fs: float) -> None:
     """Write `CORA-IQ v1` header plus interleaved little-endian float32 I/Q."""
-    header = f"{IQ_MAGIC} fs={format(fs, '.17g')} n={samples.size}\n"
-    inter = np.empty(2 * samples.size, dtype="<f4")
-    inter[0::2] = samples.real.astype(np.float32)
-    inter[1::2] = samples.imag.astype(np.float32)
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(inter.tobytes())
+    header = f"{IQ_MAGIC} fs={format_value(fs)} n={samples.size}\n"
+    Path(path).write_bytes(header.encode("ascii") + samples.astype("<c8").tobytes())
 
 
 def read_iq(path: str | Path) -> tuple[np.ndarray, float]:
@@ -157,28 +159,24 @@ def read_iq(path: str | Path) -> tuple[np.ndarray, float]:
     except UnicodeDecodeError:
         raise IqFormatError(f"{path}: header is not ASCII") from None
     parts = text.split(" ")
-    if len(parts) != 4 or " ".join(parts[:2]) != IQ_MAGIC:
+    if " ".join(parts[:2]) != IQ_MAGIC:
         raise IqFormatError(f"{path}: bad header {text!r}; expected '{IQ_MAGIC} fs=<Hz> n=<samples>'")
-    if not parts[2].startswith("fs=") or not parts[3].startswith("n="):
-        raise IqFormatError(f"{path}: bad header fields {text!r}")
     try:
-        fs = float(parts[2][3:])
-        n = int(parts[3][2:])
-    except ValueError:
-        raise IqFormatError(f"{path}: unparseable header numbers in {text!r}") from None
-    if not (fs > 0 and n >= 1):
-        raise IqFormatError(f"{path}: header needs fs > 0 and n >= 1, got {text!r}")
-    expected = 8 * n
-    if len(payload) != expected:
+        values = parse_tokens(parts[2:], {"fs": "float", "n": "int"})
+    except ValueError as exc:
+        raise IqFormatError(f"{path}: bad header {text!r}: {exc}") from None
+    fs, n = values["fs"], values["n"]
+    if not (0 < fs < np.inf and n >= 1):
+        raise IqFormatError(f"{path}: header needs 0 < fs < inf and n >= 1, got {text!r}")
+    if len(payload) != 8 * n:
         raise IqFormatError(
-            f"{path}: expected {expected} payload bytes for {n} samples, "
+            f"{path}: expected {8 * n} payload bytes for {n} samples, "
             f"file ends at byte {len(header) + len(payload)}"
         )
-    inter = np.frombuffer(payload, dtype="<f4")
-    bad = np.flatnonzero(~np.isfinite(inter))
+    samples = np.frombuffer(payload, dtype="<c8").astype(np.complex128)
+    bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
-        raise IqFormatError(f"{path}: sample {bad[0] // 2} is not finite")
-    samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
+        raise IqFormatError(f"{path}: sample {bad[0]} is not finite")
     return samples, fs
 
 
@@ -189,13 +187,10 @@ def write_sidecar(
     interferers: list[tuple[int, float]] = (),
 ) -> None:
     """Write the demod truth table plus interferer placement comments."""
-    lines = []
-    for offset, gain_db in interferers:
-        lines.append(f"# interferer offset={offset} gain_db={format(gain_db, '.17g')}")
+    lines = [f"# interferer offset={o} gain_db={format_value(g)}" for o, g in interferers]
     lines.append("window_start,true_bin")
     lines.extend(f"{s},{b}" for s, b in zip(window_starts, true_bins))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_sidecar(path: str | Path) -> tuple[list[tuple[int, int]], list[tuple[int, float]]]:
@@ -210,11 +205,11 @@ def read_sidecar(path: str | Path) -> tuple[list[tuple[int, int]], list[tuple[in
         if line.startswith("#"):
             tokens = line[1:].split()
             if tokens[:1] == ["interferer"]:
-                fields = dict(t.partition("=")[::2] for t in tokens[1:])
                 try:
-                    interferers.append((int(fields["offset"]), float(fields["gain_db"])))
-                except (KeyError, ValueError):
-                    raise IqFormatError(f"{path}:{lineno}: bad interferer comment") from None
+                    values = parse_tokens(tokens[1:], {"offset": "int", "gain_db": "float"})
+                except ValueError as exc:
+                    raise IqFormatError(f"{path}:{lineno}: bad interferer comment: {exc}") from None
+                interferers.append((values["offset"], values["gain_db"]))
             continue
         if not saw_header:
             if line != "window_start,true_bin":
@@ -223,13 +218,11 @@ def read_sidecar(path: str | Path) -> tuple[list[tuple[int, int]], list[tuple[in
                 )
             saw_header = True
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise IqFormatError(f"{path}:{lineno}: expected 'window_start,true_bin'")
         try:
-            rows.append((int(parts[0]), int(parts[1])))
+            start, true_bin = map(int, line.split(","))
         except ValueError:
-            raise IqFormatError(f"{path}:{lineno}: non-integer row {line!r}") from None
+            raise IqFormatError(f"{path}:{lineno}: expected two integers, got {line!r}") from None
+        rows.append((start, true_bin))
     if not saw_header:
         raise IqFormatError(f"{path}: missing 'window_start,true_bin' header")
     return rows, interferers
@@ -257,7 +250,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_grid(grid, args.out)
     print(
         f"kept {samples.n_kept}/{samples.n_generated} windows; "
-        f"resolution={grid.resolution} prior={format(grid.prior, '.17g')}"
+        f"resolution={grid.resolution} prior={format_value(grid.prior)}"
     )
     print(f"grid written to {args.out}")
     return 0
@@ -356,7 +349,7 @@ def cmd_demod(args: argparse.Namespace) -> int:
     bins, scores = receive(samples, starts, exp)
     print("window_start,detected_bin,score")
     for start, bin_, score in zip(starts, bins, scores):
-        print(f"{start},{bin_},{format(float(score), '.17g')}")
+        print(f"{start},{bin_},{format_value(float(score))}")
     return 0
 
 

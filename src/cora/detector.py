@@ -17,13 +17,13 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from cora.channel import TrainConfig, fields_from_text, gen_training_windows, text_keys
+from cora.channel import TrainConfig, format_value, gen_training_windows, parse_tokens, text_keys
 from cora.phy import SymbolWindow, baseline_detect
 
 # A training run must keep at least this many baseline-misclassified
@@ -466,60 +466,21 @@ def train(cfg: TrainConfig, rng: np.random.Generator | None = None) -> Posterior
 _GRID_MAGIC = "CORA-GRID v1"
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _config_tokens(cfg: TrainConfig) -> str:
-    parts = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            text = ",".join(_f17(v) for v in value)
-        elif isinstance(value, float):
-            text = _f17(value)
-        else:
-            text = str(value)
-        parts.append(f"{f.name}={text}")
-    return " ".join(parts)
-
-
-def _parse_config_tokens(line: str, lineno: int) -> TrainConfig:
-    keys = text_keys(TrainConfig)
-    text = {}
-    for token in line.split():
-        key, sep, raw = token.partition("=")
-        if not sep or key not in keys:
-            raise GridFormatError(f"line {lineno}: unknown config token {token!r}")
-        if key in text:
-            raise GridFormatError(f"line {lineno}: duplicate config token {token!r}")
-        text[key] = raw
-    try:
-        kwargs = fields_from_text(TrainConfig, text)
-    except ValueError as exc:
-        raise GridFormatError(f"line {lineno}: {exc}") from exc
-    try:
-        return TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise GridFormatError(f"line {lineno}: invalid training config: {exc}") from exc
-
-
 def save_grid(grid: PosteriorGrid, destination: str | Path) -> None:
     """Write a grid as versioned text, byte-stable for identical grids.
 
     The cells are formatted with one `%` over all of them: "%.17g" gives
-    the same text as `_f17`.
+    the same text as `format_value`.
     """
     res = grid.resolution
     header = [
         _GRID_MAGIC,
-        f"resolution={res} prior={_f17(grid.prior)}",
-        _config_tokens(grid.config),
+        f"resolution={res} prior={format_value(grid.prior)}",
+        " ".join(f"{key}={format_value(value)}" for key, value in asdict(grid.config).items()),
     ]
     row = " ".join(["%.17g"] * res) + "\n"
     body = (row * res) % tuple(grid.cells.ravel().tolist())
-    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(header) + "\n" + body)
+    Path(destination).write_text("\n".join(header) + "\n" + body, encoding="utf-8", newline="\n")
 
 
 # What `save_grid` writes in a cell row. Over these characters `np.loadtxt`
@@ -530,8 +491,8 @@ def save_grid(grid: PosteriorGrid, destination: str | Path) -> None:
 _CELL_BYTES = b"0123456789.eE+- "
 
 
-def _parse_cells(rows: list[str], resolution: int) -> np.ndarray:
-    """Cell rows as a (resolution, resolution) array: one space between values.
+def _parse_cells(rows: list[str], res: int, source: str | Path) -> np.ndarray:
+    """Cell rows as a (res, res) array: one space between values.
 
     Non-empty rows of `save_grid`'s characters are parsed in one
     `np.loadtxt` call. Any other rows, and any that call rejects or reads
@@ -544,17 +505,17 @@ def _parse_cells(rows: list[str], resolution: int) -> np.ndarray:
         except ValueError:
             pass
         else:
-            if cells.shape == (resolution, resolution):
+            if cells.shape == (res, res):
                 return cells
-    cells = np.empty((resolution, resolution), dtype=np.float64)
+    cells = np.empty((res, res), dtype=np.float64)
     for r, row in enumerate(rows):
         parts = row.split(" ")
-        if len(parts) != resolution:
-            raise GridFormatError(f"line {4 + r}: expected {resolution} values, found {len(parts)}")
+        if len(parts) != res:
+            raise GridFormatError(f"{source}:{4 + r}: expected {res} values, found {len(parts)}")
         try:
             cells[r] = [float(v) for v in parts]
         except ValueError as exc:
-            raise GridFormatError(f"line {4 + r}: unparseable cell value") from exc
+            raise GridFormatError(f"{source}:{4 + r}: unparseable cell value") from exc
     return cells
 
 
@@ -574,25 +535,23 @@ def load_grid(source: str | Path) -> PosteriorGrid:
     if len(lines) < 3:
         raise GridFormatError(f"{source}: expected at least 3 header lines, found {len(lines)}")
     if lines[0] != _GRID_MAGIC:
-        raise GridFormatError(f"line 1: expected {_GRID_MAGIC!r}, found {lines[0]!r}")
-
-    header = lines[1].split()
-    if len(header) != 2 or not header[0].startswith("resolution=") or not header[1].startswith("prior="):
-        raise GridFormatError(f"line 2: expected 'resolution=<int> prior=<float>', found {lines[1]!r}")
+        raise GridFormatError(f"{source}:1: expected {_GRID_MAGIC!r}, found {lines[0]!r}")
     try:
-        resolution = int(header[0][len("resolution="):])
-        prior = float(header[1][len("prior="):])
+        header = parse_tokens(lines[1].split(), text_keys(PosteriorGrid))
     except ValueError as exc:
-        raise GridFormatError(f"line 2: unparseable header values: {lines[1]!r}") from exc
-
-    cfg = _parse_config_tokens(lines[2], 3)
+        raise GridFormatError(f"{source}:2: {exc}") from None
+    try:
+        cfg = TrainConfig(**parse_tokens(lines[2].split(), text_keys(TrainConfig), required=False))
+    except ValueError as exc:
+        raise GridFormatError(f"{source}:3: {exc}") from None
+    resolution = header["resolution"]
     rows = lines[3:]
     if len(rows) != resolution:
         raise GridFormatError(
-            f"expected {resolution} grid rows, found {len(rows)} (file truncated or padded)"
+            f"{source}: expected {resolution} grid rows, found {len(rows)} (truncated or padded)"
         )
-    cells = _parse_cells(rows, resolution)
+    cells = _parse_cells(rows, resolution, source)
     try:
-        return PosteriorGrid(resolution, cells, prior, cfg)
+        return PosteriorGrid(resolution, cells, header["prior"], cfg)
     except ValueError as exc:
         raise GridFormatError(f"{source}: {exc}") from exc

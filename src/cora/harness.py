@@ -19,7 +19,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from cora.channel import FadingProfile, _check_snr_db, _scaled_noise, apply_fading, collide
+from cora.channel import (
+    FadingProfile,
+    _check_snr_db,
+    _scaled_noise,
+    apply_fading,
+    collide,
+    format_value,
+)
 from cora.detector import (
     FeatureField,
     PosteriorGrid,
@@ -407,20 +414,12 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     )
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def write_csv(records: list[MetricsRecord], destination) -> None:
     """Emit records as CSV: header row, 17-significant-digit floats, LF."""
     if not records:
         raise ValueError("no records to write")
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        lines.append(",".join(_format_cell(getattr(rec, name)) for name in CSV_COLUMNS))
+        lines.append(",".join(format_value(getattr(rec, name)) for name in CSV_COLUMNS))
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -35,8 +35,8 @@ class PhyParams:
             raise ValueError(f"sf must be an integer, got {self.sf!r}")
         if not 7 <= self.sf <= 12:
             raise ValueError(f"sf must be in [7, 12], got {self.sf}")
-        if not self.bandwidth_hz > 0:
-            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
+        if not 0 < self.bandwidth_hz < np.inf:
+            raise ValueError(f"bandwidth_hz must be finite and positive, got {self.bandwidth_hz}")
 
     @property
     def n(self) -> int:

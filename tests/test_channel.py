@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j0
 
 from cora import (
@@ -28,7 +30,15 @@ from cora import (
     gen_training_windows,
     modulate_symbol,
 )
-from cora.channel import JAKES_OSCILLATORS, TAYLOR_TERMS, _power_table
+from cora.channel import (
+    _TEXT_PARSERS,
+    JAKES_OSCILLATORS,
+    TAYLOR_TERMS,
+    _power_table,
+    format_value,
+    parse_tokens,
+    parse_value,
+)
 from cora.detector import hpd
 
 FS = 125e3
@@ -376,6 +386,14 @@ class TestFading:
         with pytest.raises(ValueError):
             FadingProfile(delays, powers_db, doppler)
 
+    @pytest.mark.parametrize("fs", [0.0, math.nan, -FS, math.inf], ids=["zero", "nan", "negative", "inf"])
+    def test_rate_must_be_finite_and_positive(self, fs):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^fs must be finite and > 0, got "):
+            apply_fading(random_frame(7, 2, 7), fs, etu_like_profile(), rng)
+        assert rng.bit_generator.state == state
+
     def test_huge_finite_powers_normalise_like_their_offsets(self):
         signal = random_frame(7, 2, 6)
         huge = FadingProfile((0.0, 8e-6), (4000.0, 3997.0), 5.0)
@@ -390,6 +408,51 @@ class TestFading:
         assert profile.tap_delays_s[0] == 0.0
         assert max(profile.tap_delays_s) == 5e-6
         assert profile.max_doppler_hz == 5.0
+
+
+# Values of each annotation a text may set. Signed zeros, infinities and
+# subnormals are drawn often, not left to the float strategy's chance.
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308]),
+    st.floats(allow_nan=False),
+)
+TEXT_VALUES = {
+    "int": st.integers(),
+    "float": FLOATS,
+    "str": st.text(),
+    "bool": st.booleans(),
+    "tuple[float, float]": st.tuples(FLOATS, FLOATS),
+}
+
+
+class TestTextCodec:
+    @pytest.mark.parametrize("kind", list(_TEXT_PARSERS))
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_format_then_parse_is_exact(self, kind, data):
+        value = data.draw(TEXT_VALUES[kind])
+        back = parse_value(kind, "key", format_value(value))
+        # repr tells -0.0 from 0.0 and prints the shortest exact float
+        assert (type(back), repr(back)) == (type(value), repr(value))
+
+    def test_tokens_are_typed_in_any_order(self):
+        kinds = {"fs": "float", "n": "int"}
+        assert parse_tokens(["n=3", "fs=1e3"], kinds) == {"fs": 1000.0, "n": 3}
+        assert parse_tokens(["n=3"], kinds, required=False) == {"n": 3}
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            (["n=3", "fs"], "expected key=value, got 'fs'"),
+            (["n=3", "gain=1"], "unknown key 'gain'"),
+            (["n=3", "fs=1", "n=4"], "duplicate key 'n'"),
+            (["n=3"], "missing key 'fs'"),
+            (["n=3", "fs=fast"], "fs: expected a number, got 'fast'"),
+        ],
+    )
+    def test_bad_tokens_rejected(self, tokens, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_tokens(tokens, {"fs": "float", "n": "int"})
 
 
 class TestClippedTone:

@@ -149,7 +149,18 @@ class TestConfigParsing:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(GridFormatError) as info:
             load_grid(path)
-        assert str(info.value) == f"line 3: {expected}"
+        assert str(info.value) == f"{path}:3: {expected}"
+
+    # An infinite rate would give zero-length symbols; it fails as a
+    # validation error before any campaign or capture is made.
+    @pytest.mark.parametrize("command", ["evaluate", "gen-scenario"])
+    def test_infinite_bandwidth_is_rejected(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path / "c.cfg", "sf=8\nbandwidth_hz=inf\n")
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli([command, "--config", cfg, "--out", str(out)], capsys)
+        assert (rc, stdout) == (1, "")
+        assert err == "error: bandwidth_hz must be finite and positive, got inf\n"
+        assert not out.exists()
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         rc, _, err = run_cli(
@@ -555,8 +566,8 @@ class TestDemod:
 
     @pytest.mark.parametrize(
         "fields",
-        ["fs=125000 n=0", "fs=0 n=5696", "fs=nan n=5696"],
-        ids=["empty", "zero-rate", "nan-rate"],
+        ["fs=125000 n=0", "fs=0 n=5696", "fs=nan n=5696", "fs=inf n=5696"],
+        ids=["empty", "zero-rate", "nan-rate", "inf-rate"],
     )
     def test_header_needs_positive_rate_and_count(self, tmp_path, capsys, fields):
         iq = self.gen_clean_capture(tmp_path, capsys)
@@ -565,7 +576,7 @@ class TestDemod:
         cfg = write_cfg(tmp_path / "d.cfg", "sf=8\n")
         rc, stdout, err = run_cli(["demod", str(iq), "--config", cfg], capsys)
         assert (rc, stdout) == (1, "")
-        assert err.startswith(f"error: {iq}: header needs fs > 0 and n >= 1"), err
+        assert err.startswith(f"error: {iq}: header needs 0 < fs < inf and n >= 1"), err
 
     @pytest.mark.parametrize("target", ["config", "sidecar", "grid"])
     def test_non_utf8_file_is_named(self, tmp_path, capsys, detector_grid_file, target):
@@ -617,6 +628,50 @@ class TestFileRoundTrips:
         assert rows == [(0, 5), (256, 0), (512, 255)]
         assert interferers == [(153, -3.0), (40, 2.5)]
 
+    @pytest.mark.parametrize(
+        "tokens, problem",
+        [
+            ("fs=125000 fs=125000 n=16", "duplicate key 'fs'"),
+            ("fs=125000 n=16 gain=1", "unknown key 'gain'"),
+            ("fs=125000 n=16 gain", "expected key=value, got 'gain'"),
+            ("fs=125000", "missing key 'n'"),
+        ],
+        ids=["repeated", "unknown", "no-equals", "missing"],
+    )
+    def test_iq_header_tokens_rejected(self, tmp_path, tokens, problem):
+        path = tmp_path / "x.iq"
+        write_iq(path, np.ones(16, dtype=complex), 125e3)
+        data = path.read_bytes()
+        header = f"CORA-IQ v1 {tokens}"
+        path.write_bytes(header.encode() + data[data.index(b"\n") :])
+        with pytest.raises(IqFormatError) as info:
+            read_iq(path)
+        assert str(info.value) == f"{path}: bad header {header!r}: {problem}"
+
+    def test_iq_header_token_order_is_free(self, tmp_path):
+        path = tmp_path / "x.iq"
+        write_iq(path, np.ones(16, dtype=complex), 125e3)
+        path.write_bytes(path.read_bytes().replace(b"fs=125000 n=16", b"n=16 fs=125000"))
+        samples, fs = read_iq(path)
+        assert (samples.size, fs) == (16, 125e3)
+
+    @pytest.mark.parametrize(
+        "comment, problem",
+        [
+            ("offset=5 gain_db=1 offset=9", "duplicate key 'offset'"),
+            ("offset=5 gain_db=1 bogus=2", "unknown key 'bogus'"),
+            ("offset=5 gain_db=1 bogus", "expected key=value, got 'bogus'"),
+            ("offset=5", "missing key 'gain_db'"),
+        ],
+        ids=["repeated", "unknown", "no-equals", "missing"],
+    )
+    def test_sidecar_interferer_comment_sets_each_key_once(self, tmp_path, comment, problem):
+        path = tmp_path / "t.csv"
+        path.write_text(f"# interferer {comment}\nwindow_start,true_bin\n0,5\n", encoding="utf-8")
+        with pytest.raises(IqFormatError) as info:
+            read_sidecar(path)
+        assert str(info.value) == f"{path}:1: bad interferer comment: {problem}"
+
     def test_sidecar_bad_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("start,bin\n0,5\n", encoding="utf-8")
@@ -643,26 +698,43 @@ def edited(data: bytes, edits) -> bytes:
 
 
 class TestCorruptedFiles:
-    # A corrupted grid or capture either still parses or raises the
-    # reader's documented error, which the CLI turns into exit code 1.
+    # A corrupted grid, capture, sidecar or config either still parses or
+    # raises the reader's documented error, which the CLI turns into exit
+    # code 1. Each original is at least 300 bytes, the reach of the edits.
     @pytest.fixture(scope="class")
     def originals(self, tmp_path_factory):
         folder = tmp_path_factory.mktemp("corrupted")
         grid = PosteriorGrid(8, np.linspace(0.05, 0.95, 64).reshape(8, 8), 0.1, TrainConfig())
         save_grid(grid, folder / "a.grid")
         write_iq(folder / "a.iq", np.exp(1j * np.arange(64) / 3.0), 125e3)
-        return folder, (folder / "a.grid").read_bytes(), (folder / "a.iq").read_bytes()
+        starts = [3136 + 256 * k for k in range(30)]
+        write_sidecar(folder / "a.csv", starts, list(range(30)), [(153, -3.0), (40, 2.5)])
+        (folder / "a.cfg").write_text(
+            "# collision campaign\n\nsf = 8\nbandwidth_hz = 125000\nn_frames = 200\n"
+            "symbols_per_frame = 20\nsnr_db = 0, 5, 10\nn_interferers = 1\nsir_db = -6,0\n"
+            "offset_mode = random\nfading = false\ndetector = cora\ngrid = collisions.grid\n"
+            "# frames with at most two symbol errors still count as received\n"
+            "frame_error_threshold = 2\nseed = 42\n",
+            encoding="utf-8",
+        )
+        return folder
 
-    @pytest.mark.parametrize("kind", ["grid", "capture"])
+    @pytest.mark.parametrize(
+        "kind, read, error",
+        [
+            ("grid", load_grid, GridFormatError),
+            ("iq", read_iq, IqFormatError),
+            ("csv", read_sidecar, IqFormatError),
+            ("cfg", read_config, ConfigError),
+        ],
+        ids=["grid", "capture", "sidecar", "config"],
+    )
     @settings(max_examples=300, deadline=None, database=None)
     @given(edits=byte_edits(300))
-    def test_reads_or_raises_format_error(self, originals, kind, edits):
-        folder, grid, capture = originals
-        data, read, error = {
-            "grid": (grid, load_grid, GridFormatError),
-            "capture": (capture, read_iq, IqFormatError),
-        }[kind]
-        path = folder / f"edited.{kind}"
+    def test_reads_or_raises_format_error(self, originals, kind, read, error, edits):
+        data = (originals / f"a.{kind}").read_bytes()
+        assert len(data) >= 300
+        path = originals / f"edited.{kind}"
         path.write_bytes(edited(data, edits))
         try:
             read(path)

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -389,7 +390,8 @@ class TestGridFile:
         save_grid(detector_grid, path)
         text = path.read_text()
         path.write_text(text.replace("CORA-GRID v1", "CORA-GRID v2", 1))
-        with pytest.raises(GridFormatError, match="line 1"):
+        message = f"{path}:1: expected 'CORA-GRID v1', found 'CORA-GRID v2'"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
 
     def test_truncated_file_rejected(self, tmp_path, detector_grid):
@@ -397,7 +399,7 @@ class TestGridFile:
         save_grid(detector_grid, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-5]) + "\n")
-        with pytest.raises(GridFormatError, match="truncated"):
+        with pytest.raises(GridFormatError, match=f"^{re.escape(str(path))}: .*truncated"):
             load_grid(path)
 
     def test_short_row_rejected(self, tmp_path, detector_grid):
@@ -407,7 +409,8 @@ class TestGridFile:
         parts = lines[10].split(" ")
         lines[10] = " ".join(parts[:-1])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(GridFormatError, match="line 11"):
+        message = f"{path}:11: expected 200 values, found 199"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
 
     def test_garbage_cell_rejected(self, tmp_path, detector_grid):
@@ -418,7 +421,8 @@ class TestGridFile:
         parts[3] = "not-a-number"
         lines[7] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(GridFormatError, match="line 8"):
+        message = f"{path}:8: unparseable cell value"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
 
     @staticmethod
@@ -440,13 +444,14 @@ class TestGridFile:
     )
     def test_malformed_row_message(self, tmp_path, detector_grid, edit, message):
         path = self._with_row(tmp_path, detector_grid, 7, edit)
-        with pytest.raises(GridFormatError, match=f"^line 8: .*{message}"):
+        with pytest.raises(GridFormatError, match=f"^{re.escape(str(path))}:8: .*{message}"):
             load_grid(path)
 
     def test_only_row_blank_rejected(self, tmp_path):
         grid = PosteriorGrid(1, np.array([[0.5]]), 0.5, QUICK_CFG)
         path = self._with_row(tmp_path, grid, 3, lambda row: "")
-        with pytest.raises(GridFormatError, match="^line 4: unparseable cell value$"):
+        message = f"{path}:4: unparseable cell value"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
 
     def test_every_row_short_rejected(self, tmp_path, detector_grid):
@@ -455,7 +460,8 @@ class TestGridFile:
         lines = path.read_text().splitlines()
         lines[3:] = [row.rsplit(" ", 1)[0] for row in lines[3:]]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(GridFormatError, match="^line 4: expected 200 values, found 199$"):
+        message = f"{path}:4: expected 200 values, found 199"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
 
     @pytest.mark.parametrize(
@@ -477,6 +483,17 @@ class TestGridFile:
         expected[4, 3] = value
         npt.assert_array_equal(loaded.cells, expected)
 
+    def test_header_line_needs_both_keys_in_any_order(self, tmp_path, detector_grid):
+        path = self._with_row(
+            tmp_path, detector_grid, 1, lambda line: " ".join(reversed(line.split()))
+        )
+        loaded = load_grid(path)
+        assert (loaded.resolution, loaded.prior) == (200, detector_grid.prior)
+        path = self._with_row(tmp_path, detector_grid, 1, lambda line: line.split()[0])
+        message = f"{path}:2: missing key 'prior'"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+            load_grid(path)
+
     def test_zero_resolution_rejected(self, tmp_path):
         path = tmp_path / "grid.txt"
         path.write_text(
@@ -495,11 +512,13 @@ class TestGridFile:
         lines = path.read_text().splitlines()
         lines[2] += " mystery=1"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(GridFormatError, match="line 3"):
+        message = f"{path}:3: unknown key 'mystery'"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
 
     def test_duplicate_config_token_rejected(self, tmp_path, detector_grid):
         # as in a config file, a repeated key is an error, not an override
         path = self._with_row(tmp_path, detector_grid, 2, lambda line: line + " n_symbols=5")
-        with pytest.raises(GridFormatError, match="^line 3: duplicate config token 'n_symbols=5'$"):
+        message = f"{path}:3: duplicate key 'n_symbols'"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
