@@ -173,11 +173,12 @@ def read_iq(path: str | Path) -> tuple[np.ndarray, float]:
             f"{path}: expected {8 * n} payload bytes for {n} samples, "
             f"file ends at byte {len(header) + len(payload)}"
         )
-    samples = np.frombuffer(payload, dtype="<c8").astype(np.complex128)
+    # checked before the cast, which warns on a signalling NaN
+    samples = np.frombuffer(payload, dtype="<c8")
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         raise IqFormatError(f"{path}: sample {bad[0]} is not finite")
-    return samples, fs
+    return samples.astype(np.complex128), fs
 
 
 def write_sidecar(

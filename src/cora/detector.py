@@ -9,7 +9,9 @@ from simulated collisions, scores every bin; the previous window's
 posteriors damp bins that were already occupied, which is what suppresses
 an interferer's repeated preamble symbols. Every stage works on the last
 axis, so a frame's K windows go through it as one (K, N) array, and the
-windows of F frames as one (F, K, N) array.
+windows of F frames as one (F, K, N) array. `map_chunks` is the one
+chunk runner: training and campaigns both cut their seeded items into
+chunks of CHUNK_SAMPLES samples and run them through it.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ from cora.phy import SymbolWindow, baseline_detect
 # windows before the histograms are considered meaningful.
 MIN_KEPT_WINDOWS = 100
 
-# Training windows synthesised as one (K, N) batch: large enough to spread
-# numpy's per-call cost, small enough to keep the working set a few MB.
-TRAINING_CHUNK = 256
+# Training windows and campaign frames are built this many samples per
+# chunk, and at least one item per chunk: enough items to spread numpy's
+# per-call cost (256 windows of 256 bins, 7 SF8 frames of 20 payload
+# symbols), while each chunk's arrays stay about a megabyte.
+CHUNK_SAMPLES = 1 << 16
 
-# Training and campaign chunks run on at most this many workers, which
-# bounds the chunks in flight, and so the memory, on large hosts.
+# Chunks run on at most this many workers, which bounds the chunks in
+# flight, and so the memory, on large hosts.
 MAX_WORKERS = 8
 
 
@@ -46,6 +50,68 @@ def _worker_count(n_chunks: int) -> int:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, n_chunks, MAX_WORKERS)
+
+
+def _can_fork() -> bool:
+    """Whether worker processes may be forked here.
+
+    The platform must have the `fork` start method, no other Python
+    thread may run (a thread holding a lock at the fork would leave it
+    held in the child), and this process must not be a daemonic
+    multiprocessing worker, which may have no children.
+    """
+    import multiprocessing  # here, so that a `cora` run that never forks does not load it
+
+    return (
+        threading.active_count() == 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+    )
+
+
+def map_chunks(
+    fn, seed_seq: np.random.SeedSequence, n_items: int, item_samples: int, fork: bool = False
+) -> tuple[list, int]:
+    """`fn(children)` over `n_items` children of `seed_seq`, chunk by chunk.
+
+    A chunk holds max(1, CHUNK_SAMPLES // item_samples) items. Its
+    children are spawned as it is submitted, in chunk order, so the
+    chunks and `seed_seq` end as one `seed_seq.spawn(n_items)` leaves
+    them. Chunks run on `_worker_count` threads, or forked processes with
+    `fork`; with one worker, or where `_can_fork` refuses, in this
+    process. At most two chunks per worker are in flight. The first chunk
+    to fail, in chunk order, raises here; chunks not yet started are
+    cancelled and every worker is joined before this returns or raises.
+    Returns the results in chunk order and the workers, 0 for this process.
+    """
+    per_chunk = max(1, CHUNK_SAMPLES // item_samples)
+    chunks = (
+        seed_seq.spawn(min(per_chunk, n_items - first)) for first in range(0, n_items, per_chunk)
+    )
+    workers = _worker_count(-(-n_items // per_chunk))
+    if workers < 2 or (fork and not _can_fork()):
+        return list(map(fn, chunks)), 0
+    if fork:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+    results, pending = [], deque()
+    with pool:
+        try:
+            for chunk in chunks:
+                pending.append(pool.submit(fn, chunk))
+                if len(pending) == 2 * workers:
+                    results.append(pending.popleft().result())
+            results.extend(future.result() for future in pending)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results, workers
 
 
 class TrainingError(RuntimeError):
@@ -90,8 +156,8 @@ class PosteriorGrid:
     config: TrainConfig
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
+        if self.resolution < 2:
+            raise ValueError(f"resolution must be >= 2, got {self.resolution}")
         cells = np.asarray(self.cells, dtype=np.float64)
         if cells.shape != (self.resolution, self.resolution):
             raise ValueError(
@@ -276,48 +342,6 @@ def _training_chunk(
     return _feature_pairs(p, h, true_cols), _feature_pairs(p, h, picked)
 
 
-def _can_fork() -> bool:
-    """Whether worker processes may be forked here.
-
-    The platform must have the `fork` start method, no other Python
-    thread may run (a thread holding a lock at the fork would leave it
-    held in the child), and this process must not be a daemonic
-    multiprocessing worker, which may have no children.
-    """
-    import multiprocessing  # here, so that a `cora` run that never forks does not load it
-
-    return (
-        threading.active_count() == 1
-        and "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-    )
-
-
-def _map_forked(fn, items, workers: int) -> list:
-    """`fn` over `items` on `workers` forked processes, results in item order.
-
-    Items are taken from the iterable only as they are submitted, and at
-    most two per worker are in flight. The first item to fail, in item
-    order, raises its own error here; items not yet started are cancelled
-    and every worker is joined before this returns or raises.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    results, pending = [], deque()
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            for item in items:
-                pending.append(pool.submit(fn, item))
-                if len(pending) == 2 * workers:
-                    results.append(pending.popleft().result())
-            results.extend(future.result() for future in pending)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return results
-
-
 def collect_training_features(
     cfg: TrainConfig, rng: np.random.Generator | None = None
 ) -> TrainingSamples:
@@ -341,37 +365,19 @@ def collect_training_features(
 
     Each window draws from its own substream spawned from `rng`, so the
     samples do not depend on how windows are batched or where a batch
-    runs. Windows go through in chunks of TRAINING_CHUNK: one chunk's
-    substreams are spawned here, in chunk order, as `rng.spawn` would
-    spawn them, and `_training_chunk` builds the chunk as one (K, N) array
+    runs. `map_chunks` cuts the windows into chunks and runs them on
+    forked worker processes (window synthesis holds the GIL, so threads
+    would not help); `_training_chunk` builds a chunk as one (K, N) array
     with `gen_training_windows`, filters it with the baseline and runs
-    `pmd` and `hpd` once on its kept rows.
-
-    The chunks run on forked worker processes, one per CPU this process
-    may run on (`os.sched_getaffinity`, so `taskset` limits it), at most
-    one per chunk and at most MAX_WORKERS. At most two chunks per worker
-    are in flight; the pairs are collected in chunk order, and the first
-    chunk to fail, in chunk order, raises here. The workers are forked
-    and joined inside this call. With one worker, or where `_can_fork`
-    says no (no `fork` start method, another Python thread running, or a
-    daemonic worker process), the chunks run in this process one at a
-    time through the same function. Either way memory, apart from the
+    `pmd` and `hpd` once on its kept rows. Memory, apart from the
     harvested pairs, does not grow with `n_symbols`.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    seed_seq = rng.bit_generator.seed_seq
-    chunk_seeds = (
-        seed_seq.spawn(min(TRAINING_CHUNK, cfg.n_symbols - start))
-        for start in range(0, cfg.n_symbols, TRAINING_CHUNK)
-    )
     run_chunk = partial(_training_chunk, cfg, type(rng.bit_generator))
-    workers = _worker_count(-(-cfg.n_symbols // TRAINING_CHUNK))
-    if workers > 1 and _can_fork():
-        parts = _map_forked(run_chunk, chunk_seeds, workers)
-    else:
-        workers = 0
-        parts = list(map(run_chunk, chunk_seeds))
+    parts, workers = map_chunks(
+        run_chunk, rng.bit_generator.seed_seq, cfg.n_symbols, cfg.n_bins, fork=True
+    )
     true_arr = np.concatenate([np.empty((0, 2))] + [true for true, _ in parts])
     intf_arr = np.concatenate([np.empty((0, 2))] + [intf for _, intf in parts])
     return TrainingSamples(true_arr, intf_arr, cfg.n_symbols, len(true_arr), workers)

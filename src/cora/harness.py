@@ -5,17 +5,18 @@ frame synchronisation), which isolates detector behaviour from sync
 quality. Each frame draws from its own seeded substream, so a campaign's
 channel realizations depend only on the experiment seed, never on the
 detector under test, on how frames are chunked or on how many threads
-decode the chunks. `receive` is the one receive path: campaigns, the
-`demod` command and the stage benchmark all decode through it or its
-stages.
+decode the chunks; `detector.map_chunks`, which also runs training,
+does the chunking and the threads. `receive` is the one receive path:
+campaigns, the `demod` command and the stage benchmark all decode
+through it or its stages.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -30,9 +31,9 @@ from cora.channel import (
 from cora.detector import (
     FeatureField,
     PosteriorGrid,
-    _worker_count,
     detect_symbol,
     hpd,
+    map_chunks,
     pmd,
     score_bins,
 )
@@ -105,8 +106,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"frame_error_threshold must be >= 0, got {self.frame_error_threshold}"
             )
-        if self.grid is not None and self.grid.resolution < 2:
-            raise ValueError("grid resolution too small")
 
 
 @dataclass
@@ -133,19 +132,6 @@ class MetricsRecord:
     seed: int
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
-
-
-# Campaign frames are built and decoded this many samples at a time, and
-# at least one frame at a time: enough frames to spread numpy's per-call
-# cost (7 at SF8 with 20 payload symbols), while each chunk's arrays stay
-# about a megabyte.
-CAMPAIGN_CHUNK_SAMPLES = 1 << 16
-
-
-def _chunk_frames(cfg: ExperimentConfig) -> int:
-    """Frames per campaign chunk."""
-    total = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy)
-    return max(1, CAMPAIGN_CHUNK_SAMPLES // total)
 
 
 def simulate_frames(
@@ -284,38 +270,27 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     """Run a seeded campaign and aggregate SER, PRR, and throughput.
 
     Every frame draws from its own substream spawned from the experiment
-    seed. Frames go through in chunks of about CAMPAIGN_CHUNK_SAMPLES
-    samples: `simulate_frames` builds a chunk as one (F, L) array and
-    `demodulate_frame` decodes it as one (F, K, N) array, so results do
-    not depend on the chunk size. Each frame still costs one spawned
-    generator and two full-length normal draws, which no batching removes.
-
-    The chunks run on a thread pool, since numpy releases the GIL for
-    their noise draws, gathers, FFTs and products. Every chunk's children
-    are spawned here first, in frame order, so a chunk's frames do not
-    depend on which thread decodes it or when. There is one thread per
-    CPU this process may run on (`os.sched_getaffinity`, so `taskset`
-    limits it), at most one per chunk and at most MAX_WORKERS (`detector`);
-    one thread runs the same path. Error counts are collected in chunk
-    order; the first chunk to fail, in chunk order, raises here, and the
-    chunks not yet started are cancelled.
+    seed. `map_chunks` cuts the frames into chunks and runs them on
+    threads, since numpy releases the GIL for their noise draws, gathers,
+    FFTs and products. `simulate_frames` builds a chunk as one (F, L)
+    array and `demodulate_frame` decodes it as one (F, K, N) array, so
+    results depend neither on the chunk size nor on the thread. Each
+    frame still costs one spawned generator and two full-length normal
+    draws, which no batching removes.
 
     Stage timings are reported as 0.0 here so result files are
     byte-stable across machines; `bench_stages` is the timing path.
     """
-    root = np.random.SeedSequence(cfg.seed)
-    per_chunk = _chunk_frames(cfg)
-    chunks = [
-        root.spawn(min(per_chunk, cfg.n_frames - first))
-        for first in range(0, cfg.n_frames, per_chunk)
-    ]
-    with ThreadPoolExecutor(_worker_count(len(chunks))) as pool:
-        errors = np.concatenate(list(pool.map(_chunk_errors, [cfg] * len(chunks), chunks)))
+    total = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy)
+    chunks, _ = map_chunks(
+        partial(_chunk_errors, cfg), np.random.SeedSequence(cfg.seed), cfg.n_frames, total
+    )
+    errors = np.concatenate(chunks)
     symbol_errors = int(errors.sum())
     frames_ok = int(np.count_nonzero(errors <= cfg.frame_error_threshold))
 
     n_symbols = cfg.n_frames * cfg.symbols_per_frame
-    frame_s = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy) / cfg.phy.sample_rate_hz
+    frame_s = total / cfg.phy.sample_rate_hz
     sc = cfg.scenario
     return MetricsRecord(
         detector=cfg.detector,

@@ -184,17 +184,15 @@ def build_frame(
     return frame
 
 
-def frame_length(n_payload: int, preamble_len: int, params: PhyParams) -> int:
-    """Sample count of a frame built with the same arguments."""
-    n = params.n
-    header = preamble_len + N_SYNC_SYMBOLS + N_FULL_DOWNCHIRPS
-    return header * n + n // 4 + n_payload * n
-
-
 def payload_start(preamble_len: int, params: PhyParams) -> int:
     """Index of the first payload sample within a frame."""
     n = params.n
     return (preamble_len + N_SYNC_SYMBOLS + N_FULL_DOWNCHIRPS) * n + n // 4
+
+
+def frame_length(n_payload: int, preamble_len: int, params: PhyParams) -> int:
+    """Sample count of a frame built with the same arguments."""
+    return payload_start(preamble_len, params) + n_payload * params.n
 
 
 def dechirp(window: np.ndarray, params: PhyParams) -> SymbolWindow:

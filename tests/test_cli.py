@@ -621,6 +621,16 @@ class TestFileRoundTrips:
         else:
             assert False, "length mismatch accepted"
 
+    def test_signalling_nan_sample_rejected(self, tmp_path):
+        # a signalling NaN warns when cast to float64; the suite turns warnings into errors
+        path = tmp_path / "x.iq"
+        write_iq(path, np.ones(16, dtype=complex), 125e3)
+        data = bytearray(path.read_bytes())
+        data[-12:-8] = np.array([0x7F800001], dtype="<u4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(IqFormatError, match=r": sample 14 is not finite$"):
+            read_iq(path)
+
     def test_sidecar_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         write_sidecar(path, [0, 256, 512], [5, 0, 255], [(153, -3.0), (40, 2.5)])

@@ -293,6 +293,8 @@ class TestGridImmutability:
         cfg = TrainConfig(
             n_bins=4, n_symbols=1, interference_samples_per_symbol=3, grid_resolution=2
         )
+        with pytest.raises(ValueError, match="^resolution must be >= 2, got 1$"):
+            PosteriorGrid(1, np.full((1, 1), 0.5), 0.5, cfg)
         with pytest.raises(ValueError):
             PosteriorGrid(2, np.full((3, 3), 0.5), 0.5, cfg)
         with pytest.raises(ValueError):

@@ -32,11 +32,17 @@ from cora import (
 from cora import detector as detector_module
 from cora import harness
 from cora import phy as phy_module
-from cora.harness import _chunk_frames, expected_peak_from_preamble
-from cora.phy import payload_start
+from cora.detector import CHUNK_SAMPLES
+from cora.harness import expected_peak_from_preamble
+from cora.phy import frame_length, payload_start
 from oracles import per_frame_campaign
 
 PHY8 = PhyParams(sf=8)
+
+
+def _chunk_frames(cfg):
+    """Frames per campaign chunk."""
+    return max(1, CHUNK_SAMPLES // frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy))
 
 
 def quick_cfg(detector="baseline", grid=None, **kw):
@@ -396,15 +402,13 @@ class TestCampaignPool:
             return simulate(cfg, streams)
 
         monkeypatch.setattr(harness, "simulate_frames", simulate_frames)
-        monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: 2)
+        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
         before = set(threading.enumerate())
         with pytest.raises(ValueError, match="^middle chunk$"):
             run_experiment(cfg)
         assert set(threading.enumerate()) <= before
 
     def test_worker_count_rule(self, monkeypatch):
-        # campaigns and training size their pools by the one rule
-        assert harness._worker_count is detector_module._worker_count
         count, os = detector_module._worker_count, detector_module.os
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert [count(n) for n in (1, 2, 3, 50)] == [1, 2, 3, 3]
@@ -417,34 +421,42 @@ class TestCampaignPool:
 
 def run_on_threads(cfg, workers, monkeypatch, tmp_path):
     """Run a campaign on `workers` threads: its bins in frame order and its CSV bytes."""
-    monkeypatch.setattr(harness, "_worker_count", lambda n_chunks: workers)
-    chunk, threads = track_chunks(monkeypatch)
+    monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: workers)
+    # the first chunks wait for each other, so none frees its thread before all run
+    chunk, threads = track_chunks(monkeypatch, hold=workers)
     decoded = record_calls(monkeypatch, harness, "receive", chunk)
     path = tmp_path / f"{workers}-threads.csv"
     write_csv([run_experiment(cfg)], path)
     monkeypatch.undo()
-    # a thread that is free again may take the next chunk before the pool grows
     used = len(set(threads))
     assert used == 1 if workers == 1 else 1 < used <= workers
     return np.concatenate([out[0] for out in decoded]), path.read_bytes()
 
 
-def track_chunks(monkeypatch):
+def track_chunks(monkeypatch, hold=1):
     """Note on each thread which campaign chunk it is decoding.
 
     `run_experiment` decodes chunks on a thread pool, so calls made for
     different chunks interleave. A thread works on one chunk from its
-    `simulate_frames` call until its `receive` returns. Returns a
-    threading.local whose `key` is that chunk's first frame index on the
-    calling thread, and the list of threads that simulated a chunk.
+    `simulate_frames` call until its `receive` returns. The first `hold`
+    chunks to start wait at a barrier until all `hold` have started.
+    Returns a threading.local whose `key` is that chunk's first frame
+    index on the calling thread, and the list of threads that simulated
+    a chunk.
     """
     current = threading.local()
     threads = []
+    lock = threading.Lock()
+    barrier = threading.Barrier(hold, timeout=60)
     simulate = harness.simulate_frames
 
     def simulate_frames(cfg, streams):
         current.key = streams[0].bit_generator.seed_seq.spawn_key
-        threads.append(threading.get_ident())
+        with lock:
+            threads.append(threading.get_ident())
+            held = len(threads) <= hold
+        if held:
+            barrier.wait()
         return simulate(cfg, streams)
 
     monkeypatch.setattr(harness, "simulate_frames", simulate_frames)

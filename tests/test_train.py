@@ -34,9 +34,19 @@ from cora import (
     train,
 )
 from cora import detector as detector_module
-from cora.detector import TRAINING_CHUNK, TrainingSamples
+from cora.detector import CHUNK_SAMPLES, TrainingSamples
 
 QUICK_CFG = TrainConfig(n_symbols=2000, seed=3, snr_db=10.0)
+
+# Training windows per chunk at the default 256 bins.
+TRAINING_CHUNK = CHUNK_SAMPLES // TrainConfig().n_bins
+
+# A grid file's training-config line, for grids written as text.
+GRID_CONFIG_LINE = (
+    "n_bins=256 n_symbols=1000 max_interferers=2 power_range_db=-15,13 "
+    "frac_freq_range=0.125 interference_samples_per_symbol=10 snr_db=-1 "
+    "grid_resolution=200 smooth_sigma=2 smooth_floor=1e-9 seed=0"
+)
 
 
 class TestFeatureHistogram:
@@ -152,7 +162,7 @@ class TestChunkedCollect:
             {"snr_db": np.inf},
             {"frac_freq_range": 0.0},
             {"n_bins": 8, "interference_samples_per_symbol": 7},
-            {"n_bins": 1024, "n_symbols": 60},
+            {"n_bins": 1024, "n_symbols": CHUNK_SAMPLES // 1024 + 37},
         ],
         ids=[
             "below-chunk",
@@ -448,8 +458,9 @@ class TestGridFile:
             load_grid(path)
 
     def test_only_row_blank_rejected(self, tmp_path):
-        grid = PosteriorGrid(1, np.array([[0.5]]), 0.5, QUICK_CFG)
-        path = self._with_row(tmp_path, grid, 3, lambda row: "")
+        # written as text: a 1x1 grid is no PosteriorGrid, but its rows parse first
+        path = tmp_path / "grid.txt"
+        path.write_text(f"CORA-GRID v1\nresolution=1 prior=0.5\n{GRID_CONFIG_LINE}\n\n")
         message = f"{path}:4: unparseable cell value"
         with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
@@ -495,16 +506,15 @@ class TestGridFile:
             load_grid(path)
 
     def test_zero_resolution_rejected(self, tmp_path):
+        # a 0x0 grid with no rows and a 1x1 grid with one cell; grids start at 2x2
         path = tmp_path / "grid.txt"
-        path.write_text(
-            "CORA-GRID v1\nresolution=0 prior=0.5\n"
-            "n_bins=256 n_symbols=1000 max_interferers=2 "
-            "power_range_db=-15,13 frac_freq_range=0.125 "
-            "interference_samples_per_symbol=10 snr_db=-1 "
-            "grid_resolution=200 smooth_sigma=2 smooth_floor=1e-9 seed=0\n"
-        )
-        with pytest.raises(GridFormatError):
-            load_grid(path)
+        for resolution, rows in ((0, ""), (1, "0.5\n")):
+            path.write_text(
+                f"CORA-GRID v1\nresolution={resolution} prior=0.5\n{GRID_CONFIG_LINE}\n{rows}"
+            )
+            message = f"{path}: resolution must be >= 2, got {resolution}"
+            with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+                load_grid(path)
 
     def test_unknown_config_token_rejected(self, tmp_path, detector_grid):
         path = tmp_path / "grid.txt"
