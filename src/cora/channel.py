@@ -278,6 +278,10 @@ _TAYLOR_COEFFS = np.array(
     [(1, 1j, -1, -1j)[m % 4] / math.factorial(m) for m in range(TAYLOR_TERMS)]
 )
 
+# The widest Taylor block B: without it a Doppler-free tone sum takes B = n
+# and caches a (TAYLOR_TERMS, n) table, 16.9 MB for a 20-payload SF12 frame.
+MAX_TAYLOR_BLOCK = 4096
+
 
 @lru_cache(maxsize=16)
 def _power_table(width: int) -> np.ndarray:
@@ -302,14 +306,14 @@ def _tone_sum(
     coarse terms are exponentials.
 
     B is the largest power of two with max|omegas| * B / fs <= 1/2, capped
-    at n, which bounds the truncation error by 0.5**16 / 16!. Without
-    Doppler B = n and there is one coarse row; once max|omegas| > fs / 4,
-    B = 1, the table is [1, 0, ...], and every value is an exact
-    exponential.
+    at n and at MAX_TAYLOR_BLOCK, which bounds the truncation error by
+    0.5**16 / 16!. Without Doppler B = min(n, MAX_TAYLOR_BLOCK); once
+    max|omegas| > fs / 4, B = 1, the table is [1, 0, ...], and every value
+    is an exact exponential.
     """
     top = float(np.max(np.abs(omegas))) / fs
     width = 1
-    while width < n and top * 2 * width <= 0.5:
+    while width < min(n, MAX_TAYLOR_BLOCK) and top * 2 * width <= 0.5:
         width *= 2
     width = min(width, n)
     rows = -(-n // width)

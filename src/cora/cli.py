@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from cora.detector import (
     collect_training_features,
     grid_from_samples,
     load_grid,
+    map_chunks,
     save_grid,
 )
 from cora.harness import (
@@ -41,10 +43,10 @@ from cora.harness import (
     bench_stages,
     receive,
     run_experiment,
-    simulate_frame,
+    simulate_frames,
     write_csv,
 )
-from cora.phy import PhyParams, payload_start
+from cora.phy import PhyParams, frame_length, payload_start
 
 IQ_MAGIC = "CORA-IQ v1"
 
@@ -318,8 +320,10 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     exp = _build(
         ExperimentConfig, cfg, phy=phy, detector="baseline", scenario=_scenario(cfg), n_frames=1
     )
-    rng = np.random.default_rng(np.random.SeedSequence(exp.seed).spawn(1)[0])
-    samples, payload, interferers = simulate_frame(exp, rng)
+    # frame 0 of the campaign with this seed
+    total = frame_length(exp.symbols_per_frame, exp.preamble_len, phy)
+    (frames,), _ = map_chunks(partial(simulate_frames, exp), exp.seed, 1, total)
+    samples, payload, interferers = (part[0] for part in frames)
     write_iq(args.out, samples, phy.sample_rate_hz)
     start = payload_start(exp.preamble_len, phy)
     starts = [start + k * phy.n for k in range(exp.symbols_per_frame)]

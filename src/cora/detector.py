@@ -9,9 +9,8 @@ from simulated collisions, scores every bin; the previous window's
 posteriors damp bins that were already occupied, which is what suppresses
 an interferer's repeated preamble symbols. Every stage works on the last
 axis, so a frame's K windows go through it as one (K, N) array, and the
-windows of F frames as one (F, K, N) array. `map_chunks` is the one
-chunk runner: training and campaigns both cut their seeded items into
-chunks of CHUNK_SAMPLES samples and run them through it.
+windows of F frames as one (F, K, N) array. `map_chunks` runs training,
+campaigns and gen-scenario in chunks and holds their one seeding rule.
 """
 
 from __future__ import annotations
@@ -69,28 +68,35 @@ def _can_fork() -> bool:
     )
 
 
-def map_chunks(
-    fn, seed_seq: np.random.SeedSequence, n_items: int, item_samples: int, fork: bool = False
-) -> tuple[list, int]:
-    """`fn(children)` over `n_items` children of `seed_seq`, chunk by chunk.
+def _on_streams(fn, children: list):
+    """`fn` of one `default_rng` stream per child, built where the chunk runs."""
+    return fn([np.random.default_rng(child) for child in children])
 
-    A chunk holds max(1, CHUNK_SAMPLES // item_samples) items. Its
-    children are spawned as it is submitted, in chunk order, so the
-    chunks and `seed_seq` end as one `seed_seq.spawn(n_items)` leaves
-    them. Chunks run on `_worker_count` threads, or forked processes with
-    `fork`; with one worker, or where `_can_fork` refuses, in this
+
+def map_chunks(
+    fn, seed: int, n_items: int, item_samples: int, fork: bool = False
+) -> tuple[list, int]:
+    """`fn(streams)` over the `n_items` items of the run seeded with `seed`, chunk by chunk.
+
+    The one seeding rule: item k draws from `default_rng` of child k of
+    `SeedSequence(seed)`. A chunk holds max(1, CHUNK_SAMPLES //
+    item_samples) items, its children spawned in chunk order as it is
+    submitted. Chunks run on `_worker_count` threads, or forked processes
+    with `fork`; with one worker, or where `_can_fork` refuses, in this
     process. At most two chunks per worker are in flight. The first chunk
     to fail, in chunk order, raises here; chunks not yet started are
     cancelled and every worker is joined before this returns or raises.
     Returns the results in chunk order and the workers, 0 for this process.
     """
+    seed_seq = np.random.SeedSequence(seed)
     per_chunk = max(1, CHUNK_SAMPLES // item_samples)
     chunks = (
         seed_seq.spawn(min(per_chunk, n_items - first)) for first in range(0, n_items, per_chunk)
     )
+    run = partial(_on_streams, fn)
     workers = _worker_count(-(-n_items // per_chunk))
     if workers < 2 or (fork and not _can_fork()):
-        return list(map(fn, chunks)), 0
+        return list(map(run, chunks)), 0
     if fork:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -104,7 +110,7 @@ def map_chunks(
     with pool:
         try:
             for chunk in chunks:
-                pending.append(pool.submit(fn, chunk))
+                pending.append(pool.submit(run, chunk))
                 if len(pending) == 2 * workers:
                     results.append(pending.popleft().result())
             results.extend(future.result() for future in pending)
@@ -198,11 +204,8 @@ def pmd(magnitudes: np.ndarray, expected_peak: float | np.ndarray) -> np.ndarray
     magnitudes, such as (K, 1) for one peak per window; every entry must
     be finite and positive.
     """
-    if isinstance(expected_peak, np.ndarray):
-        valid = ((expected_peak > 0) & (expected_peak < np.inf)).all()
-    else:
-        valid = 0 < expected_peak < np.inf
-    if not valid:
+    peak = np.asarray(expected_peak)
+    if not ((peak > 0) & (peak < np.inf)).all():
         raise ValueError(f"expected_peak must be finite and positive, got {expected_peak}")
     dev = np.abs(magnitudes - expected_peak) / expected_peak
     return np.minimum(dev, 1.0)
@@ -323,10 +326,9 @@ def _feature_pairs(p: np.ndarray, h: np.ndarray, cols: np.ndarray) -> np.ndarray
 
 
 def _training_chunk(
-    cfg: TrainConfig, bit_generator: type, seeds: list[np.random.SeedSequence]
+    cfg: TrainConfig, streams: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk's wanted-tone and interference (p, h) pairs, window k drawn from seeds[k]."""
-    streams = [np.random.Generator(bit_generator(seed)) for seed in seeds]
+    """One chunk's wanted-tone and interference (p, h) pairs, window k drawn from streams[k]."""
     windows, true_bins, _ = gen_training_windows(cfg, streams)
     missed = baseline_detect(windows.magnitudes) != true_bins
     if not missed.any():
@@ -342,9 +344,7 @@ def _training_chunk(
     return _feature_pairs(p, h, true_cols), _feature_pairs(p, h, picked)
 
 
-def collect_training_features(
-    cfg: TrainConfig, rng: np.random.Generator | None = None
-) -> TrainingSamples:
+def collect_training_features(cfg: TrainConfig) -> TrainingSamples:
     """Generate windows and harvest features where the baseline fails.
 
     Every window where magnitude-argmax already finds the true bin is
@@ -363,21 +363,16 @@ def collect_training_features(
     true bin) onto the capped p == 1 edge, which teaches the grid that
     the edge is tone-like and makes weak noise bins win there.
 
-    Each window draws from its own substream spawned from `rng`, so the
-    samples do not depend on how windows are batched or where a batch
-    runs. `map_chunks` cuts the windows into chunks and runs them on
-    forked worker processes (window synthesis holds the GIL, so threads
-    would not help); `_training_chunk` builds a chunk as one (K, N) array
-    with `gen_training_windows`, filters it with the baseline and runs
-    `pmd` and `hpd` once on its kept rows. Memory, apart from the
-    harvested pairs, does not grow with `n_symbols`.
+    Window k is item k of a `map_chunks` run seeded with `cfg.seed`, so
+    the samples depend on `cfg` alone. The chunks run on forked worker
+    processes (window synthesis holds the GIL, so threads would not help);
+    `_training_chunk` builds a chunk as one (K, N) array with
+    `gen_training_windows`, filters it with the baseline and runs `pmd`
+    and `hpd` once on its kept rows. Memory, apart from the harvested
+    pairs, does not grow with `n_symbols`.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    run_chunk = partial(_training_chunk, cfg, type(rng.bit_generator))
-    parts, workers = map_chunks(
-        run_chunk, rng.bit_generator.seed_seq, cfg.n_symbols, cfg.n_bins, fork=True
-    )
+    run_chunk = partial(_training_chunk, cfg)
+    parts, workers = map_chunks(run_chunk, cfg.seed, cfg.n_symbols, cfg.n_bins, fork=True)
     true_arr = np.concatenate([np.empty((0, 2))] + [true for true, _ in parts])
     intf_arr = np.concatenate([np.empty((0, 2))] + [intf for _, intf in parts])
     return TrainingSamples(true_arr, intf_arr, cfg.n_symbols, len(true_arr), workers)
@@ -462,9 +457,9 @@ def grid_from_samples(samples: TrainingSamples, cfg: TrainConfig) -> PosteriorGr
     return PosteriorGrid(res, cells, prior, cfg)
 
 
-def train(cfg: TrainConfig, rng: np.random.Generator | None = None) -> PosteriorGrid:
+def train(cfg: TrainConfig) -> PosteriorGrid:
     """Run the full training recipe: generate, filter, histogram, Bayes."""
-    return grid_from_samples(collect_training_features(cfg, rng), cfg)
+    return grid_from_samples(collect_training_features(cfg), cfg)
 
 
 # --- grid file round-trip ---------------------------------------------------

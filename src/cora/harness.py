@@ -2,13 +2,12 @@
 
 Frames are demodulated at known window boundaries (ground truth replaces
 frame synchronisation), which isolates detector behaviour from sync
-quality. Each frame draws from its own seeded substream, so a campaign's
-channel realizations depend only on the experiment seed, never on the
-detector under test, on how frames are chunked or on how many threads
-decode the chunks; `detector.map_chunks`, which also runs training,
-does the chunking and the threads. `receive` is the one receive path:
-campaigns, the `demod` command and the stage benchmark all decode
-through it or its stages.
+quality. Frame k draws from stream k of the experiment seed by the
+seeding rule of `detector.map_chunks`, so a campaign's channel
+realizations depend only on that seed, never on the detector under test,
+on how frames are chunked or on how many threads decode them. `receive`
+is the one receive path: campaigns, the `demod` command and the stage
+benchmark all decode through it or its stages.
 """
 
 from __future__ import annotations
@@ -260,31 +259,28 @@ def demodulate_frame(
     return receive(samples, start + cfg.phy.n * np.arange(cfg.symbols_per_frame), cfg)[0]
 
 
-def _chunk_errors(cfg: ExperimentConfig, children: list[np.random.SeedSequence]) -> np.ndarray:
-    """Symbol errors of each frame of one campaign chunk, one frame per child."""
-    samples, truth, _ = simulate_frames(cfg, [np.random.default_rng(c) for c in children])
+def _chunk_errors(cfg: ExperimentConfig, streams: list[np.random.Generator]) -> np.ndarray:
+    """Symbol errors of each frame of one campaign chunk, one frame per stream."""
+    samples, truth, _ = simulate_frames(cfg, streams)
     return np.count_nonzero(demodulate_frame(samples, cfg) != truth, axis=-1)
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     """Run a seeded campaign and aggregate SER, PRR, and throughput.
 
-    Every frame draws from its own substream spawned from the experiment
-    seed. `map_chunks` cuts the frames into chunks and runs them on
-    threads, since numpy releases the GIL for their noise draws, gathers,
-    FFTs and products. `simulate_frames` builds a chunk as one (F, L)
-    array and `demodulate_frame` decodes it as one (F, K, N) array, so
-    results depend neither on the chunk size nor on the thread. Each
-    frame still costs one spawned generator and two full-length normal
-    draws, which no batching removes.
+    Frame k is item k of a `map_chunks` run seeded with `cfg.seed`. The
+    chunks run on threads, since numpy releases the GIL for their noise
+    draws, gathers, FFTs and products. `simulate_frames` builds a chunk
+    as one (F, L) array and `demodulate_frame` decodes it as one (F, K,
+    N) array, so results depend neither on the chunk size nor on the
+    thread. Each frame still costs one spawned generator and two
+    full-length normal draws, which no batching removes.
 
     Stage timings are reported as 0.0 here so result files are
     byte-stable across machines; `bench_stages` is the timing path.
     """
     total = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy)
-    chunks, _ = map_chunks(
-        partial(_chunk_errors, cfg), np.random.SeedSequence(cfg.seed), cfg.n_frames, total
-    )
+    chunks, _ = map_chunks(partial(_chunk_errors, cfg), cfg.seed, cfg.n_frames, total)
     errors = np.concatenate(chunks)
     symbol_errors = int(errors.sum())
     frames_ok = int(np.count_nonzero(errors <= cfg.frame_error_threshold))

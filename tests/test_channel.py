@@ -33,12 +33,14 @@ from cora import (
 from cora.channel import (
     _TEXT_PARSERS,
     JAKES_OSCILLATORS,
+    MAX_TAYLOR_BLOCK,
     TAYLOR_TERMS,
     _power_table,
     format_value,
     parse_tokens,
     parse_value,
 )
+from cora import channel as channel_module
 from cora.detector import hpd
 
 FS = 125e3
@@ -292,6 +294,13 @@ class TestFading:
                 replace(etu_like_profile(), max_doppler_hz=0.0),
                 id="etu-0hz",
             ),
+            # longer than MAX_TAYLOR_BLOCK: a Doppler-free sum takes B at the cap
+            pytest.param(
+                random_frame(12, 20, 7),
+                FS,
+                replace(etu_like_profile(), max_doppler_hz=0.0),
+                id="etu-sf12-0hz",
+            ),
             # 200 Hz at 1 kHz is above fs / (4 pi): every block is one sample wide
             pytest.param(
                 np.exp(0.3j * np.arange(300)),
@@ -314,6 +323,24 @@ class TestFading:
         npt.assert_array_equal(table, (np.arange(8) / 8) ** np.arange(TAYLOR_TERMS)[:, None])
         with pytest.raises(ValueError):
             table[1, 1] = 0.0
+
+    def test_power_table_width_is_capped(self, monkeypatch):
+        widths = []
+        table = channel_module._power_table
+
+        def recording_table(width):
+            widths.append(width)
+            return table(width)
+
+        monkeypatch.setattr(channel_module, "_power_table", recording_table)
+        frame = random_frame(12, 20, 8)
+        for signal, profile in [
+            (frame, replace(etu_like_profile(), max_doppler_hz=0.0)),
+            (frame, etu_like_profile()),
+            (np.ones(3 * MAX_TAYLOR_BLOCK + 5, dtype=complex), FadingProfile((0.0,), (0.0,), 0.1)),
+        ]:
+            apply_fading(signal, FS, profile, np.random.default_rng(1))
+        assert max(widths) == MAX_TAYLOR_BLOCK
 
     def test_jakes_autocorrelation_is_bessel_j0(self):
         # One tap, unit input: the output is the tap gain g(t). Over many

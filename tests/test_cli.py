@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cora import cli, detector
+from cora import cli, detector, harness
 from cora.channel import TrainConfig, fields_from_text
 from cora.cli import (
     ConfigError,
@@ -28,7 +28,7 @@ from cora.cli import (
     write_iq,
     write_sidecar,
 )
-from cora.detector import GridFormatError, PosteriorGrid, load_grid, save_grid
+from cora.detector import GridFormatError, PosteriorGrid, load_grid, save_grid, train
 from cora.phy import PhyParams, payload_start
 
 
@@ -242,6 +242,19 @@ class TestTrain:
         assert run_cli(["train", "--config", cfg2, "--out", str(out_cfg)], capsys)[0] == 0
         assert out_flag.read_bytes() == out_cfg.read_bytes()
 
+    def test_grid_header_reproduces_the_grid(self, tmp_path, capsys):
+        # every field off its default, so a field the header drops would show
+        cfg = write_cfg(
+            tmp_path / "t.cfg",
+            "n_bins=128\nn_symbols=1200\nmax_interferers=2\npower_range_db=-10,5\n"
+            "frac_freq_range=0.25\ninterference_samples_per_symbol=5\nsnr_db=3.5\n"
+            "grid_resolution=50\nsmooth_sigma=1.5\nsmooth_floor=1e-8\nseed=9\n",
+        )
+        trained, again = tmp_path / "t.grid", tmp_path / "again.grid"
+        assert run_cli(["train", "--config", cfg, "--out", str(trained)], capsys)[0] == 0
+        save_grid(train(load_grid(trained).config), again)
+        assert again.read_bytes() == trained.read_bytes()
+
     def test_every_config_field_parses_in_config_and_grid_header(self, tmp_path):
         # Config text and the grid header must read back every TrainConfig
         # field, each set off its default so a field either skips shows up.
@@ -452,6 +465,30 @@ class TestGenScenario:
             (tmp_path / "a.iq.truth.csv").read_bytes()
             == (tmp_path / "b.iq.truth.csv").read_bytes()
         )
+
+    def test_capture_is_frame_zero_of_the_campaign(self, tmp_path, capsys, monkeypatch):
+        text = "sf=8\nsymbols_per_frame=6\nn_interferers=1\nsir_db=-6,0\nsnr_db=10\nfading=true\n"
+        gen_cfg = write_cfg(tmp_path / "g.cfg", text + "seed=13\n")
+        out = tmp_path / "cap.iq"
+        assert run_cli(["gen-scenario", "--config", gen_cfg, "--out", str(out)], capsys)[0] == 0
+        chunks = []
+        simulate = harness.simulate_frames
+
+        def simulate_frames(cfg, streams):
+            chunks.append(simulate(cfg, streams))
+            return chunks[-1]
+
+        monkeypatch.setattr(harness, "simulate_frames", simulate_frames)
+        campaign = write_cfg(tmp_path / "c.cfg", text + "n_frames=5\nseed=13\n")
+        argv = ["evaluate", "--config", campaign, "--out", str(tmp_path / "c.csv")]
+        assert run_cli(argv, capsys)[0] == 0
+        [(samples, payloads, placements)] = chunks  # five frames make one chunk
+        assert samples.shape[0] == 5
+        captured, _ = read_iq(out)
+        assert captured.tobytes() == samples[0].astype(np.complex64).astype(complex).tobytes()
+        rows, interferers = read_sidecar(str(out) + ".truth.csv")
+        assert [b for _, b in rows] == payloads[0].tolist()
+        assert interferers == placements[0]
 
 
 class TestDemod:
@@ -813,7 +850,7 @@ class TestReadmeConfigs:
         ],
     )
     def test_documented_config_parses(self, tmp_path, capsys, monkeypatch, name, body):
-        for work in ("collect_training_features", "run_experiment", "bench_stages", "simulate_frame"):
+        for work in ("collect_training_features", "run_experiment", "bench_stages", "map_chunks"):
             monkeypatch.setattr(cli, work, stop)
         grid = PosteriorGrid(2, np.full((2, 2), 0.5), 0.5, TrainConfig())
         monkeypatch.setattr(cli, "load_grid", lambda path: grid)

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cora import (
     FeatureField,
@@ -60,7 +62,7 @@ class TestPmd:
         assert np.all(p >= 0) and np.all(p <= 1)
 
     def test_rejects_nonpositive_expected_peak(self):
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 pmd(np.ones(4), bad)
 
@@ -128,6 +130,49 @@ class TestHpd:
         win = SymbolWindow(samples, np.abs(np.fft.fft(samples)))
         with pytest.raises(ValueError):
             hpd(win)
+
+
+@st.composite
+def scaled_samples(draw):
+    """Gaussian samples from a drawn seed, even length N and scale; a third of
+    them keep only a drawn prefix, as a tone that ends inside the window."""
+    n = 2 * draw(st.integers(1, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-5, 5))
+    samples = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if draw(st.integers(0, 2)) == 0:
+        samples[draw(st.integers(1, n)) :] = 0
+    return samples
+
+
+def samples_window(samples: np.ndarray) -> SymbolWindow:
+    return SymbolWindow(samples, np.abs(np.fft.fft(samples)))
+
+
+class TestHpdProperties:
+    # Drawn from seeds, not as raw arrays, so that no bin sits on the
+    # dead-bin floor, where a rounding change may flip h to 1.
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(samples=scaled_samples(), k=st.integers(-16, 16))
+    def test_bit_identical_under_quarter_turn_and_power_of_two(self, samples, k):
+        want = hpd(samples_window(samples)).tobytes()
+        assert hpd(samples_window(samples * 1j)).tobytes() == want
+        assert hpd(samples_window(samples * 2.0**k)).tobytes() == want
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(samples=scaled_samples(), theta=st.floats(0, 2 * np.pi))
+    def test_phase_rotation_moves_h_by_rounding_only(self, samples, theta):
+        want = hpd(samples_window(samples))
+        got = hpd(samples_window(samples * np.exp(1j * theta)))
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(samples=scaled_samples(), peak=st.floats(-5, 5))
+    def test_p_and_h_lie_in_unit_interval(self, samples, peak):
+        window = samples_window(samples)
+        for feature in (pmd(window.magnitudes, 10.0**peak), hpd(window)):
+            assert ((feature >= 0) & (feature <= 1)).all()
 
 
 class TestHpdIdentity:

@@ -177,10 +177,8 @@ class TestChunkedCollect:
     )
     def test_matches_per_window_loop(self, overrides):
         cfg = TrainConfig(**{"n_symbols": 300, "seed": 4, **overrides})
-        ref_rng = np.random.default_rng(cfg.seed)
-        ref_true, ref_intf, ref_kept = per_window_features(cfg, ref_rng)
-        rng = np.random.default_rng(cfg.seed)
-        samples = collect_training_features(cfg, rng)
+        ref_true, ref_intf, ref_kept = per_window_features(cfg, np.random.default_rng(cfg.seed))
+        samples = collect_training_features(cfg)
         assert ref_kept > 0
         assert samples.n_kept == ref_kept
         assert samples.n_generated == cfg.n_symbols
@@ -188,10 +186,6 @@ class TestChunkedCollect:
         assert samples.interference_features.shape == ref_intf.shape
         assert samples.true_features.tobytes() == ref_true.tobytes()
         assert samples.interference_features.tobytes() == ref_intf.tobytes()
-        # the caller's generator is left as the one-by-one spawn leaves it
-        assert rng.bit_generator.seed_seq.n_children_spawned == cfg.n_symbols
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert rng.spawn(1)[0].random() == ref_rng.spawn(1)[0].random()
 
 
 def train_on_workers(cfg, workers, monkeypatch, tmp_path):
@@ -239,15 +233,6 @@ class TestTrainingPool:
             want = getattr(runs[1][1], name).tobytes()
             assert getattr(runs[2][1], name).tobytes() == getattr(runs[3][1], name).tobytes() == want
         assert multiprocessing.active_children() == []
-
-    def test_caller_generator_moves_as_with_one_worker(self, monkeypatch):
-        ref = np.random.default_rng(2)
-        collect_training_features(self.CFG, ref)
-        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
-        rng = np.random.default_rng(2)
-        assert collect_training_features(self.CFG, rng).n_workers == 2
-        assert rng.bit_generator.seed_seq.n_children_spawned == self.CFG.n_symbols
-        assert rng.spawn(1)[0].random() == ref.spawn(1)[0].random()
 
     def test_first_failing_chunk_raises_and_no_worker_survives(self, monkeypatch):
         generate = detector_module.gen_training_windows
