@@ -136,10 +136,7 @@ def _cora_grid(cfg: dict[str, str]) -> PosteriorGrid:
     """The grid file the config names, which the cora detector needs."""
     if "grid" not in cfg:
         raise ConfigError("detector 'cora' needs a grid path (key 'grid' or --grid)")
-    path = cfg["grid"]
-    if not Path(path).exists():
-        raise FileNotFoundError(f"grid file not found: {path}")
-    return load_grid(path)
+    return load_grid(cfg["grid"])
 
 
 # --- IQ and sidecar files ----------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import deque
+import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -37,8 +37,7 @@ MIN_KEPT_WINDOWS = 100
 # symbols), while each chunk's arrays stay about a megabyte.
 CHUNK_SAMPLES = 1 << 16
 
-# Chunks run on at most this many workers, which bounds the chunks in
-# flight, and so the memory, on large hosts.
+# At most this many workers run chunks, which bounds their memory on large hosts.
 MAX_WORKERS = 8
 
 
@@ -68,9 +67,21 @@ def _can_fork() -> bool:
     )
 
 
-def _on_streams(fn, children: list):
-    """`fn` of one `default_rng` stream per child, built where the chunk runs."""
-    return fn([np.random.default_rng(child) for child in children])
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once `parent` is gone, which its call queue never shows."""
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _on_streams(fn, seed: int, first: int, count: int):
+    """`fn` of the streams of items first .. first + count - 1, built where the chunk runs."""
+    seqs = (np.random.SeedSequence(seed, spawn_key=(k,)) for k in range(first, first + count))
+    return fn([np.random.default_rng(seq) for seq in seqs])
 
 
 def map_chunks(
@@ -79,45 +90,34 @@ def map_chunks(
     """`fn(streams)` over the `n_items` items of the run seeded with `seed`, chunk by chunk.
 
     The one seeding rule: item k draws from `default_rng` of child k of
-    `SeedSequence(seed)`. A chunk holds max(1, CHUNK_SAMPLES //
-    item_samples) items, its children spawned in chunk order as it is
-    submitted. Chunks run on `_worker_count` threads, or forked processes
-    with `fork`; with one worker, or where `_can_fork` refuses, in this
-    process. At most two chunks per worker are in flight. The first chunk
-    to fail, in chunk order, raises here; chunks not yet started are
-    cancelled and every worker is joined before this returns or raises.
+    `SeedSequence(seed)`, which is `SeedSequence(seed, spawn_key=(k,))`,
+    so a chunk of max(1, CHUNK_SAMPLES // item_samples) items builds its
+    streams where it runs. Chunks run on `_worker_count` threads, or with
+    `fork` on forked processes that exit if this one dies; with one
+    worker, or where `_can_fork` refuses, in this process. The first chunk
+    to fail, in chunk order, raises here and cancels the chunks not yet
+    started; every worker is joined before this returns or raises.
     Returns the results in chunk order and the workers, 0 for this process.
     """
-    seed_seq = np.random.SeedSequence(seed)
     per_chunk = max(1, CHUNK_SAMPLES // item_samples)
-    chunks = (
-        seed_seq.spawn(min(per_chunk, n_items - first)) for first in range(0, n_items, per_chunk)
-    )
-    run = partial(_on_streams, fn)
-    workers = _worker_count(-(-n_items // per_chunk))
+    firsts = range(0, n_items, per_chunk)
+    counts = [min(per_chunk, n_items - first) for first in firsts]
+    run = partial(_on_streams, fn, seed)
+    workers = _worker_count(len(firsts))
     if workers < 2 or (fork and not _can_fork()):
-        return list(map(run, chunks)), 0
+        return list(map(run, firsts, counts)), 0
     if fork:
-        import multiprocessing
+        import numpy.random  # noqa: F401  loaded once here, for the forked workers to share
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(workers, get_context("fork"), _exit_with_parent, (os.getpid(),))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(workers)
-    results, pending = [], deque()
     with pool:
-        try:
-            for chunk in chunks:
-                pending.append(pool.submit(run, chunk))
-                if len(pending) == 2 * workers:
-                    results.append(pending.popleft().result())
-            results.extend(future.result() for future in pending)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return results, workers
+        return list(pool.map(run, firsts, counts)), workers
 
 
 class TrainingError(RuntimeError):
@@ -204,8 +204,11 @@ def pmd(magnitudes: np.ndarray, expected_peak: float | np.ndarray) -> np.ndarray
     magnitudes, such as (K, 1) for one peak per window; every entry must
     be finite and positive.
     """
-    peak = np.asarray(expected_peak)
-    if not ((peak > 0) & (peak < np.inf)).all():
+    try:
+        valid = 0 < expected_peak < np.inf
+    except ValueError:  # an array of more than one entry
+        valid = ((expected_peak > 0) & (expected_peak < np.inf)).all()
+    if not valid:
         raise ValueError(f"expected_peak must be finite and positive, got {expected_peak}")
     dev = np.abs(magnitudes - expected_peak) / expected_peak
     return np.minimum(dev, 1.0)

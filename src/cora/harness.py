@@ -273,8 +273,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     draws, gathers, FFTs and products. `simulate_frames` builds a chunk
     as one (F, L) array and `demodulate_frame` decodes it as one (F, K,
     N) array, so results depend neither on the chunk size nor on the
-    thread. Each frame still costs one spawned generator and two
-    full-length normal draws, which no batching removes.
+    thread. Each frame still costs its own generator and two full-length
+    normal draws, which no batching removes.
 
     Stage timings are reported as 0.0 here so result files are
     byte-stable across machines; `bench_stages` is the timing path.

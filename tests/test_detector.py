@@ -1,4 +1,10 @@
-"""Feature extractors, posterior lookup, and the two-window classifier."""
+"""Feature extractors, posterior lookup, the two-window classifier and the chunk runner."""
+
+import multiprocessing
+import os
+import threading
+import time
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +28,8 @@ from cora import (
     pmd,
     score_bins,
 )
+from cora import detector as detector_module
+from cora.detector import CHUNK_SAMPLES, map_chunks
 from cora.phy import SymbolWindow
 from oracles import hpd_identity_error
 
@@ -60,12 +68,6 @@ class TestPmd:
         p = pmd(win.magnitudes, float(phy.n))
         assert p[33] < 1e-9
         assert np.all(p >= 0) and np.all(p <= 1)
-
-    def test_rejects_nonpositive_expected_peak(self):
-        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                pmd(np.ones(4), bad)
-
 
     def test_per_row_expected_peak(self):
         mags = np.array([[8.0, 0.0, 16.0, 4.0], [2.0, 1.0, 3.0, 6.0]])
@@ -360,3 +362,30 @@ class TestFeatureField:
             FeatureField(np.array([0.5]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             FeatureField(np.array([]), np.array([]))
+
+
+def start_chunk(log_dir, streams):
+    """Note in `log_dir` that the chunk of `streams` started, and where it runs.
+
+    Chunk 1 fails at once; every other chunk takes 50 ms.
+    """
+    first = streams[0].bit_generator.seed_seq.spawn_key[0]
+    (log_dir / str(first)).write_text(f"{os.getpid()} {threading.get_ident()}")
+    if first == 1:
+        raise ValueError("chunk 1")
+    time.sleep(0.05)
+    return first
+
+
+class TestMapChunks:
+    @pytest.mark.parametrize("fork", [False, True], ids=["threads", "fork"])
+    def test_failing_chunk_cancels_unstarted_chunks(self, fork, monkeypatch, tmp_path):
+        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
+        # one item per chunk: 20 chunks on two workers
+        with pytest.raises(ValueError, match="^chunk 1$"):
+            map_chunks(partial(start_chunk, tmp_path), 0, 20, CHUNK_SAMPLES, fork=fork)
+        started = [path.read_text() for path in tmp_path.iterdir()]
+        assert 2 <= len(started) < 20
+        # every chunk ran on a worker, none in the calling thread
+        assert f"{os.getpid()} {threading.get_ident()}" not in started
+        assert multiprocessing.active_children() == []

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -213,6 +214,16 @@ def count_forks(monkeypatch):
     return forks
 
 
+def running_since(pid):
+    """Start time of process `pid` from /proc while it runs; None once it is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state, *fields = stat.read().rsplit(")", 1)[1].split()
+    except FileNotFoundError:
+        return None
+    return None if state == "Z" else fields[18]
+
+
 class TestTrainingPool:
     # three full chunks and a short one: more chunks than two or three
     # workers, and chunks of two sizes
@@ -255,6 +266,49 @@ class TestTrainingPool:
             collect_training_features(cfg)
         assert len(forks) == 2
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_workers_exit_with_a_killed_parent(self):
+        # a training parent whose two forked workers print their PIDs and
+        # then block in their chunks; one SIGTERM ends the parent. Each PID
+        # line is one write, so the two workers' lines cannot interleave
+        # (print writes the newline separately when output is unbuffered).
+        code = (
+            "import os, time\n"
+            "from cora import TrainConfig, detector\n"
+            "def gen_training_windows(cfg, streams):\n"
+            "    os.write(1, b'%d\\n' % os.getpid())\n"
+            "    time.sleep(30)\n"
+            "detector._worker_count = lambda n_chunks: 2\n"
+            "detector.gen_training_windows = gen_training_windows\n"
+            f"detector.collect_training_features(TrainConfig(n_symbols={2 * TRAINING_CHUNK}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cora.__file__).resolve().parents[1])}
+        started = {}  # worker PID: its start time, so a reused PID is not mistaken for it
+
+        def alive():
+            return [pid for pid, start in started.items() if start and running_since(pid) == start]
+
+        parent = subprocess.Popen(
+            [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True
+        )
+        try:
+            for _ in range(2):
+                pid = int(parent.stdout.readline())
+                started[pid] = running_since(pid)
+            assert parent.pid not in started and None not in started.values()
+            parent.send_signal(signal.SIGTERM)
+            assert parent.wait(timeout=10) == -signal.SIGTERM
+            deadline = time.monotonic() + 10
+            while alive() and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert alive() == []
+        finally:
+            for pid in alive():
+                os.kill(pid, signal.SIGKILL)
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
 
     def test_in_process_while_another_thread_runs(self, monkeypatch, tmp_path):
         want = train_on_workers(self.CFG, 1, monkeypatch, tmp_path)[0]
