@@ -41,6 +41,18 @@ def _check_snr_db(snr_db: float) -> None:
         raise ValueError(f"snr_db must be +inf or finite within about ±3082 dB, got {snr_db}")
 
 
+def _finite_range(name: str, pair) -> tuple[float, float]:
+    """`pair` as a (low, high) tuple of floats; ValueError unless high - low is finite and >= 0.
+
+    That one test also rejects NaN and infinite ends, and ends so far
+    apart that a uniform draw between them overflows.
+    """
+    pair = tuple(float(x) for x in pair)
+    if len(pair) != 2 or not 0.0 <= pair[1] - pair[0] < math.inf:
+        raise ValueError(f"{name} must be finite (low, high) with low <= high, got {pair}")
+    return pair
+
+
 @dataclass(frozen=True)
 class FadingProfile:
     """Tapped delay line description: path delays, powers, max Doppler."""
@@ -99,15 +111,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "power_range_db", tuple(float(x) for x in self.power_range_db))
+        object.__setattr__(
+            self, "power_range_db", _finite_range("power_range_db", self.power_range_db)
+        )
         if self.n_bins < 2 or (self.n_bins & (self.n_bins - 1)) != 0:
             raise ValueError(f"n_bins must be a power of two >= 2, got {self.n_bins}")
         if self.n_symbols < 1:
             raise ValueError(f"n_symbols must be >= 1, got {self.n_symbols}")
         if self.max_interferers < 0:
             raise ValueError(f"max_interferers must be >= 0, got {self.max_interferers}")
-        if len(self.power_range_db) != 2 or self.power_range_db[0] > self.power_range_db[1]:
-            raise ValueError(f"power_range_db must be (low, high), got {self.power_range_db}")
         if not 0 <= self.frac_freq_range <= 0.5:
             raise ValueError(f"frac_freq_range must be in [0, 0.5], got {self.frac_freq_range}")
         if not 1 <= self.interference_samples_per_symbol <= self.n_bins - 1:
@@ -118,10 +130,10 @@ class TrainConfig:
         _check_snr_db(self.snr_db)
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if self.smooth_sigma < 0:
-            raise ValueError(f"smooth_sigma must be >= 0, got {self.smooth_sigma}")
-        if not self.smooth_floor > 0:
-            raise ValueError(f"smooth_floor must be > 0, got {self.smooth_floor}")
+        if not 0 <= self.smooth_sigma < math.inf:
+            raise ValueError(f"smooth_sigma must be finite and >= 0, got {self.smooth_sigma}")
+        if not 0 < self.smooth_floor < math.inf:
+            raise ValueError(f"smooth_floor must be finite and > 0, got {self.smooth_floor}")
 
 
 def _as_bool(text: str) -> bool:

@@ -30,7 +30,6 @@ from cora.detector import (
     GridFormatError,
     PosteriorGrid,
     TrainingError,
-    _read_utf8,
     collect_training_features,
     grid_from_samples,
     load_grid,
@@ -60,6 +59,14 @@ class IqFormatError(ValueError):
 
 
 # --- config files -----------------------------------------------------------
+
+
+def _read_utf8(path: str | Path, error: type[ValueError]) -> str:
+    """The text of file `path`; `error` naming the file if its bytes are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def read_config(path: str | Path) -> dict[str, str]:

@@ -467,95 +467,60 @@ def train(cfg: TrainConfig) -> PosteriorGrid:
 
 # --- grid file round-trip ---------------------------------------------------
 
-_GRID_MAGIC = "CORA-GRID v1"
+_GRID_MAGIC = "CORA-GRID v2"
 
 
 def save_grid(grid: PosteriorGrid, destination: str | Path) -> None:
-    """Write a grid as versioned text, byte-stable for identical grids.
+    """Write a grid as three text header lines and its cells in binary, byte-stable.
 
-    The cells are formatted with one `%` over all of them: "%.17g" gives
-    the same text as `format_value`.
+    The header lines are the magic, `resolution=<int> prior=<float>` and
+    the training config as `key=value` tokens, each value written by
+    `format_value` and each line ended by LF. The 8 * resolution**2 bytes
+    after the third LF are the cells as little-endian float64, row-major
+    with row i on the p axis; nothing follows them.
     """
-    res = grid.resolution
     header = [
         _GRID_MAGIC,
-        f"resolution={res} prior={format_value(grid.prior)}",
+        f"resolution={grid.resolution} prior={format_value(grid.prior)}",
         " ".join(f"{key}={format_value(value)}" for key, value in asdict(grid.config).items()),
     ]
-    row = " ".join(["%.17g"] * res) + "\n"
-    body = (row * res) % tuple(grid.cells.ravel().tolist())
-    Path(destination).write_text("\n".join(header) + "\n" + body, encoding="utf-8", newline="\n")
-
-
-# What `save_grid` writes in a cell row. Over these characters `np.loadtxt`
-# and `float` read the same numbers; beyond them they differ both ways
-# (`float` reads "0_5" and Arabic-Indic digits, `np.loadtxt` strips
-# "\x1c" to "\x1f" as whitespace). Non-ASCII characters encode to bytes
-# outside the set.
-_CELL_BYTES = b"0123456789.eE+- "
-
-
-def _parse_cells(rows: list[str], res: int, source: str | Path) -> np.ndarray:
-    """Cell rows as a (res, res) array: one space between values.
-
-    Non-empty rows of `save_grid`'s characters are parsed in one
-    `np.loadtxt` call. Any other rows, and any that call rejects or reads
-    to the wrong shape, go through `float` one value at a time, which
-    decides what loads and raises the line-numbered GridFormatError.
-    """
-    if rows and all(row and not row.encode().translate(None, _CELL_BYTES) for row in rows):
-        try:
-            cells = np.loadtxt(rows, delimiter=" ", ndmin=2, comments=None)
-        except ValueError:
-            pass
-        else:
-            if cells.shape == (res, res):
-                return cells
-    cells = np.empty((res, res), dtype=np.float64)
-    for r, row in enumerate(rows):
-        parts = row.split(" ")
-        if len(parts) != res:
-            raise GridFormatError(f"{source}:{4 + r}: expected {res} values, found {len(parts)}")
-        try:
-            cells[r] = [float(v) for v in parts]
-        except ValueError as exc:
-            raise GridFormatError(f"{source}:{4 + r}: unparseable cell value") from exc
-    return cells
-
-
-def _read_utf8(path: str | Path, error: type[ValueError]) -> str:
-    """The text of file `path`; `error` naming the file if its bytes are not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    text = "".join(line + "\n" for line in header).encode("utf-8")
+    Path(destination).write_bytes(text + grid.cells.astype("<f8").tobytes())
 
 
 def load_grid(source: str | Path) -> PosteriorGrid:
-    """Parse a grid file, rejecting wrong versions and malformed content."""
-    lines = _read_utf8(source, GridFormatError).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    """Read a `save_grid` file, rejecting wrong versions and malformed content.
+
+    Only the three header lines are decoded, as UTF-8. The cell bytes are
+    counted against the header's resolution before any array is built,
+    and `PosteriorGrid` rejects cells that are not probabilities.
+    """
+    *lines, body = Path(source).read_bytes().split(b"\n", 3)
     if len(lines) < 3:
-        raise GridFormatError(f"{source}: expected at least 3 header lines, found {len(lines)}")
-    if lines[0] != _GRID_MAGIC:
-        raise GridFormatError(f"{source}:1: expected {_GRID_MAGIC!r}, found {lines[0]!r}")
+        raise GridFormatError(f"{source}: expected 3 header lines, found {len(lines)}")
     try:
-        header = parse_tokens(lines[1].split(), text_keys(PosteriorGrid))
+        magic, sizes, config = b"\n".join(lines).decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"{source}: not UTF-8 text (byte {exc.start})") from None
+    if magic != _GRID_MAGIC:
+        raise GridFormatError(f"{source}:1: expected {_GRID_MAGIC!r}, found {magic!r}")
+    try:
+        header = parse_tokens(sizes.split(), text_keys(PosteriorGrid))
     except ValueError as exc:
         raise GridFormatError(f"{source}:2: {exc}") from None
     try:
-        cfg = TrainConfig(**parse_tokens(lines[2].split(), text_keys(TrainConfig), required=False))
+        cfg = TrainConfig(**parse_tokens(config.split(), text_keys(TrainConfig), required=False))
     except ValueError as exc:
         raise GridFormatError(f"{source}:3: {exc}") from None
-    resolution = header["resolution"]
-    rows = lines[3:]
-    if len(rows) != resolution:
+    # a negative resolution reads as an empty grid, which PosteriorGrid rejects by its value
+    side = max(header["resolution"], 0)
+    if len(body) != 8 * side * side:
         raise GridFormatError(
-            f"{source}: expected {resolution} grid rows, found {len(rows)} (truncated or padded)"
+            f"{source}: expected {8 * side * side} cell bytes for resolution "
+            f"{header['resolution']}, found {len(body)}"
         )
-    cells = _parse_cells(rows, resolution, source)
+    cells = np.frombuffer(body, dtype="<f8").reshape(side, side)
     try:
-        return PosteriorGrid(resolution, cells, header["prior"], cfg)
+        return PosteriorGrid(header["resolution"], cells, header["prior"], cfg)
     except ValueError as exc:
         raise GridFormatError(f"{source}: {exc}") from exc

@@ -22,6 +22,7 @@ import numpy as np
 from cora.channel import (
     FadingProfile,
     _check_snr_db,
+    _finite_range,
     _scaled_noise,
     apply_fading,
     collide,
@@ -67,9 +68,7 @@ class ScenarioSpec:
         _check_snr_db(self.snr_db)
         if self.n_interferers < 0:
             raise ValueError(f"n_interferers must be >= 0, got {self.n_interferers}")
-        self.sir_db = tuple(float(x) for x in self.sir_db)
-        if len(self.sir_db) != 2 or self.sir_db[0] > self.sir_db[1]:
-            raise ValueError(f"sir_db must be (low, high), got {self.sir_db}")
+        self.sir_db = _finite_range("sir_db", self.sir_db)
         if self.offset_mode not in ("random", "fixed"):
             raise ValueError(f"offset_mode must be 'random' or 'fixed', got {self.offset_mode!r}")
         if self.offset_samples < 0:

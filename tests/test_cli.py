@@ -143,10 +143,11 @@ class TestConfigParsing:
         assert (rc, err) == (1, f"error: {expected}\n")
         path = tmp_path / "g.grid"
         save_grid(PosteriorGrid(2, np.full((2, 2), 0.5), 0.5, TrainConfig()), path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        tokens = lines[2].split()
-        lines[2] = " ".join(f"{key}={raw}" if t.startswith(f"{key}=") else t for t in tokens)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        *lines, cells = path.read_bytes().split(b"\n", 3)
+        tokens = lines[2].decode("utf-8").split()
+        tokens = [f"{key}={raw}" if t.startswith(f"{key}=") else t for t in tokens]
+        lines[2] = " ".join(tokens).encode("utf-8")
+        path.write_bytes(b"\n".join([*lines, cells]))
         with pytest.raises(GridFormatError) as info:
             load_grid(path)
         assert str(info.value) == f"{path}:3: {expected}"
@@ -624,12 +625,15 @@ class TestDemod:
         grid = tmp_path / "copy.grid"
         grid.write_bytes(detector_grid_file.read_bytes())
         path = {"config": cfg, "sidecar": tmp_path / "cap.iq.truth.csv", "grid": grid}[target]
-        path.write_bytes(path.read_bytes() + b"\xff\n")
+        # at the end of the first line: a grid decodes its header lines only
+        data = path.read_bytes()
+        at = data.index(b"\n")
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
         rc, stdout, err = run_cli(
             ["demod", str(iq), "--config", str(cfg), "--grid", str(grid)], capsys
         )
         assert (rc, stdout) == (1, "")
-        assert err == f"error: {path}: not UTF-8 text (byte {path.stat().st_size - 2})\n"
+        assert err == f"error: {path}: not UTF-8 text (byte {at})\n"
 
 
 class TestFileRoundTrips:
@@ -817,6 +821,35 @@ class TestSnrRule:
         assert (rc, stdout) == (1, "")
         assert err.startswith("error: snr_db "), err
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestRangeRule:
+    # A (low, high) range is drawn from uniformly, so its ends and their
+    # difference must be finite, and so must the smoothing knobs. Each
+    # fails as a validation error before any window or frame is drawn.
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("evaluate", "sir_db=nan,nan"),
+            ("evaluate", "sir_db=-inf,0"),
+            ("evaluate", "sir_db=-1e308,1e308"),
+            ("train", "power_range_db=nan,nan"),
+            ("train", "power_range_db=-inf,0"),
+            ("train", "power_range_db=-1e308,1e308"),
+            ("train", "smooth_sigma=inf"),
+            ("train", "smooth_floor=inf"),
+        ],
+    )
+    def test_non_finite_value_is_rejected(self, tmp_path, capsys, command, line):
+        text = {"train": "n_symbols=1500\n", "evaluate": "sf=8\nn_frames=2\nn_interferers=1\n"}
+        cfg = write_cfg(tmp_path / "c.cfg", text[command] + line + "\n")
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli([command, "--config", cfg, "--out", str(out)], capsys)
+        assert (rc, stdout) == (1, "")
+        key = line.partition("=")[0]
+        assert err.startswith(f"error: {key} must be finite"), err
+        assert err.count("\n") == 1, err
         assert not out.exists()
 
 

@@ -10,6 +10,11 @@ grid hash was recorded from the one-window-at-a-time training loop,
 before training synthesis was batched. The noiseless SF7 capture and the
 fixed-offset SF8 campaign were recorded from the frame-at-a-time
 campaign loop, before campaigns were built and decoded in chunks.
+The two grid-file hashes were re-recorded when grids went from decimal
+cell rows (`CORA-GRID v1`) to raw little-endian float64 cells after the
+text header (`CORA-GRID v2`). The cell hashes, recorded from v1 files as
+`load_grid(p).cells.astype("<f8").tobytes()`, pin the cells themselves
+across that change: a v2 file's bytes after its third LF hash to them.
 """
 
 import hashlib
@@ -20,10 +25,12 @@ from cora.channel import TrainConfig
 from cora.cli import main
 from cora.detector import save_grid, train
 
-GRID_SHA256 = "0ee94344c919d7e67f1add9a410494fb178f291b269214b3605f1fe9aabdd67c"
+GRID_SHA256 = "ba0cc803c80e53172861feaa57f5ab4068f5963fb33bfb02e2d3bc889f1cea51"
+GRID_CELLS_SHA256 = "409a3c76ceac46e3c96edcf6553877657fd03765acd721f05a46f0c8d072d76b"
 
 # TrainConfig's default recipe (SNR -1 dB) at 3000 windows, seed 5.
-DEFAULT_SNR_GRID_SHA256 = "55a388d6bc4e9c8c4e01802d6da5bf6638977526b124dbde2d16ca8c56f91ea1"
+DEFAULT_SNR_GRID_SHA256 = "6ec8a727eda33419f4d762c8f48c3a492e36118eaccd2b8de2082b448a70a277"
+DEFAULT_SNR_GRID_CELLS_SHA256 = "dfa9c26c2835726718e1ec1d36dfef7e1143902288afdb1a349bc4aea03bf18b"
 
 EVALUATE_SHA256 = {
     (7, "baseline"): "a64339498749058a510a720b9820d60aad02e631ea19d48dcf9a5828fcebd1a8",
@@ -80,14 +87,23 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def cell_bytes(grid_file: bytes) -> bytes:
+    """The bytes after a grid file's third LF: its cells."""
+    return grid_file.split(b"\n", 3)[3]
+
+
 def test_grid_bytes(detector_grid_file):
-    assert sha256(detector_grid_file.read_bytes()) == GRID_SHA256
+    data = detector_grid_file.read_bytes()
+    assert sha256(cell_bytes(data)) == GRID_CELLS_SHA256
+    assert sha256(data) == GRID_SHA256
 
 
 def test_default_snr_grid_bytes(tmp_path):
     path = tmp_path / "default.grid"
     save_grid(train(TrainConfig(n_symbols=3000, seed=5)), path)
-    assert sha256(path.read_bytes()) == DEFAULT_SNR_GRID_SHA256
+    data = path.read_bytes()
+    assert sha256(cell_bytes(data)) == DEFAULT_SNR_GRID_CELLS_SHA256
+    assert sha256(data) == DEFAULT_SNR_GRID_SHA256
 
 
 def evaluate_csv(cfg_text, detector, tmp_path, grid_file) -> bytes:
