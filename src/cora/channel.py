@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -171,14 +173,15 @@ def parse_value(kind: str, key: str, text: str):
         raise ValueError(f"{key}: expected {expected}, got {text!r}") from None
 
 
-def text_keys(cls) -> dict[str, str]:
+@cache
+def text_keys(cls) -> Mapping[str, str]:
     """Parameters of `cls` (a dataclass or a function) that a key=value text may set.
 
     Maps each name to its annotation; these are the keys of config files
-    and of the grid file's config line.
+    and of the grid file's config line. Cached per `cls` and read-only.
     """
     params = inspect.signature(cls).parameters.values()
-    return {p.name: p.annotation for p in params if p.annotation in _TEXT_PARSERS}
+    return MappingProxyType({p.name: p.annotation for p in params if p.annotation in _TEXT_PARSERS})
 
 
 def format_value(value) -> str:
@@ -192,7 +195,7 @@ def format_value(value) -> str:
     return str(value)
 
 
-def parse_tokens(tokens: list[str], kinds: dict[str, str], required: bool = True) -> dict:
+def parse_tokens(tokens: list[str], kinds: Mapping[str, str], required: bool = True) -> dict:
     """Typed values of `key=value` tokens whose keys are among `kinds` (name -> annotation).
 
     ValueError for a token without '=', an unknown or repeated key, a
@@ -282,8 +285,8 @@ def compose_collision(
 
 
 # Terms of the Taylor series that stands in for each tone's fine factor in
-# `_tone_sum`. With its argument at most 1/2 the first omitted term is below
-# 0.5**16 / 16! ~ 7e-18, far under float64 rounding of a unit tone.
+# `apply_fading`. With its argument at most 1/2 the first omitted term is
+# below 0.5**16 / 16! ~ 7e-18, far under float64 rounding of a unit tone.
 TAYLOR_TERMS = 16
 # 1j**m / m!: the series' coefficient of x**m
 _TAYLOR_COEFFS = np.array(
@@ -303,41 +306,27 @@ def _power_table(width: int) -> np.ndarray:
     return table
 
 
-def _tone_sum(
-    amps: np.ndarray, omegas: np.ndarray, phases: np.ndarray, n: int, fs: float
-) -> np.ndarray:
-    """sum_i amps[i] * exp(1j * (omegas[i] * k / fs + phases[i])) for k < n.
+@lru_cache(maxsize=64)
+def _fading_plan(profile: FadingProfile, fs: float, n: int) -> tuple[np.ndarray, tuple]:
+    """`apply_fading`'s view of `profile` at `fs` Hz over n samples, read-only.
 
-    Writing k = b * B + j with j < B factors each tone into a coarse term
-    exp(1j * (omegas[i] * b * B / fs + phases[i])) and a fine term
-    exp(1j * x_i * j / B) with x_i = omegas[i] * B / fs. The fine term is
-    replaced by its Taylor series sum_m (1j * x_i) ** m / m! * (j / B) ** m
-    over TAYLOR_TERMS terms, so the sum over the M tones is one
-    (ceil(n / B), M) @ (M, TAYLOR_TERMS) complex product followed by two
-    real products with the cached power table: only the ceil(n / B) * M
-    coarse terms are exponentials.
-
-    B is the largest power of two with max|omegas| * B / fs <= 1/2, capped
-    at n and at MAX_TAYLOR_BLOCK, which bounds the truncation error by
-    0.5**16 / 16!. Without Doppler B = min(n, MAX_TAYLOR_BLOCK); once
-    max|omegas| > fs / 4, B = 1, the table is [1, 0, ...], and every value
-    is an exact exponential.
+    Returns the tone amplitudes, one per angle drawn, normalised so the
+    expected channel gain is one, and per rounded tap delay below n, in
+    order of first tap: (delay, its taps, the flat indices of their tones).
     """
-    top = float(np.max(np.abs(omegas))) / fs
-    width = 1
-    while width < min(n, MAX_TAYLOR_BLOCK) and top * 2 * width <= 0.5:
-        width *= 2
-    width = min(width, n)
-    rows = -(-n // width)
-    coarse = np.arange(rows) * (width / fs)
-    left = amps * np.exp(1j * (np.outer(coarse, omegas) + phases))
-    powers = np.vander(omegas * (width / fs), TAYLOR_TERMS, increasing=True)
-    weights = (left @ powers) * _TAYLOR_COEFFS
-    table = _power_table(width)
-    gain = np.empty((rows, width), dtype=np.complex128)
-    np.matmul(weights.real, table, out=gain.real)
-    np.matmul(weights.imag, table, out=gain.imag)
-    return gain.ravel()[:n]
+    # relative to the strongest tap, so no finite dB value overflows
+    powers_db = np.asarray(profile.tap_powers_db)
+    powers_lin = 10.0 ** ((powers_db - powers_db.max()) / 10.0)
+    powers_lin = powers_lin / powers_lin.sum()
+    amps = np.sqrt(powers_lin / JAKES_OSCILLATORS).repeat(JAKES_OSCILLATORS)
+    delays: dict[int, list[int]] = {}
+    for tap, delay_s in enumerate(profile.tap_delays_s):
+        delays.setdefault(int(round(delay_s * fs)), []).append(tap)
+    tones = np.arange(amps.size).reshape(-1, JAKES_OSCILLATORS)
+    groups = tuple((d, tuple(taps), tones[taps].ravel()) for d, taps in delays.items() if d < n)
+    for array in (amps, *(group_tones for _, _, group_tones in groups)):
+        array.setflags(write=False)
+    return amps, groups
 
 
 def apply_fading(
@@ -350,44 +339,77 @@ def apply_fading(
     max_doppler_hz * cos(alpha) with random angles and phases. All draws
     come from one `rng.uniform` call of shape (taps, 2, JAKES_OSCILLATORS),
     which yields the doubles, and leaves the generator in the state, of
-    drawing tap by tap in profile order (angles, then phases). Tap powers
-    are normalised so the expected channel gain is one, and tap delays are
-    rounded to whole samples: at 125 kHz the ETU-like profile's first
-    eight taps land on delay 0 and its 5 us tap on delay 1.
+    drawing tap by tap in profile order (angles, then phases). Tap delays
+    are rounded to whole samples, and taps that share a delay act as one
+    group: at 125 kHz the ETU-like profile's first eight taps land on delay
+    0 and its 5 us tap on delay 1. The tone amplitudes, normalised so the
+    expected channel gain is one, and the groups come from a cached plan
+    (`_fading_plan`); groups delayed by n samples or more contribute nothing.
 
-    Taps that share a rounded delay act as one group whose gain is the sum
-    of all their tones, computed by `_tone_sum` from a few exponentials per
-    tone and a cached Taylor power table. The realised channel is that of
-    a tap-by-tap, tone-by-tone evaluation, up to floating-point rounding.
-    Groups delayed by the whole stream length or more contribute nothing.
+    A group's gain, sum_i amps[i] * exp(1j * (omegas[i] * k / fs + phases[i]))
+    for k < n, is evaluated with k = b * B + j, j < B: each tone is a coarse
+    exponential at time b * B / fs times exp(1j * x_i * j / B), with
+    x_i = omegas[i] * B / fs, and that fine factor is replaced by its Taylor
+    series over TAYLOR_TERMS terms. The gain is then the (ceil(n / B), M)
+    coarse exponentials times the (M, TAYLOR_TERMS) Taylor weights of the M
+    tones, followed by two real products with the cached power table. B is
+    the largest power of two with max|omegas| * B / fs <= 1/2 over the
+    group's realised Dopplers, capped at n and at MAX_TAYLOR_BLOCK, which
+    bounds the truncation error by 0.5**16 / 16!; once max|omegas| > fs / 4,
+    B = 1, the table is [1, 0, ...], and every value is an exact exponential.
+
+    Groups that get the same B share one pass: one exponential over their
+    coarse times, one Vandermonde matrix, one Taylor-weight product per
+    group and one pair of products with the table for all their gains.
+    Group by group that is the arithmetic of summing each group alone, so
+    the channel is bit for bit that of a group-by-group evaluation, and
+    that of a tap-by-tap, tone-by-tone evaluation up to rounding.
     An `fs` that is not finite and positive raises ValueError before any draw.
     """
     if not 0 < fs < math.inf:
         raise ValueError(f"fs must be finite and > 0, got {fs}")
     x = np.asarray(samples)
     n = x.size
+    amps, groups = _fading_plan(profile, fs, n)
 
-    # relative to the strongest tap, so no finite dB value overflows
-    powers_db = np.asarray(profile.tap_powers_db)
-    powers_lin = 10.0 ** ((powers_db - powers_db.max()) / 10.0)
-    powers_lin = powers_lin / powers_lin.sum()
-
-    draws = rng.uniform(0.0, 2.0 * np.pi, (len(powers_lin), 2, JAKES_OSCILLATORS))
+    draws = rng.uniform(0.0, 2.0 * np.pi, (len(profile.tap_delays_s), 2, JAKES_OSCILLATORS))
     omegas = 2.0 * np.pi * (profile.max_doppler_hz * np.cos(draws[:, 0]))
-    amps = np.sqrt(powers_lin / JAKES_OSCILLATORS)[:, None].repeat(JAKES_OSCILLATORS, axis=1)
-    groups: dict[int, list[int]] = {}
-    for tap, delay_s in enumerate(profile.tap_delays_s):
-        groups.setdefault(int(round(delay_s * fs)), []).append(tap)
+    tap_top = np.abs(omegas).max(axis=1).tolist()
+    widths = []
+    for _, taps, _ in groups:
+        top = max(tap_top[tap] for tap in taps) / fs
+        width = 1
+        while width < min(n, MAX_TAYLOR_BLOCK) and top * 2 * width <= 0.5:
+            width *= 2
+        widths.append(min(width, n))
+    omegas, phases = omegas.ravel(), draws[:, 1].ravel()
+
+    gains = [None] * len(groups)
+    for width in set(widths):
+        members = [g for g, w in enumerate(widths) if w == width]
+        tones = np.concatenate([groups[g][2] for g in members])
+        rows = -(-n // width)
+        coarse = np.arange(rows) * (width / fs)
+        om = omegas[tones]
+        left = amps[tones] * np.exp(1j * (coarse[:, None] * om + phases[tones]))
+        powers = np.vander(om * (width / fs), TAYLOR_TERMS, increasing=True)
+        weights = np.empty((len(members), rows, TAYLOR_TERMS), dtype=np.complex128)
+        stop = 0
+        for g, weight in zip(members, weights):
+            start, stop = stop, stop + groups[g][2].size
+            np.matmul(left[:, start:stop], powers[start:stop], out=weight)
+        weights *= _TAYLOR_COEFFS
+        table = _power_table(width)
+        gain = np.empty((len(members), rows, width), dtype=np.complex128)
+        np.matmul(weights.real, table, out=gain.real)
+        np.matmul(weights.imag, table, out=gain.imag)
+        for g, row in zip(members, gain.reshape(len(members), -1)):
+            gains[g] = row[:n]
 
     out = np.zeros(n, dtype=np.complex128)
-    for delay, taps in groups.items():
-        if delay >= n:
-            continue
-        gain = _tone_sum(amps[taps].ravel(), omegas[taps].ravel(), draws[taps, 1].ravel(), n, fs)
-        if delay == 0:
-            out += gain * x
-        else:
-            out[delay:] += gain[delay:] * x[: n - delay]
+    for (delay, _, _), gain in zip(groups, gains):
+        tail = gain[delay:]
+        out[delay:] += np.multiply(tail, x[: n - delay], out=tail)
     return out
 
 
@@ -451,27 +473,25 @@ def gen_training_windows(
         raise ValueError("need at least one stream")
     n = cfg.n_bins
     f = cfg.frac_freq_range
+    low_db, high_db = cfg.power_range_db
+    # Generator.uniform(low, high) is low + (high - low) * rng.random(): the
+    # same doubles, and several of them per call
+    two_pi = 2.0 * np.pi
     draws = []
-    noise = np.empty((2, len(streams), n))
+    noise = np.empty((len(streams), 2, n))
     for row, rng in enumerate(streams):
         true_bin = int(rng.integers(n))
-        true_dev = float(rng.uniform(-f, f))
-        true_phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        interferers = [
-            (
-                float(rng.uniform(*cfg.power_range_db)),
-                int(rng.integers(n)),
-                float(rng.uniform(-f, f)),
-                int(rng.integers(n)),
-                int(rng.integers(n)),
-                float(rng.uniform(0.0, 2.0 * np.pi)),
-                float(rng.uniform(0.0, 2.0 * np.pi)),
-            )
-            for _ in range(int(rng.integers(cfg.max_interferers + 1)))
-        ]
-        rng.standard_normal(n, out=noise[0, row])
-        rng.standard_normal(n, out=noise[1, row])
-        draws.append((true_bin, true_dev, true_phase, interferers))
+        dev_u, phase_u = rng.random(2).tolist()
+        interferers = []
+        for _ in range(int(rng.integers(cfg.max_interferers + 1))):
+            power_db = low_db + (high_db - low_db) * rng.random()
+            boundary = int(rng.integers(n))
+            dev = -f + 2.0 * f * rng.random()
+            bin_a, bin_b = rng.integers(n, size=2).tolist()
+            phase_a, phase_b = (two_pi * rng.random(2)).tolist()
+            interferers.append((power_db, boundary, dev, bin_a, bin_b, phase_a, phase_b))
+        rng.standard_normal(out=noise[row])
+        draws.append((true_bin, -f + 2.0 * f * dev_u, two_pi * phase_u, interferers))
 
     k = np.arange(n)
     true_bins, devs, phases, _ = zip(*draws)
@@ -497,7 +517,7 @@ def gen_training_windows(
         )
         phase = np.where(before, np.array(phase_a)[:, None], np.array(phase_b)[:, None])
         window[rows] += _tone(amp[:, None], omega, phase, k, n)
-    window += _scaled_noise(noise[0], noise[1], 1.0 / 10.0 ** (cfg.snr_db / 10.0))
+    window += _scaled_noise(noise[:, 0], noise[:, 1], 1.0 / 10.0 ** (cfg.snr_db / 10.0))
 
     return SymbolWindow(window, np.abs(np.fft.fft(window, axis=-1))), true_bins, draws
 

@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 from dataclasses import MISSING, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +365,7 @@ def cmd_demod(args: argparse.Namespace) -> int:
 # --- entry point ---------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cora",

@@ -5,7 +5,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from cora.channel import apply_fading, compose_collision
+from cora.channel import (
+    _TAYLOR_COEFFS,
+    JAKES_OSCILLATORS,
+    MAX_TAYLOR_BLOCK,
+    TAYLOR_TERMS,
+    _power_table,
+    apply_fading,
+    compose_collision,
+)
 from cora.detector import _half_mask
 from cora.harness import MetricsRecord, receive
 from cora.phy import SymbolWindow, build_frame, frame_length, payload_start
@@ -36,6 +44,67 @@ def hpd_identity_error(window: SymbolWindow) -> float:
     folded = basis @ a - sign * (basis @ b)
     masked = np.fft.fft(window.time_samples * _half_mask(n))
     return float(np.max(np.abs(masked - folded)))
+
+
+def taylor_width(omegas: np.ndarray, n: int, fs: float) -> int:
+    """Taylor block width B of one delay group: the largest power of two with
+    max|omegas| * B / fs <= 1/2, capped at n and at MAX_TAYLOR_BLOCK."""
+    top = float(np.max(np.abs(omegas))) / fs
+    width = 1
+    while width < min(n, MAX_TAYLOR_BLOCK) and top * 2 * width <= 0.5:
+        width *= 2
+    return min(width, n)
+
+
+def tone_sum(amps, omegas, phases, n: int, fs: float) -> np.ndarray:
+    """sum_i amps[i] * exp(1j * (omegas[i] * k / fs + phases[i])) for k < n, one group alone.
+
+    The coarse exponentials at every B-th sample times the Taylor weights
+    of the tones, then two real products with the power table, as
+    `apply_fading` documents.
+    """
+    width = taylor_width(omegas, n, fs)
+    rows = -(-n // width)
+    coarse = np.arange(rows) * (width / fs)
+    left = amps * np.exp(1j * (np.outer(coarse, omegas) + phases))
+    powers = np.vander(omegas * (width / fs), TAYLOR_TERMS, increasing=True)
+    weights = (left @ powers) * _TAYLOR_COEFFS
+    table = _power_table(width)
+    gain = np.empty((rows, width), dtype=np.complex128)
+    np.matmul(weights.real, table, out=gain.real)
+    np.matmul(weights.imag, table, out=gain.imag)
+    return gain.ravel()[:n]
+
+
+def grouped_fading(x, fs, profile, rng) -> tuple[np.ndarray, list[int]]:
+    """`apply_fading` evaluated delay group by delay group, each with its own `tone_sum`.
+
+    Same draws, same normalisation and same order of accumulation, with
+    nothing cached and no two groups sharing a pass. Returns the faded
+    stream and the Taylor block width of each group that was evaluated.
+    """
+    n = x.size
+    powers_db = np.asarray(profile.tap_powers_db)
+    powers_lin = 10.0 ** ((powers_db - powers_db.max()) / 10.0)
+    powers_lin = powers_lin / powers_lin.sum()
+    draws = rng.uniform(0.0, 2.0 * np.pi, (len(powers_lin), 2, JAKES_OSCILLATORS))
+    omegas = 2.0 * np.pi * (profile.max_doppler_hz * np.cos(draws[:, 0]))
+    amps = np.sqrt(powers_lin / JAKES_OSCILLATORS)[:, None].repeat(JAKES_OSCILLATORS, axis=1)
+    groups: dict[int, list[int]] = {}
+    for tap, delay_s in enumerate(profile.tap_delays_s):
+        groups.setdefault(int(round(delay_s * fs)), []).append(tap)
+    out = np.zeros(n, dtype=np.complex128)
+    widths = []
+    for delay, taps in groups.items():
+        if delay >= n:
+            continue
+        widths.append(taylor_width(omegas[taps], n, fs))
+        gain = tone_sum(amps[taps].ravel(), omegas[taps].ravel(), draws[taps, 1].ravel(), n, fs)
+        if delay == 0:
+            out += gain * x
+        else:
+            out[delay:] += gain[delay:] * x[: n - delay]
+    return out, widths
 
 
 def per_frame_campaign(cfg):

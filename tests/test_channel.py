@@ -35,13 +35,16 @@ from cora.channel import (
     JAKES_OSCILLATORS,
     MAX_TAYLOR_BLOCK,
     TAYLOR_TERMS,
+    _fading_plan,
     _power_table,
     format_value,
     parse_tokens,
     parse_value,
+    text_keys,
 )
 from cora import channel as channel_module
 from cora.detector import hpd
+from oracles import grouped_fading
 
 FS = 125e3
 
@@ -316,6 +319,46 @@ class TestFading:
         out = apply_fading(signal, fs, profile, rng_new)
         npt.assert_allclose(out, expected, rtol=0, atol=1e-12)
         assert rng_new.random() == rng_ref.random()
+        grouped, _ = grouped_fading(signal, fs, profile, np.random.default_rng(99))
+        assert out.tobytes() == grouped.tobytes()
+
+    @pytest.mark.parametrize(
+        "signal, profile, some_widths_differ",
+        [
+            pytest.param(random_frame(7, 20, 1), etu_like_profile(), True, id="etu-sf7"),
+            pytest.param(random_frame(8, 20, 2), etu_like_profile(), True, id="etu-sf8"),
+            pytest.param(random_frame(12, 2, 3), etu_like_profile(), True, id="etu-sf12"),
+            # at 100 Hz both groups take B = 64 in practically every frame
+            pytest.param(
+                random_frame(8, 20, 5),
+                replace(etu_like_profile(), max_doppler_hz=100.0),
+                False,
+                id="etu-sf8-100hz",
+            ),
+        ],
+    )
+    def test_bit_identical_to_group_by_group_sums(self, signal, profile, some_widths_differ):
+        # Evaluating the groups that share a Taylor block width in one pass
+        # changes no bit of the channel. At 5 Hz the realised Dopplers give
+        # the two ETU groups different widths in some 7% of frames.
+        split = 0
+        for seed in range(200):
+            rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected, widths = grouped_fading(signal, FS, profile, rng_ref)
+            assert apply_fading(signal, FS, profile, rng_new).tobytes() == expected.tobytes()
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            split += len(set(widths)) > 1
+        assert split > 0 or not some_widths_differ
+
+    def test_plan_is_cached_read_only(self):
+        amps, groups = plan = _fading_plan(etu_like_profile(), FS, 100)
+        assert _fading_plan(etu_like_profile(), FS, 100) is plan
+        assert [(delay, taps) for delay, taps, _ in groups] == [(0, tuple(range(8))), (1, (8,))]
+        npt.assert_array_equal(groups[1][2], np.arange(8 * JAKES_OSCILLATORS, amps.size))
+        assert [delay for delay, _, _ in _fading_plan(etu_like_profile(), FS, 1)[1]] == [0]
+        for array in (amps, *(tones for _, _, tones in groups)):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_power_table_is_cached_read_only(self):
         table = _power_table(8)
@@ -462,6 +505,13 @@ class TestTextCodec:
         # repr tells -0.0 from 0.0 and prints the shortest exact float
         assert (type(back), repr(back)) == (type(value), repr(value))
 
+    def test_text_keys_are_cached_read_only(self):
+        keys = text_keys(TrainConfig)
+        assert text_keys(TrainConfig) is keys
+        assert keys["seed"] == "int" and keys["power_range_db"] == "tuple[float, float]"
+        with pytest.raises(TypeError):
+            keys["seed"] = "float"
+
     def test_tokens_are_typed_in_any_order(self):
         kinds = {"fs": "float", "n": "int"}
         assert parse_tokens(["n=3", "fs=1e3"], kinds) == {"fs": 1000.0, "n": 3}
@@ -571,6 +621,7 @@ class TestTrainingWindows:
             {"frac_freq_range": 0.0},
             {"n_bins": 8, "interference_samples_per_symbol": 7},
             {"n_bins": 1024},
+            {"max_interferers": 4, "power_range_db": (-40.0, 37.5), "frac_freq_range": 0.5},
         ],
         ids=[
             "default",
@@ -580,6 +631,7 @@ class TestTrainingWindows:
             "integer-bins",
             "n8",
             "n1024",
+            "wide-ranges",
         ],
     )
     def test_batch_matches_per_window_reference(self, overrides):

@@ -907,3 +907,12 @@ class TestEntryPoint:
 
     def test_unknown_subcommand_fails(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_one_parser_keeps_no_flags_between_calls(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        common = ["evaluate", "--config", "a.cfg", "--out", "b.csv"]
+        first = parser.parse_args([*common, "--grid", "g", "--seed", "3", "--detector", "cora"])
+        second = parser.parse_args(common)
+        assert (first.grid, first.seed, first.detector) == ("g", 3, "cora")
+        assert (second.grid, second.seed, second.detector) == (None, None, None)
