@@ -27,7 +27,6 @@ from cora.channel import (
     text_keys,
 )
 from cora.detector import (
-    GridFormatError,
     PosteriorGrid,
     TrainingError,
     collect_training_features,
@@ -37,6 +36,7 @@ from cora.detector import (
     save_grid,
 )
 from cora.harness import (
+    DETECTOR_KINDS,
     ExperimentConfig,
     ScenarioSpec,
     bench_stages,
@@ -373,34 +373,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="flat key=value config file")
-        if out_required:
-            p.add_argument("--out", required=True, help="output file path")
+        p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--verbose", action="store_true")
 
     p_train = sub.add_parser("train", help="train a posterior grid from simulated collisions")
-    common(p_train, out_required=True)
+    common(p_train)
+    p_train.add_argument("--verbose", action="store_true")
 
     p_eval = sub.add_parser("evaluate", help="run a seeded SER/PRR campaign")
-    common(p_eval, out_required=True)
-    p_eval.add_argument("--detector", choices=("baseline", "cora"), default=None)
+    common(p_eval)
+    p_eval.add_argument("--verbose", action="store_true")
+    p_eval.add_argument("--detector", choices=DETECTOR_KINDS, default=None)
     p_eval.add_argument("--grid", default=None, help="grid file for the cora detector")
 
     p_bench = sub.add_parser("bench", help="per-stage timing for both detectors")
-    common(p_bench, out_required=True)
+    common(p_bench)
+    p_bench.add_argument("--verbose", action="store_true")
     p_bench.add_argument("--grid", default=None, help="grid file for the cora detector")
 
     p_demod = sub.add_parser("demod", help="demodulate an IQ file at sidecar boundaries")
     p_demod.add_argument("iq_path", help="IQ file produced by gen-scenario")
     p_demod.add_argument("--config", required=True, help="flat key=value config file")
-    p_demod.add_argument("--detector", choices=("baseline", "cora"), default=None)
+    p_demod.add_argument("--detector", choices=DETECTOR_KINDS, default=None)
     p_demod.add_argument("--grid", default=None, help="grid file for the cora detector")
-    p_demod.add_argument("--verbose", action="store_true")
 
     p_gen = sub.add_parser("gen-scenario", help="write a collision IQ file plus truth sidecar")
-    common(p_gen, out_required=True)
+    common(p_gen)
 
     return parser
 
@@ -422,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.subcommand](args)
-    except (ConfigError, IqFormatError, GridFormatError, TrainingError, ValueError) as exc:
+    except (TrainingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

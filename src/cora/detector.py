@@ -275,8 +275,9 @@ def score_bins(
     and row 0 by `prev`, the (N,) posteriors of the window before; a
     frame's first window has no history (`prev` None) and scores q_k
     alone. An (F, K, N) field holds F frames, and damping restarts at
-    each frame's row 0, which `prev` damps. Skips feature validation: a
-    FeatureField guarantees its arrays are finite and in [0, 1].
+    each frame's row 0, which `prev` damps. Only this stage takes `prev`.
+    Skips feature validation: a FeatureField guarantees its arrays are
+    finite and in [0, 1].
     """
     q = _lookup(grid, features.p, features.h)
     # damping by (1 - 0) leaves q exact
@@ -290,36 +291,33 @@ def score_bins(
 
 
 def classify(
-    features: FeatureField, grid: PosteriorGrid, prev: np.ndarray | None = None
-) -> tuple[int | np.ndarray, float | np.ndarray, np.ndarray]:
+    features: FeatureField, grid: PosteriorGrid
+) -> tuple[int | np.ndarray, float | np.ndarray]:
     """Pick the bin most likely to hold the frame's own tone, per window.
 
-    Scores come from `score_bins`; ties resolve to the lowest bin.
-    Returns (bin, score, posteriors): an int and a float for one window,
-    arrays with one entry per window for more, and the last window's (N,)
-    posteriors q, which the next window takes as `prev`.
+    Scores come from `score_bins` without `prev`; ties resolve to the
+    lowest bin. Returns (bin, score): an int and a float for one window,
+    arrays with one entry per window for more.
     """
-    q, scores = score_bins(features, grid, prev)
+    _, scores = score_bins(features, grid)
     best = scores.argmax(axis=-1)
     score = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
     if best.ndim == 0:
         best, score = int(best), float(score)
-    return best, score, q.reshape(-1, q.shape[-1])[-1]
+    return best, score
 
 
 def detect_symbol(
-    window: SymbolWindow,
-    expected_peak: float | np.ndarray,
-    grid: PosteriorGrid,
-    prev: np.ndarray | None = None,
-) -> tuple[int | np.ndarray, float | np.ndarray, np.ndarray]:
+    window: SymbolWindow, expected_peak: float | np.ndarray, grid: PosteriorGrid
+) -> tuple[int | np.ndarray, float | np.ndarray]:
     """Full collision-aware detection for dechirped window(s), (N,), (K, N) or (F, K, N).
 
     The expected peak broadcasts against the magnitudes, as in `pmd`:
-    (F, 1, 1) gives each frame its own preamble reference.
+    (F, 1, 1) gives each frame its own preamble reference. Returns
+    `classify`'s (bin, score).
     """
     features = FeatureField(pmd(window.magnitudes, expected_peak), hpd(window))
-    return classify(features, grid, prev)
+    return classify(features, grid)
 
 
 def _feature_pairs(p: np.ndarray, h: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -39,11 +39,11 @@ from cora.detector import (
 )
 from cora.phy import (
     PhyParams,
-    base_upchirp,
     baseline_detect,
     build_frames,
     dechirp,
     frame_length,
+    modulate_symbol,
     payload_start,
 )
 
@@ -245,8 +245,7 @@ def receive(
         bins = baseline_detect(window.magnitudes)
         return bins, np.take_along_axis(window.magnitudes, bins[..., None], axis=-1)[..., 0]
     expected_peak = np.reshape(expected_peak_from_preamble(samples, cfg), lead + (1, 1))
-    bins, scores, _ = detect_symbol(window, expected_peak, cfg.grid)
-    return bins, scores
+    return detect_symbol(window, expected_peak, cfg.grid)
 
 
 def demodulate_frame(
@@ -313,9 +312,10 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     """Measure mean per-symbol wall time for each detection stage.
 
     Times the receive path's stages one window at a time: `dechirp`, the
-    features (`pmd`, `hpd`), the classifier (`score_bins`) and the
-    argmax. Symbols are pre-generated so only detection is timed; the
-    first `n_warmup` iterations are discarded. For the baseline detector
+    features (`pmd`, `hpd`), the classifier (`score_bins`, each window
+    damped by the one before) and the argmax. Symbols are pre-generated
+    (`modulate_symbol` plus noise) so only detection is timed; the first
+    `n_warmup` iterations are discarded. For the baseline detector
     the feature and classifier stages report zero, and its argmax runs on
     the magnitude spectrum. Runs single-threaded with a monotonic clock.
     """
@@ -329,7 +329,7 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     rng = np.random.default_rng(cfg.seed)
     total = n_warmup + n_iter
     bins = rng.integers(0, n, total)
-    raw = np.take(base_upchirp(phy), np.arange(n) + bins[:, None], mode="wrap")
+    raw = modulate_symbol(bins, phy)
     variance = 1.0 / 10.0 ** (cfg.scenario.snr_db / 10.0)
     raw += _scaled_noise(rng.standard_normal(raw.shape), rng.standard_normal(raw.shape), variance)
 

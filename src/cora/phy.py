@@ -96,41 +96,44 @@ def _downchirp_table(n: int) -> np.ndarray:
 
 
 def base_upchirp(params: PhyParams) -> np.ndarray:
-    """Unit-amplitude upchirp sweeping the full bandwidth once."""
-    return _upchirp_table(params.n).copy()
-
-
-def modulate_symbol(m: int, params: PhyParams) -> np.ndarray:
-    """Encode symbol value m as a cyclic shift of the base upchirp.
-
-    Sample k of the output equals base[(k + m) mod N], so after dechirp the
-    energy lands in FFT bin m.
-    """
-    n = params.n
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValueError(f"symbol value must be an integer, got {m!r}")
-    if not 0 <= m < n:
-        raise ValueError(f"symbol value must be in [0, {n}), got {m}")
-    return np.roll(_upchirp_table(n), -int(m))
+    """Unit-amplitude upchirp sweeping the full bandwidth once: symbol 0."""
+    return modulate_symbol(0, params)
 
 
 @lru_cache(maxsize=16)
 def _shift_table(n: int) -> np.ndarray:
     """Row m is upchirp m, base[(k + m) mod N]: a read-only sliding window
-    over the base upchirp concatenated with itself, so one row gather
-    builds any run of upchirps."""
+    over the base upchirp concatenated with itself."""
     up = _upchirp_table(n)
     return np.lib.stride_tricks.sliding_window_view(np.concatenate([up, up]), n)[:n]
 
 
+def modulate_symbol(symbols: int | np.ndarray, params: PhyParams) -> np.ndarray:
+    """Encode symbol values as cyclic shifts of the base upchirp.
+
+    Sample k of symbol m's upchirp equals base[(k + m) mod N], so after
+    dechirp its energy lands in FFT bin m. Takes one integer or an integer
+    array of any shape, all in [0, N); returns a fresh writable array of
+    shape `shape + (N,)`, rows of the cached shift table. Every upchirp of
+    the package comes from here.
+    """
+    values = np.asarray(symbols)
+    n = params.n
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"symbol values must be integers, got dtype {values.dtype}")
+    if np.any((values < 0) | (values >= n)):
+        raise ValueError(f"symbol values must lie in [0, {n})")
+    # a 0-d index would be basic indexing, a view of the cache: gather 1-D
+    return _shift_table(n)[values.reshape(-1)].reshape(values.shape + (n,))
+
+
 @lru_cache(maxsize=16)
-def _frame_header(preamble_len: int, n: int) -> np.ndarray:
+def _frame_header(preamble_len: int, params: PhyParams) -> np.ndarray:
     """Preamble upchirps, two sync upchirps and 2.25 downchirps, read-only."""
-    down = _downchirp_table(n)
-    shifts = [0] * preamble_len + [SYNC_WORD_BIN] * N_SYNC_SYMBOLS
-    header = np.concatenate(
-        [_shift_table(n)[shifts].ravel(), np.tile(down, N_FULL_DOWNCHIRPS), down[: n // 4]]
-    )
+    down = _downchirp_table(params.n)
+    shifts = np.array([0] * preamble_len + [SYNC_WORD_BIN] * N_SYNC_SYMBOLS)
+    upchirps = modulate_symbol(shifts, params).ravel()
+    header = np.concatenate([upchirps, np.tile(down, N_FULL_DOWNCHIRPS), down[: params.n // 4]])
     header.setflags(write=False)
     return header
 
@@ -144,25 +147,20 @@ def build_frames(
 
     Payloads (S,) give one frame (L,), and leading axes carry over: (F, S)
     gives F frames as one (F, L) array. Each frame is the shared header
-    followed by the payload upchirps, gathered as rows of the upchirp
-    shift table.
+    followed by the payload upchirps from `modulate_symbol`, which also
+    checks the symbol values.
     """
     if not isinstance(preamble_len, (int, np.integer)) or preamble_len < 1:
         raise ValueError(f"preamble_len must be a positive integer, got {preamble_len}")
     payloads = np.asarray(payloads)
     if payloads.ndim == 0 or payloads.shape[-1] == 0:
         raise ValueError("payload symbols must be non-empty rows")
-    if not np.issubdtype(payloads.dtype, np.integer):
-        raise ValueError(f"payload symbols must be integers, got dtype {payloads.dtype}")
-    n = params.n
-    if np.any((payloads < 0) | (payloads >= n)):
-        raise ValueError(f"payload symbols must lie in [0, {n})")
-    header = _frame_header(int(preamble_len), n)
+    header = _frame_header(int(preamble_len), params)
     lead = payloads.shape[:-1]
-    body = payloads.shape[-1] * n
+    body = payloads.shape[-1] * params.n
     frames = np.empty(lead + (header.size + body,), dtype=np.complex128)
     frames[..., : header.size] = header
-    frames[..., header.size :] = _shift_table(n)[payloads].reshape(lead + (body,))
+    frames[..., header.size :] = modulate_symbol(payloads, params).reshape(lead + (body,))
     return frames
 
 

@@ -536,6 +536,18 @@ class TestDemod:
         for _, _, score in got:
             assert 0.0 <= score <= 1.0
 
+    def test_verbose_is_not_an_option(self, tmp_path, capsys):
+        # neither command prints anything extra, so neither takes the flag
+        iq = self.gen_clean_capture(tmp_path, capsys)
+        cfg = write_cfg(tmp_path / "d.cfg", "sf=8\n")
+        rc, stdout, err = run_cli(["demod", str(iq), "--config", cfg, "--verbose"], capsys)
+        assert (rc, stdout) == (1, "") and "--verbose" in err
+        gen = write_cfg(tmp_path / "g.cfg", GEN_CFG)
+        argv = ["gen-scenario", "--config", gen, "--out", str(tmp_path / "v.iq"), "--verbose"]
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 1 and "--verbose" in err
+        assert not (tmp_path / "v.iq").exists()
+
     def test_cora_needs_grid(self, tmp_path, capsys):
         iq = self.gen_clean_capture(tmp_path, capsys)
         cfg = write_cfg(tmp_path / "d.cfg", "sf=8\ndetector=cora\n")

@@ -230,6 +230,8 @@ class TestPosteriorLookup:
 
 
 class TestClassify:
+    """`classify`, and the damping by `prev` that only `score_bins` takes."""
+
     def test_previous_window_damps_score(self):
         # q = 0.9 at bin 5, prev posterior 0.1 there: score 0.9*(1-0.1).
         grid = tiny_grid(np.array([[0.9, 0.0], [0.0, 0.0]]))
@@ -239,9 +241,9 @@ class TestClassify:
         p[5] = h[5] = 0.1
         prev = np.zeros(n)
         prev[5] = 0.1
-        best, score, q = classify(FeatureField(p, h), grid, prev)
-        assert best == 5
-        npt.assert_allclose(score, 0.81)
+        q, scores = score_bins(FeatureField(p, h), grid, prev)
+        assert np.argmax(scores) == 5
+        npt.assert_allclose(scores[5], 0.81)
         npt.assert_allclose(q[5], 0.9)
 
     def test_saturated_previous_bin_is_suppressed(self):
@@ -254,9 +256,9 @@ class TestClassify:
         p[0] = h[0] = 0.1
         prev = np.zeros(n)
         prev[0] = 1.0
-        best, score, _ = classify(FeatureField(p, h), grid, prev)
-        assert best != 0
-        npt.assert_allclose(score, 0.2)
+        _, scores = score_bins(FeatureField(p, h), grid, prev)
+        assert np.argmax(scores) != 0
+        npt.assert_allclose(scores.max(), 0.2)
 
     def test_first_window_uses_posterior_alone(self):
         grid = tiny_grid(np.array([[0.7, 0.0], [0.0, 0.1]]))
@@ -264,15 +266,18 @@ class TestClassify:
         p = np.full(n, 0.9)
         h = np.full(n, 0.9)
         p[3] = h[3] = 0.0
+        feats = FeatureField(p, h)
         for prev in (None, np.zeros(n)):
-            best, score, _ = classify(FeatureField(p, h), grid, prev)
-            assert best == 3
-            npt.assert_allclose(score, 0.7)
+            q, scores = score_bins(feats, grid, prev)
+            npt.assert_array_equal(scores, q)
+            assert np.argmax(scores) == 3
+            npt.assert_allclose(scores[3], 0.7)
+        assert classify(feats, grid) == (3, pytest.approx(0.7))
 
     def test_ties_break_to_lowest_bin(self):
         grid = tiny_grid(np.full((2, 2), 0.5))
         feats = FeatureField(np.full(5, 0.2), np.full(5, 0.2))
-        best, _, _ = classify(feats, grid)
+        best, _ = classify(feats, grid)
         assert best == 0
 
     def test_state_shape_mismatch_rejected(self):
@@ -280,7 +285,7 @@ class TestClassify:
         feats = FeatureField(np.full(5, 0.2), np.full(5, 0.2))
         for prev in (np.zeros(7), np.zeros((1, 5)), np.zeros((2, 5))):
             with pytest.raises(ValueError, match="posteriors"):
-                classify(feats, grid, prev)
+                score_bins(feats, grid, prev)
 
 
 class TestGainInvariance:
@@ -302,7 +307,7 @@ class TestDetectSymbol:
         phy = PhyParams(sf=8)
         for m in (0, 1, 77, 130, 255):
             win = dechirp(modulate_symbol(m, phy), phy)
-            best, _, _ = detect_symbol(win, float(phy.n), detector_grid)
+            best, _ = detect_symbol(win, float(phy.n), detector_grid)
             assert best == m
 
     def test_collision_recovered_where_baseline_fails(self, detector_grid):
@@ -316,7 +321,7 @@ class TestDetectSymbol:
         out = compose_collision(target, [(interferer, 6.0, 153)], np.inf, np.random.default_rng(0))
         win = dechirp(out[n : 2 * n], phy)
         assert baseline_detect(win.magnitudes) == 103
-        best, _, _ = detect_symbol(win, float(n), detector_grid)
+        best, _ = detect_symbol(win, float(n), detector_grid)
         assert best == 30
 
     def test_pure_noise_scores_low(self, detector_grid):
@@ -326,7 +331,7 @@ class TestDetectSymbol:
         for _ in range(50):
             noise = np.sqrt(0.05) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             win = SymbolWindow(noise, np.abs(np.fft.fft(noise)))
-            _, score, _ = detect_symbol(win, float(n), detector_grid)
+            _, score = detect_symbol(win, float(n), detector_grid)
             assert score < 0.5
 
 

@@ -69,19 +69,34 @@ class TestChirps:
 
     def test_cache_is_not_aliased(self):
         p = PhyParams(sf=7)
-        a = base_upchirp(p)
-        a[:] = 0.0
-        b = base_upchirp(p)
-        npt.assert_allclose(np.abs(b), 1.0, atol=1e-12)
+        for build in (
+            lambda: base_upchirp(p),
+            lambda: modulate_symbol(3, p),
+            lambda: modulate_symbol(np.array([[0, 3], [127, 3]]), p),
+        ):
+            a = build()
+            want = a.copy()
+            a[...] = 0.0
+            npt.assert_array_equal(build(), want)
+            npt.assert_allclose(np.abs(build()), 1.0, atol=1e-12)
 
 
 class TestModulate:
     def test_cyclic_shift_definition(self):
-        p = PhyParams(sf=7)
-        n = p.n
-        base = base_upchirp(p)
-        for m in (0, 1, 17, n - 1):
-            npt.assert_array_equal(modulate_symbol(m, p), base[(np.arange(n) + m) % n])
+        # every row is the base upchirp rolled left by its symbol value
+        rng = np.random.default_rng(19)
+        for sf in (7, 12):
+            p = PhyParams(sf=sf)
+            n = p.n
+            base = base_upchirp(p)
+            for m in (0, 1, 17, n - 1):
+                npt.assert_array_equal(modulate_symbol(m, p), base[(np.arange(n) + m) % n])
+            for shape in ((), (5,), (3, 4), (2, 0, 4)):
+                values = rng.integers(0, n, shape)
+                got = modulate_symbol(values, p)
+                assert got.shape == shape + (n,) and got.flags.writeable
+                want = [np.roll(base, -m) for m in values.reshape(-1)]
+                npt.assert_array_equal(got.reshape(-1, n), np.reshape(want, (-1, n)))
 
     def test_symbol_zero_is_base_chirp(self):
         p = PhyParams(sf=8)
@@ -89,11 +104,12 @@ class TestModulate:
 
     def test_rejects_out_of_range(self):
         p = PhyParams(sf=7)
-        for bad in (-1, 128, 1000):
-            with pytest.raises(ValueError):
+        for bad in (-1, 128, 1000, np.array([0, 5, 128]), np.array([[3], [-1]])):
+            with pytest.raises(ValueError, match="must lie in"):
                 modulate_symbol(bad, p)
-        with pytest.raises(ValueError):
-            modulate_symbol(1.5, p)
+        for bad in (1.5, True, np.array([True]), np.array([1.0, 2.0])):
+            with pytest.raises(ValueError, match="must be integers"):
+                modulate_symbol(bad, p)
 
 
 class TestDechirp:
