@@ -3,7 +3,6 @@
 from cora.phy import (
     PhyParams,
     SymbolWindow,
-    base_upchirp,
     modulate_symbol,
     build_frame,
     build_frames,

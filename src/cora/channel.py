@@ -230,29 +230,26 @@ def _scaled_noise(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray
 
 def collide(
     out: np.ndarray,
-    interferers: list[list[tuple[np.ndarray, float, int]]],
+    frames: list[np.ndarray],
+    placements: list[tuple[int, float]],
     snr_db: float,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """`compose_collision` for F frames at once, in place on their targets.
+    """Add interferers and noise to one target frame `out` (L,), in place.
 
-    `out` holds the F target frames as an (F, L) array. `interferers[f]`
-    lists frame f's (samples, gain_db, offset) triples, offsets inside the
-    frame, and `noise` holds standard normal I and Q parts as (2, F, L).
-    Each row's noise is calibrated to its own target's power. Row for row
-    the arithmetic is that of one `compose_collision` call, so the bytes
-    are too, signed zeros of noiseless frames included. Returns `out`.
+    Interferer `frames[i]` is scaled by `placements[i]` = (offset, gain_db),
+    offset in [0, L), and added from sample `offset` on; its samples beyond
+    the target's last one are dropped. `noise` holds standard normal I and
+    Q parts as (2, L), scaled to sit `snr_db` below the target's own power.
+    Returns `out`.
     """
-    power = np.mean(np.abs(out) ** 2, axis=-1)
-    if not power.all():
+    power = np.mean(np.abs(out) ** 2)
+    if not power:
         raise ValueError("target frame has zero power")
-    variance = power / 10.0 ** (snr_db / 10.0)
-    for row, placed, row_variance, re, im in zip(out, interferers, variance.tolist(), *noise):
-        for samples, gain_db, start in placed:
-            amp = 10.0 ** (gain_db / 20.0)
-            stop = min(start + len(samples), row.size)
-            row[start:stop] += amp * samples[: stop - start]
-        row += _scaled_noise(re, im, row_variance)
+    for frame, (start, gain_db) in zip(frames, placements):
+        stop = min(start + len(frame), out.size)
+        out[start:stop] += 10.0 ** (gain_db / 20.0) * frame[: stop - start]
+    out += _scaled_noise(*noise, power / 10.0 ** (snr_db / 10.0))
     return out
 
 
@@ -264,11 +261,12 @@ def compose_collision(
 ) -> np.ndarray:
     """Sum the target frame, offset interferers, and noise into one stream.
 
-    `interferers` lists `collide`'s (samples, gain_db, offset) triples, each
-    offset in [0, len(target)) from the target's first sample. The output
-    has the target's length: interferer samples beyond the target's last
-    sample are dropped. The AWGN level is calibrated to the target's own
-    power, so an infinite-SNR call with no interferers returns the target.
+    `interferers` lists (samples, gain_db, offset) triples, each offset in
+    [0, len(target)) from the target's first sample. The output has the
+    target's length: interferer samples beyond the target's last sample
+    are dropped. The AWGN, one `standard_normal((2, L))` draw, is
+    calibrated to the target's own power, so an infinite-SNR call with no
+    interferers returns the target. `collide` on a copy of the target.
     """
     target = np.asarray(target, dtype=np.complex128)
     if target.ndim != 1 or target.size == 0:
@@ -279,9 +277,10 @@ def compose_collision(
         if math.isnan(gain_db):
             raise ValueError("interferer gain_db must not be NaN")
     _check_snr_db(snr_db)
-    placed = [(np.asarray(frame), gain_db, int(offset)) for frame, gain_db, offset in interferers]
-    noise = np.stack([rng.standard_normal(target.size), rng.standard_normal(target.size)])
-    return collide(target[None].copy(), [placed], snr_db, noise[:, None])[0]
+    frames = [np.asarray(frame) for frame, _, _ in interferers]
+    placements = [(int(offset), gain_db) for _, gain_db, offset in interferers]
+    noise = rng.standard_normal((2, target.size))
+    return collide(target.copy(), frames, placements, snr_db, noise)
 
 
 # Terms of the Taylor series that stands in for each tone's fine factor in

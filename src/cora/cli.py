@@ -299,7 +299,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     timing = fields_from_text(bench_stages, cfg)
     records = []
     for phy in phys:
-        for detector in ("baseline", "cora"):
+        for detector in DETECTOR_KINDS:
             exp = _build(
                 ExperimentConfig,
                 cfg,

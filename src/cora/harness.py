@@ -142,9 +142,9 @@ def simulate_frames(
     of each interferer; then the I and Q noise. This order is part of the
     determinism contract, so a frame's channel depends only on its stream,
     never on the detector or on how frames are chunked. The targets and
-    the interferers of all streams are two gathers (`build_frames`), the
-    noise is drawn into one (2, F, L) buffer, and `collide` sums every
-    frame with the arithmetic of `compose_collision`.
+    the interferers of all streams are two gathers (`build_frames`); then
+    frame by frame, its noise fills one (2, L) buffer and `collide` adds
+    its interferers and noise to it in place, as `compose_collision` would.
 
     Returns the samples (F, L), the target payloads (F, S), and per frame
     its interferers as (offset_samples, gain_db) pairs.
@@ -170,18 +170,13 @@ def simulate_frames(
 
     samples = build_frames(payloads[:, 0], cfg.preamble_len, phy)
     others = build_frames(payloads[:, 1:], cfg.preamble_len, phy)
-    noise = np.empty((2, len(streams), total))
+    noise = np.empty((2, total))
     for row, rng in enumerate(streams):
         if sc.fading_profile is not None:
             for frame in (samples[row], *others[row]):
                 frame[:] = apply_fading(frame, phy.sample_rate_hz, sc.fading_profile, rng)
-        rng.standard_normal(total, out=noise[0, row])
-        rng.standard_normal(total, out=noise[1, row])
-    interferers = [
-        [(frame, gain_db, offset) for frame, (offset, gain_db) in zip(others[row], placed)]
-        for row, placed in enumerate(placements)
-    ]
-    collide(samples, interferers, sc.snr_db, noise)
+        rng.standard_normal(out=noise)
+        collide(samples[row], others[row], placements[row], sc.snr_db, noise)
     return samples, payloads[:, 0], placements
 
 
@@ -225,13 +220,17 @@ def receive(
     of all streams go through every stage as one (F, K, N) array, in the
     order given. Each window is damped by the window before it in its own
     stream (see `score_bins`), and each stream's preamble gives its own
-    reference peak. Starts must lie inside the stream. Returns the
-    detected bins and their scores, (K,) or (F, K): the peak magnitude for
-    the baseline, the history-damped posterior for cora.
+    reference peak. A window not wholly inside the stream raises
+    ValueError. Returns the detected bins and their scores, (K,) or
+    (F, K): the peak magnitude for the baseline, the history-damped
+    posterior for cora.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    lead = samples.shape[:-1]
+    lead, length = samples.shape[:-1], samples.shape[-1]
     n = cfg.phy.n
+    outside = starts[(starts < 0) | (starts > length - n)]
+    if outside.size:
+        raise ValueError(f"window at {outside[0]} falls outside the {length}-sample stream")
     if starts.size == 0:
         return np.empty(lead + (0,), dtype=np.int64), np.empty(lead + (0,))
     if np.array_equal(starts, starts[0] + n * np.arange(starts.size)):
@@ -271,8 +270,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     draws, gathers, FFTs and products. `simulate_frames` builds a chunk
     as one (F, L) array and `demodulate_frame` decodes it as one (F, K,
     N) array, so results depend neither on the chunk size nor on the
-    thread. Each frame still costs its own generator and two full-length
-    normal draws, which no batching removes.
+    thread. Each frame still costs its own generator and its full-length
+    normal draw of I and Q, which no batching removes.
 
     Stage timings are reported as 0.0 here so result files are
     byte-stable across machines; `bench_stages` is the timing path.

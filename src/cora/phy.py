@@ -48,10 +48,6 @@ class PhyParams:
         """Critical sampling: the complex sample rate equals the bandwidth."""
         return float(self.bandwidth_hz)
 
-    @property
-    def symbol_time_s(self) -> float:
-        return self.n / self.bandwidth_hz
-
 
 @dataclass
 class SymbolWindow:
@@ -93,11 +89,6 @@ def _downchirp_table(n: int) -> np.ndarray:
     table = np.conj(_upchirp_table(n))
     table.setflags(write=False)
     return table
-
-
-def base_upchirp(params: PhyParams) -> np.ndarray:
-    """Unit-amplitude upchirp sweeping the full bandwidth once: symbol 0."""
-    return modulate_symbol(0, params)
 
 
 @lru_cache(maxsize=16)

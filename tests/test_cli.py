@@ -608,11 +608,27 @@ class TestDemod:
     def test_window_outside_stream_rejected(self, tmp_path, capsys):
         iq = self.gen_clean_capture(tmp_path, capsys)
         sidecar = tmp_path / "cap.iq.truth.csv"
-        sidecar.write_text("window_start,true_bin\n999999,0\n", encoding="utf-8")
         cfg = write_cfg(tmp_path / "d.cfg", "sf=8\n")
-        rc, _, err = run_cli(["demod", str(iq), "--config", cfg], capsys)
-        assert rc == 1
-        assert "outside" in err
+        for start in (999999, -5):
+            sidecar.write_text(f"window_start,true_bin\n{start},0\n", encoding="utf-8")
+            rc, stdout, err = run_cli(["demod", str(iq), "--config", cfg], capsys)
+            assert (rc, stdout) == (1, "")
+            assert err == (
+                f"error: {sidecar}: window at {start} falls outside the 5696-sample stream\n"
+            )
+
+    def test_cora_capture_shorter_than_preamble_rejected(
+        self, tmp_path, capsys, detector_grid_file
+    ):
+        iq = self.gen_clean_capture(tmp_path, capsys)
+        samples, fs = read_iq(iq)
+        write_iq(iq, samples[: 8 * 256 - 1], fs)
+        cfg = write_cfg(tmp_path / "d.cfg", "sf=8\ndetector=cora\n")
+        rc, stdout, err = run_cli(
+            ["demod", str(iq), "--config", cfg, "--grid", str(detector_grid_file)], capsys
+        )
+        assert (rc, stdout) == (1, "")
+        assert err == f"error: {iq}: too short for a 8-symbol preamble\n"
 
     @pytest.mark.parametrize(
         "fields",

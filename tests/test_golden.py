@@ -15,15 +15,24 @@ cell rows (`CORA-GRID v1`) to raw little-endian float64 cells after the
 text header (`CORA-GRID v2`). The cell hashes, recorded from v1 files as
 `load_grid(p).cells.astype("<f8").tobytes()`, pin the cells themselves
 across that change: a v2 file's bytes after its third LF hash to them.
+The frame-synthesis hashes pin the float64 samples themselves, which
+captures (float32) and CSVs (error counts) do not show. They were
+recorded when `channel.collide` summed every frame of a chunk at once
+from one (2, F, L) noise buffer, before it became one frame at a time.
 """
 
 import hashlib
+import math
+from functools import partial
 
+import numpy as np
 import pytest
 
-from cora.channel import TrainConfig
+from cora.channel import TrainConfig, compose_collision, etu_like_profile
 from cora.cli import main
-from cora.detector import save_grid, train
+from cora.detector import map_chunks, save_grid, train
+from cora.harness import ExperimentConfig, ScenarioSpec, simulate_frames
+from cora.phy import PhyParams, build_frame, frame_length
 
 GRID_SHA256 = "ba0cc803c80e53172861feaa57f5ab4068f5963fb33bfb02e2d3bc889f1cea51"
 GRID_CELLS_SHA256 = "409a3c76ceac46e3c96edcf6553877657fd03765acd721f05a46f0c8d072d76b"
@@ -79,6 +88,27 @@ FIXED_OFFSET_EVALUATE_SHA256 = {
     "baseline": "36ff7228d8abf057569ce5faa71d39bf1529cb085d4f94e24d97d6febadb0a9b",
     "cora": "368f0075f36236aa0e7fc5caa72d72bc4a1ccb02894c807959f6a11dca24fc7e",
 }
+
+# SF8 frames of 20 payload symbols, seed 7, 9 frames: chunks of 7 and 2.
+FRAMES_SHA256 = {
+    "two-interferers": "b6c1258fc6b54e057170c81469f4373490db29dbeba742e85f9ff632145951eb",
+    "fixed-offset-noiseless": "6aaa4d90acc2cf9f69dafc775d40baf7506ac03e65222198a727e25e2cc64c1e",
+    "faded": "e084ea2a7da4f36b6bb822ec37a6368a24e03fc12f5f571ea7de1c5fb79f3742",
+}
+FRAMES_SCENARIOS = {
+    "two-interferers": ScenarioSpec(snr_db=10.0, n_interferers=2, sir_db=(-6.0, 0.0)),
+    # infinite SNR, so the noise is scaled by exactly 0; three interferers at one offset
+    "fixed-offset-noiseless": ScenarioSpec(
+        n_interferers=3, sir_db=(-6.0, 0.0), offset_mode="fixed", offset_samples=1000
+    ),
+    "faded": ScenarioSpec(
+        snr_db=5.0, n_interferers=1, sir_db=(-6.0, 0.0), fading_profile=etu_like_profile()
+    ),
+}
+
+# An SF8 target whose every third sample is -0.0 - 0.0j, one interferer,
+# infinite SNR: which of those zeros stay negative depends on the noise signs.
+SIGNED_ZERO_COLLISION_SHA256 = "a5e5b9b27a9adfcb12a17ee4a1ae293565df93c26ae2caa77ec26ab35e836968"
 
 CAPTURE_CFG = "sf=8\nsymbols_per_frame=20\nn_interferers=1\nsir_db=-6,0\nsnr_db=5\nseed=11\n"
 
@@ -198,3 +228,27 @@ def test_demod_stdout_bytes(detector, capture, tmp_path, capsys, detector_grid_f
 def test_faded_demod_stdout_bytes(detector, faded_capture, tmp_path, capsys, detector_grid_file):
     out = demod_stdout(faded_capture, detector, tmp_path, capsys, detector_grid_file)
     assert sha256(out) == FADED_DEMOD_SHA256[detector]
+
+
+def sample_bytes(samples: np.ndarray) -> bytes:
+    return samples.astype("<c16").tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(FRAMES_SHA256))
+def test_simulated_frame_bytes(case):
+    sc = FRAMES_SCENARIOS[case]
+    cfg = ExperimentConfig(phy=PhyParams(sf=8), detector="baseline", scenario=sc, seed=7)
+    total = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy)
+    chunks, _ = map_chunks(partial(simulate_frames, cfg), cfg.seed, 9, total)
+    assert [len(samples) for samples, _, _ in chunks] == [7, 2]
+    samples = np.concatenate([samples for samples, _, _ in chunks])
+    assert sha256(sample_bytes(samples)) == FRAMES_SHA256[case]
+
+
+def test_signed_zero_collision_bytes():
+    phy = PhyParams(sf=8)
+    target = build_frame(np.arange(20) * 11 % 256, 8, phy)
+    target[::3] = complex(-0.0, -0.0)
+    interferer = build_frame(np.arange(20) * 5 % 256, 8, phy)
+    out = compose_collision(target, [(interferer, -3.0, 500)], math.inf, np.random.default_rng(9))
+    assert sha256(sample_bytes(out)) == SIGNED_ZERO_COLLISION_SHA256

@@ -283,6 +283,18 @@ class TestReceive:
         bins, scores = receive(np.zeros(4096, dtype=complex), [], quick_cfg())
         assert bins.shape == scores.shape == (0,)
 
+    # SF7, L = 2080: the last whole window starts at 1952. Back-to-back
+    # starts take the view path, any others the gather.
+    @pytest.mark.parametrize(
+        "starts, bad", [([-5, 300], -5), ([1952, 2080], 2080)], ids=["gather", "view"]
+    )
+    def test_window_outside_stream_rejected(self, starts, bad):
+        phy = PhyParams(sf=7)
+        samples = build_frame([1, 2, 3, 4], 8, phy)
+        assert samples.size == 2080
+        with pytest.raises(ValueError, match=f"^window at {bad} falls outside the 2080-sample"):
+            receive(samples, starts, quick_cfg(phy=phy))
+
 
 # (sf, interferers, sir_db, snr_db, fading, frames): "chunk+1" spills one
 # frame into a second chunk, so damping crosses a frame boundary inside a

@@ -8,7 +8,6 @@ import pytest
 
 from cora import (
     PhyParams,
-    base_upchirp,
     baseline_detect,
     build_frame,
     build_frames,
@@ -28,7 +27,6 @@ class TestParams:
         p = PhyParams(sf=8)
         assert p.n == 256
         assert p.sample_rate_hz == 125e3
-        npt.assert_allclose(p.symbol_time_s, 256 / 125e3)
 
     def test_sf_range_enforced(self):
         for bad in (6, 13, 0, -1):
@@ -46,14 +44,14 @@ class TestParams:
 
 class TestChirps:
     def test_unit_modulus_and_first_sample(self):
-        sig = base_upchirp(PhyParams(sf=7))
+        sig = modulate_symbol(0, PhyParams(sf=7))
         assert sig.dtype == np.complex128
         npt.assert_allclose(np.abs(sig), 1.0, atol=1e-12)
         assert sig[0] == 1.0 + 0.0j
 
     def test_samples_match_scalar_reference(self):
         n = 128
-        sig = base_upchirp(PhyParams(sf=7))
+        sig = modulate_symbol(0, PhyParams(sf=7))
         for k in (0, 1, 5, 63, 64, 127):
             npt.assert_allclose(sig[k], ref_chirp_sample(k, n), atol=1e-12)
 
@@ -65,12 +63,11 @@ class TestChirps:
         frames = build_frames(np.array([[3, 7], [0, 511]]), 2, p)
         head = (2 + 2) * n
         down = frames[:, head : head + 2 * n].reshape(2, 2, n)
-        npt.assert_array_equal(down, np.broadcast_to(np.conj(base_upchirp(p)), (2, 2, n)))
+        npt.assert_array_equal(down, np.broadcast_to(np.conj(modulate_symbol(0, p)), (2, 2, n)))
 
     def test_cache_is_not_aliased(self):
         p = PhyParams(sf=7)
         for build in (
-            lambda: base_upchirp(p),
             lambda: modulate_symbol(3, p),
             lambda: modulate_symbol(np.array([[0, 3], [127, 3]]), p),
         ):
@@ -88,7 +85,7 @@ class TestModulate:
         for sf in (7, 12):
             p = PhyParams(sf=sf)
             n = p.n
-            base = base_upchirp(p)
+            base = modulate_symbol(0, p)
             for m in (0, 1, 17, n - 1):
                 npt.assert_array_equal(modulate_symbol(m, p), base[(np.arange(n) + m) % n])
             for shape in ((), (5,), (3, 4), (2, 0, 4)):
@@ -100,7 +97,8 @@ class TestModulate:
 
     def test_symbol_zero_is_base_chirp(self):
         p = PhyParams(sf=8)
-        npt.assert_array_equal(modulate_symbol(0, p), base_upchirp(p))
+        k = np.arange(p.n)
+        npt.assert_array_equal(modulate_symbol(0, p), np.exp(1j * np.pi * k * k / p.n))
 
     def test_rejects_out_of_range(self):
         p = PhyParams(sf=7)
@@ -206,7 +204,7 @@ class TestFrame:
         p = PhyParams(sf=7)
         n = p.n
         frame = build_frame([3], 4, p)
-        down = np.conj(base_upchirp(p))
+        down = np.conj(modulate_symbol(0, p))
         head = (4 + 2) * n
         npt.assert_array_equal(frame[head : head + n], down)
         npt.assert_array_equal(frame[head + n : head + 2 * n], down)
