@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from types import MappingProxyType
@@ -329,21 +329,30 @@ def _fading_plan(profile: FadingProfile, fs: float, n: int) -> tuple[np.ndarray,
 
 
 def apply_fading(
-    samples: np.ndarray, fs: float, profile: FadingProfile, rng: np.random.Generator
+    samples: np.ndarray,
+    fs: float,
+    profile: FadingProfile,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Pass a stream sampled at `fs` Hz through a time-varying tapped delay line.
+    """Pass streams sampled at `fs` Hz through time-varying tapped delay lines.
+
+    `rng` is one generator for one stream, or a sequence of k generators
+    for k equal-length streams held back to back in the 1-D `samples`.
+    Stream i fades by its own channel, drawn from `rng[i]`: its output and
+    its generator's end state are those of a one-stream call.
 
     Each tap gets an independent Jakes sum-of-sinusoids Rayleigh process:
     the sum of JAKES_OSCILLATORS complex tones at Dopplers
-    max_doppler_hz * cos(alpha) with random angles and phases. All draws
-    come from one `rng.uniform` call of shape (taps, 2, JAKES_OSCILLATORS),
-    which yields the doubles, and leaves the generator in the state, of
-    drawing tap by tap in profile order (angles, then phases). Tap delays
-    are rounded to whole samples, and taps that share a delay act as one
-    group: at 125 kHz the ETU-like profile's first eight taps land on delay
-    0 and its 5 us tap on delay 1. The tone amplitudes, normalised so the
-    expected channel gain is one, and the groups come from a cached plan
-    (`_fading_plan`); groups delayed by n samples or more contribute nothing.
+    max_doppler_hz * cos(alpha) with random angles and phases. A stream's
+    draws are one `uniform` call of shape (taps, 2, JAKES_OSCILLATORS) on
+    its generator, made in stream order, which yields the doubles, and
+    leaves the generator in the state, of drawing tap by tap in profile
+    order (angles, then phases). Tap delays are rounded to whole samples,
+    and taps that share a delay act as one group: at 125 kHz the ETU-like
+    profile's first eight taps land on delay 0 and its 5 us tap on delay 1.
+    The tone amplitudes, normalised so the expected channel gain is one,
+    and the groups come from a cached plan (`_fading_plan`); groups delayed
+    by n samples or more contribute nothing.
 
     A group's gain, sum_i amps[i] * exp(1j * (omegas[i] * k / fs + phases[i]))
     for k < n, is evaluated with k = b * B + j, j < B: each tone is a coarse
@@ -353,63 +362,86 @@ def apply_fading(
     coarse exponentials times the (M, TAYLOR_TERMS) Taylor weights of the M
     tones, followed by two real products with the cached power table. B is
     the largest power of two with max|omegas| * B / fs <= 1/2 over the
-    group's realised Dopplers, capped at n and at MAX_TAYLOR_BLOCK, which
-    bounds the truncation error by 0.5**16 / 16!; once max|omegas| > fs / 4,
-    B = 1, the table is [1, 0, ...], and every value is an exact exponential.
+    group's realised Dopplers in its stream, capped at n and at
+    MAX_TAYLOR_BLOCK, which bounds the truncation error by 0.5**16 / 16!;
+    once max|omegas| > fs / 4, B = 1, the table is [1, 0, ...], and every
+    value is an exact exponential.
 
-    Groups that get the same B share one pass: one exponential over their
-    coarse times, one Vandermonde matrix, one Taylor-weight product per
-    group and one pair of products with the table for all their gains.
-    Group by group that is the arithmetic of summing each group alone, so
-    the channel is bit for bit that of a group-by-group evaluation, and
-    that of a tap-by-tap, tone-by-tone evaluation up to rounding.
-    An `fs` that is not finite and positive raises ValueError before any draw.
+    All (group, stream) pairs that get the same B share one pass: one
+    exponential over their coarse times, one Vandermonde matrix and one
+    stacked Taylor-weight product per group. Then, group by group in plan
+    order, each pair's gain is two real products with the table into one
+    reused buffer, applied at the group's delay and added to its stream,
+    so one gain of n samples is held at a time. Pair by pair that is the
+    arithmetic of summing each group alone, so every channel is bit for bit
+    that of a group-by-group evaluation, and that of a tap-by-tap,
+    tone-by-tone evaluation up to rounding. An `fs` that is not finite and
+    positive, no generators, or a length that k does not divide raises
+    ValueError before any draw.
     """
     if not 0 < fs < math.inf:
         raise ValueError(f"fs must be finite and > 0, got {fs}")
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     x = np.asarray(samples)
-    n = x.size
+    if not rngs or x.size % len(rngs):
+        raise ValueError(
+            f"need k >= 1 generators for k equal streams, got {len(rngs)} for {x.size} samples"
+        )
+    k, n = len(rngs), x.size // len(rngs)
+    x = x.reshape(k, n)
     amps, groups = _fading_plan(profile, fs, n)
 
-    draws = rng.uniform(0.0, 2.0 * np.pi, (len(profile.tap_delays_s), 2, JAKES_OSCILLATORS))
-    omegas = 2.0 * np.pi * (profile.max_doppler_hz * np.cos(draws[:, 0]))
-    tap_top = np.abs(omegas).max(axis=1).tolist()
-    widths = []
-    for _, taps, _ in groups:
-        top = max(tap_top[tap] for tap in taps) / fs
-        width = 1
-        while width < min(n, MAX_TAYLOR_BLOCK) and top * 2 * width <= 0.5:
-            width *= 2
-        widths.append(min(width, n))
-    omegas, phases = omegas.ravel(), draws[:, 1].ravel()
+    shape = (len(profile.tap_delays_s), 2, JAKES_OSCILLATORS)
+    draws = np.stack([r.uniform(0.0, 2.0 * np.pi, shape) for r in rngs])
+    omegas = (2.0 * np.pi * (profile.max_doppler_hz * np.cos(draws[:, :, 0]))).reshape(k, -1)
+    phases = draws[:, :, 1].reshape(-1)
+    # B per (group, stream): the first power of two that reaches the cap or fails the test
+    top = np.abs(omegas)
+    top = np.array([top[:, tones].max(axis=1) for _, _, tones in groups]).reshape(-1, k) / fs
+    cap = min(n, MAX_TAYLOR_BLOCK)
+    candidates = 1 << np.arange((cap - 1).bit_length() + 1)
+    fails = (candidates >= cap) | (top[..., None] * 2 * candidates > 0.5)
+    widths = np.minimum(candidates[fails.argmax(axis=-1)], n)
+    omegas = omegas.reshape(-1)
 
-    gains = [None] * len(groups)
-    for width in set(widths):
-        members = [g for g, w in enumerate(widths) if w == width]
-        tones = np.concatenate([groups[g][2] for g in members])
+    passes = [[] for _ in groups]  # per group: (B, Taylor weights, streams) of each pass
+    for width in np.unique(widths).tolist():
+        # the pairs with this B, group by group
+        member_groups, member_streams = np.nonzero(widths == width)
+        tones = np.concatenate(
+            [groups[g][2] + s * amps.size for g, s in zip(member_groups, member_streams)]
+        )
         rows = -(-n // width)
         coarse = np.arange(rows) * (width / fs)
         om = omegas[tones]
-        left = amps[tones] * np.exp(1j * (coarse[:, None] * om + phases[tones]))
+        left = amps[tones % amps.size] * np.exp(1j * (coarse[:, None] * om + phases[tones]))
         powers = np.vander(om * (width / fs), TAYLOR_TERMS, increasing=True)
-        weights = np.empty((len(members), rows, TAYLOR_TERMS), dtype=np.complex128)
-        stop = 0
-        for g, weight in zip(members, weights):
-            start, stop = stop, stop + groups[g][2].size
-            np.matmul(left[:, start:stop], powers[start:stop], out=weight)
-        weights *= _TAYLOR_COEFFS
-        table = _power_table(width)
-        gain = np.empty((len(members), rows, width), dtype=np.complex128)
-        np.matmul(weights.real, table, out=gain.real)
-        np.matmul(weights.imag, table, out=gain.imag)
-        for g, row in zip(members, gain.reshape(len(members), -1)):
-            gains[g] = row[:n]
+        first = stop = 0
+        for g, count in enumerate(np.bincount(member_groups, minlength=len(groups)).tolist()):
+            if not count:
+                continue
+            size = groups[g][2].size
+            start, stop = stop, stop + count * size
+            weights = np.matmul(
+                left[:, start:stop].reshape(rows, count, size).transpose(1, 0, 2),
+                powers[start:stop].reshape(count, size, TAYLOR_TERMS),
+            )
+            weights *= _TAYLOR_COEFFS
+            passes[g].append((width, weights, member_streams[first : first + count].tolist()))
+            first += count
 
-    out = np.zeros(n, dtype=np.complex128)
-    for (delay, _, _), gain in zip(groups, gains):
-        tail = gain[delay:]
-        out[delay:] += np.multiply(tail, x[: n - delay], out=tail)
-    return out
+    # each stream's gains in plan group order, one at a time in a reused buffer
+    out = np.zeros((k, n), dtype=np.complex128)
+    for (delay, _, _), group_passes in zip(groups, passes):
+        for width, weights, streams in group_passes:
+            table = _power_table(width)
+            gain = np.empty((weights.shape[1], width), dtype=np.complex128)
+            tail = gain.reshape(-1)[delay:n]
+            for stream, weight in zip(streams, weights):
+                np.matmul(weight.real, table, out=gain.real)
+                np.matmul(weight.imag, table, out=gain.imag)
+                out[stream, delay:] += np.multiply(tail, x[stream, : n - delay], out=tail)
+    return out.reshape(-1)
 
 
 def _tone(amplitude, omega, phase, k, n: int) -> np.ndarray:

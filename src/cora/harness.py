@@ -142,9 +142,12 @@ def simulate_frames(
     of each interferer; then the I and Q noise. This order is part of the
     determinism contract, so a frame's channel depends only on its stream,
     never on the detector or on how frames are chunked. The targets and
-    the interferers of all streams are two gathers (`build_frames`); then
-    frame by frame, its noise fills one (2, L) buffer and `collide` adds
-    its interferers and noise to it in place, as `compose_collision` would.
+    the interferers of all streams are two gathers (`build_frames`). A
+    faded chunk then takes two `apply_fading` calls, one over all targets
+    and one over all interferers with each stream's generator repeated per
+    slot; each stream's draws still come in the order above. Last, frame
+    by frame, its noise fills one (2, L) buffer and `collide` adds its
+    interferers and noise to it in place, as `compose_collision` would.
 
     Returns the samples (F, L), the target payloads (F, S), and per frame
     its interferers as (offset_samples, gain_db) pairs.
@@ -170,11 +173,14 @@ def simulate_frames(
 
     samples = build_frames(payloads[:, 0], cfg.preamble_len, phy)
     others = build_frames(payloads[:, 1:], cfg.preamble_len, phy)
+    if sc.fading_profile is not None:
+        fs, profile = phy.sample_rate_hz, sc.fading_profile
+        samples = apply_fading(samples.reshape(-1), fs, profile, streams).reshape(samples.shape)
+        if sc.n_interferers:
+            slots = [rng for rng in streams for _ in range(sc.n_interferers)]
+            others = apply_fading(others.reshape(-1), fs, profile, slots).reshape(others.shape)
     noise = np.empty((2, total))
     for row, rng in enumerate(streams):
-        if sc.fading_profile is not None:
-            for frame in (samples[row], *others[row]):
-                frame[:] = apply_fading(frame, phy.sample_rate_hz, sc.fading_profile, rng)
         rng.standard_normal(out=noise)
         collide(samples[row], others[row], placements[row], sc.snr_db, noise)
     return samples, payloads[:, 0], placements
@@ -221,9 +227,10 @@ def receive(
     order given. Each window is damped by the window before it in its own
     stream (see `score_bins`), and each stream's preamble gives its own
     reference peak. A window not wholly inside the stream raises
-    ValueError. Returns the detected bins and their scores, (K,) or
-    (F, K): the peak magnitude for the baseline, the history-damped
-    posterior for cora.
+    ValueError, and so does, for cora, a stream shorter than its
+    `preamble_len` preamble windows. Returns the detected bins and their
+    scores, (K,) or (F, K): the peak magnitude for the baseline, the
+    history-damped posterior for cora.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lead, length = samples.shape[:-1], samples.shape[-1]
@@ -231,6 +238,10 @@ def receive(
     outside = starts[(starts < 0) | (starts > length - n)]
     if outside.size:
         raise ValueError(f"window at {outside[0]} falls outside the {length}-sample stream")
+    if cfg.detector == "cora" and length < cfg.preamble_len * n:
+        raise ValueError(
+            f"a {length}-sample stream is too short for a {cfg.preamble_len}-symbol preamble"
+        )
     if starts.size == 0:
         return np.empty(lead + (0,), dtype=np.int64), np.empty(lead + (0,))
     if np.array_equal(starts, starts[0] + n * np.arange(starts.size)):

@@ -269,6 +269,17 @@ def random_frame(sf: int, n_payload: int, seed: int) -> np.ndarray:
     return build_frame(payload, 8, phy)
 
 
+def assert_streams_fade_alone(signals, fs, profile, seeds):
+    """One call over the streams back to back gives each stream's bytes, and
+    each generator's end state, of a call on that stream alone."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    out = apply_fading(np.concatenate(signals), fs, profile, rngs)
+    for x, part, seed, rng in zip(signals, np.split(out, len(signals)), seeds, rngs):
+        alone = np.random.default_rng(seed)
+        assert part.tobytes() == apply_fading(x, fs, profile, alone).tobytes()
+        assert rng.bit_generator.state == alone.bit_generator.state
+
+
 class TestFading:
     @pytest.mark.parametrize(
         "signal, fs, profile",
@@ -349,6 +360,59 @@ class TestFading:
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
             split += len(set(widths)) > 1
         assert split > 0 or not some_widths_differ
+
+    @pytest.mark.parametrize(
+        "sf, n_payload, profile",
+        [
+            pytest.param(7, 20, etu_like_profile(), id="etu-sf7"),
+            pytest.param(8, 20, etu_like_profile(), id="etu-sf8"),
+            pytest.param(12, 2, etu_like_profile(), id="etu-sf12"),
+            pytest.param(
+                8, 20, replace(etu_like_profile(), max_doppler_hz=100.0), id="etu-sf8-100hz"
+            ),
+            # three delay groups of 16 tones each: their B differ in some streams
+            pytest.param(
+                8, 20, FadingProfile((0.0, 8e-6, 16e-6), (0.0, -1.0, -2.0), 5.0), id="three-groups"
+            ),
+        ],
+    )
+    def test_streams_in_one_call_equal_one_stream_calls(self, sf, n_payload, profile):
+        signals = [random_frame(sf, n_payload, seed) for seed in range(5)]
+        assert_streams_fade_alone(signals, FS, profile, seeds=range(10, 15))
+
+    def test_group_with_different_widths_across_streams(self):
+        # At 5 Hz the delay-1 ETU group takes B = 1,024 in some 7% of SF8
+        # frames and B = 512 in the rest; 40 streams hold both.
+        signals = [random_frame(8, 20, seed) for seed in range(40)]
+        widths = [
+            grouped_fading(x, FS, etu_like_profile(), np.random.default_rng(seed))[1]
+            for x, seed in zip(signals, range(40))
+        ]
+        assert len({w[1] for w in widths}) > 1
+        assert_streams_fade_alone(signals, FS, etu_like_profile(), seeds=range(40))
+
+    def test_group_delayed_past_the_stream_in_every_stream(self):
+        # delays of 0, 1 and 125 samples over 100-sample streams
+        profile = FadingProfile((0.0, 8e-6, 1e-3), (0.0, -1.0, -2.0), 20.0)
+        assert [d for d, _, _ in _fading_plan(profile, FS, 100)[1]] == [0, 1]
+        signals = [np.exp(0.3j * np.arange(100) + phase) for phase in range(3)]
+        assert_streams_fade_alone(signals, FS, profile, seeds=range(3))
+
+    def test_one_generator_in_a_sequence_is_the_one_stream_call(self):
+        signal = random_frame(8, 20, 2)
+        listed = apply_fading(signal, FS, etu_like_profile(), [np.random.default_rng(4)])
+        bare = apply_fading(signal, FS, etu_like_profile(), np.random.default_rng(4))
+        grouped, _ = grouped_fading(signal, FS, etu_like_profile(), np.random.default_rng(4))
+        assert listed.tobytes() == bare.tobytes() == grouped.tobytes()
+
+    @pytest.mark.parametrize("n_rngs", [3, 0], ids=["uneven", "no-generators"])
+    def test_bad_stream_split_rejected_before_any_draw(self, n_rngs):
+        rngs = [np.random.default_rng(seed) for seed in range(n_rngs)]
+        states = [rng.bit_generator.state for rng in rngs]
+        message = f"^need k >= 1 generators for k equal streams, got {n_rngs} for 100 samples$"
+        with pytest.raises(ValueError, match=message):
+            apply_fading(np.ones(100, dtype=complex), FS, etu_like_profile(), rngs)
+        assert [rng.bit_generator.state for rng in rngs] == states
 
     def test_plan_is_cached_read_only(self):
         amps, groups = plan = _fading_plan(etu_like_profile(), FS, 100)

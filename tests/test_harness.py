@@ -295,6 +295,19 @@ class TestReceive:
         with pytest.raises(ValueError, match=f"^window at {bad} falls outside the 2080-sample"):
             receive(samples, starts, quick_cfg(phy=phy))
 
+    # SF8 streams shorter than an 8-window preamble: 4 whole windows, whose
+    # reference would be taken over the payload, and 1,000 samples, which
+    # do not reshape into windows at all
+    @pytest.mark.parametrize(
+        "length, starts", [(1024, [0, 256, 512, 768]), (1000, [0, 500])], ids=["view", "gather"]
+    )
+    def test_cora_stream_shorter_than_preamble_rejected(self, length, starts, detector_grid):
+        samples = np.ones(length, dtype=complex)
+        with pytest.raises(ValueError, match=f"^a {length}-sample stream is too short for a 8-sym"):
+            receive(samples, starts, quick_cfg("cora", detector_grid))
+        bins, _ = receive(samples, starts, quick_cfg())
+        assert bins.shape == (len(starts),)
+
 
 # (sf, interferers, sir_db, snr_db, fading, frames): "chunk+1" spills one
 # frame into a second chunk, so damping crosses a frame boundary inside a
