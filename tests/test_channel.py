@@ -372,7 +372,10 @@ class TestFading:
             ),
             # three delay groups of 16 tones each: their B differ in some streams
             pytest.param(
-                8, 20, FadingProfile((0.0, 8e-6, 16e-6), (0.0, -1.0, -2.0), 5.0), id="three-groups"
+                8,
+                20,
+                FadingProfile((0.0, 8e-6, 16e-6), (0.0, -1.0, -2.0), 5.0),
+                id="three-groups",
             ),
         ],
     )
@@ -381,8 +384,8 @@ class TestFading:
         assert_streams_fade_alone(signals, FS, profile, seeds=range(10, 15))
 
     def test_group_with_different_widths_across_streams(self):
-        # At 5 Hz the delay-1 ETU group takes B = 1,024 in some 7% of SF8
-        # frames and B = 512 in the rest; 40 streams hold both.
+        # At 5 Hz the delay-1 ETU group takes B = 2,048 in some 7% of SF8
+        # frames and B = 1,024 in the rest; 40 streams hold both.
         signals = [random_frame(8, 20, seed) for seed in range(40)]
         widths = [
             grouped_fading(x, FS, etu_like_profile(), np.random.default_rng(seed))[1]
