@@ -320,7 +320,9 @@ def _fading_plan(profile: FadingProfile, fs: float, n: int) -> tuple[np.ndarray,
     amps = np.sqrt(powers_lin / JAKES_OSCILLATORS).repeat(JAKES_OSCILLATORS)
     delays: dict[int, list[int]] = {}
     for tap, delay_s in enumerate(profile.tap_delays_s):
-        delays.setdefault(int(round(delay_s * fs)), []).append(tap)
+        # n or more is dropped before rounding: int() fails on a delay that overflows
+        if delay_s * fs < n:
+            delays.setdefault(int(round(delay_s * fs)), []).append(tap)
     tones = np.arange(amps.size).reshape(-1, JAKES_OSCILLATORS)
     groups = tuple((d, tuple(taps), tones[taps].ravel()) for d, taps in delays.items() if d < n)
     for array in (amps, *(group_tones for _, _, group_tones in groups)):
@@ -367,22 +369,27 @@ def apply_fading(
     once max|omegas| > fs / 4, B = 1, the table is [1, 0, ...], and every
     value is an exact exponential.
 
-    All (group, stream) pairs that get the same B share one pass: one
-    exponential over their coarse times, one Vandermonde matrix and one
-    stacked Taylor-weight product per group. Then, group by group in plan
-    order, each pair's gain is two real products with the table into one
-    reused buffer, applied at the group's delay and added to its stream,
-    so one gain of n samples is held at a time. Pair by pair that is the
-    arithmetic of summing each group alone, so every channel is bit for bit
-    that of a group-by-group evaluation, and that of a tap-by-tap,
-    tone-by-tone evaluation up to rounding. An `fs` that is not finite and
-    positive, no generators, or a length that k does not divide raises
+    Group by group in plan order, the streams that get the same B share
+    one pass: one exponential over their coarse times, one Vandermonde
+    matrix and one stacked Taylor-weight product. Each stream's gain is
+    then two real products with the table into one reused buffer, applied
+    at the group's delay and added to the stream at once, so one gain of
+    n samples is held at a time. Stream by stream that is the arithmetic
+    of summing each group alone: a channel is bit for bit that of a
+    group-by-group evaluation wherever every group leaves two samples or
+    more (delay < n - 1), may differ from it by an ulp where a group leaves
+    one, as numpy rounds an in-place product of one complex sample its own
+    way, and is that of a tap-by-tap, tone-by-tone evaluation up to
+    rounding. `samples` that are not 1-D, an `fs` that is not finite
+    and positive, no generators, or a length that k does not divide raises
     ValueError before any draw.
     """
     if not 0 < fs < math.inf:
         raise ValueError(f"fs must be finite and > 0, got {fs}")
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     x = np.asarray(samples)
+    if x.ndim != 1:
+        raise ValueError(f"samples must be one 1-D array, got shape {x.shape}")
     if not rngs or x.size % len(rngs):
         raise ValueError(
             f"need k >= 1 generators for k equal streams, got {len(rngs)} for {x.size} samples"
@@ -394,50 +401,29 @@ def apply_fading(
     shape = (len(profile.tap_delays_s), 2, JAKES_OSCILLATORS)
     draws = np.stack([r.uniform(0.0, 2.0 * np.pi, shape) for r in rngs])
     omegas = (2.0 * np.pi * (profile.max_doppler_hz * np.cos(draws[:, :, 0]))).reshape(k, -1)
-    phases = draws[:, :, 1].reshape(-1)
-    # B per (group, stream): the first power of two that reaches the cap or fails the test
-    top = np.abs(omegas)
-    top = np.array([top[:, tones].max(axis=1) for _, _, tones in groups]).reshape(-1, k) / fs
+    phases = draws[:, :, 1].reshape(k, -1)
     cap = min(n, MAX_TAYLOR_BLOCK)
     candidates = 1 << np.arange((cap - 1).bit_length() + 1)
-    fails = (candidates >= cap) | (top[..., None] * 2 * candidates > 0.5)
-    widths = np.minimum(candidates[fails.argmax(axis=-1)], n)
-    omegas = omegas.reshape(-1)
 
-    passes = [[] for _ in groups]  # per group: (B, Taylor weights, streams) of each pass
-    for width in np.unique(widths).tolist():
-        # the pairs with this B, group by group
-        member_groups, member_streams = np.nonzero(widths == width)
-        tones = np.concatenate(
-            [groups[g][2] + s * amps.size for g, s in zip(member_groups, member_streams)]
-        )
-        rows = -(-n // width)
-        coarse = np.arange(rows) * (width / fs)
-        om = omegas[tones]
-        left = amps[tones % amps.size] * np.exp(1j * (coarse[:, None] * om + phases[tones]))
-        powers = np.vander(om * (width / fs), TAYLOR_TERMS, increasing=True)
-        first = stop = 0
-        for g, count in enumerate(np.bincount(member_groups, minlength=len(groups)).tolist()):
-            if not count:
-                continue
-            size = groups[g][2].size
-            start, stop = stop, stop + count * size
-            weights = np.matmul(
-                left[:, start:stop].reshape(rows, count, size).transpose(1, 0, 2),
-                powers[start:stop].reshape(count, size, TAYLOR_TERMS),
-            )
-            weights *= _TAYLOR_COEFFS
-            passes[g].append((width, weights, member_streams[first : first + count].tolist()))
-            first += count
-
-    # each stream's gains in plan group order, one at a time in a reused buffer
     out = np.zeros((k, n), dtype=np.complex128)
-    for (delay, _, _), group_passes in zip(groups, passes):
-        for width, weights, streams in group_passes:
+    for delay, _, tones in groups:
+        # B per stream: the first power of two that reaches the cap or fails the test
+        top = np.abs(omegas[:, tones]).max(axis=1) / fs
+        fails = (candidates >= cap) | (top[:, None] * 2 * candidates > 0.5)
+        widths = np.minimum(candidates[fails.argmax(axis=1)], n)
+        for width in set(widths.tolist()):
+            streams = np.flatnonzero(widths == width)
+            rows = -(-n // width)
+            coarse = np.arange(rows) * (width / fs)
+            om, phase = omegas[streams[:, None], tones], phases[streams[:, None], tones]
+            left = amps[tones] * np.exp(1j * (coarse[:, None] * om[:, None] + phase[:, None]))
+            powers = np.vander(om.ravel() * (width / fs), TAYLOR_TERMS, increasing=True)
+            weights = np.matmul(left, powers.reshape(*om.shape, -1)) * _TAYLOR_COEFFS
+            # each stream's gain in turn, in one reused buffer
             table = _power_table(width)
-            gain = np.empty((weights.shape[1], width), dtype=np.complex128)
+            gain = np.empty((rows, width), dtype=np.complex128)
             tail = gain.reshape(-1)[delay:n]
-            for stream, weight in zip(streams, weights):
+            for stream, weight in zip(streams.tolist(), weights):
                 np.matmul(weight.real, table, out=gain.real)
                 np.matmul(weight.imag, table, out=gain.imag)
                 out[stream, delay:] += np.multiply(tail, x[stream, : n - delay], out=tail)

@@ -269,6 +269,29 @@ def random_frame(sf: int, n_payload: int, seed: int) -> np.ndarray:
     return build_frame(payload, 8, phy)
 
 
+@st.composite
+def fading_cases(draw):
+    """k streams of n samples at 1 kHz, and a profile of 1-4 taps at 0-400 Hz
+    with shared delays, silent taps and delays of n samples or more."""
+    n = draw(st.integers(1, 3000))
+    k = draw(st.integers(1, 5))
+    delays = st.one_of(st.sampled_from([0, 1, n]), st.integers(0, n + 2))
+    powers = st.sampled_from([0.0, -3.0, -math.inf])
+    taps = draw(
+        st.lists(st.tuples(delays, powers), min_size=1, max_size=4).filter(
+            lambda taps: any(p > -math.inf for _, p in taps)
+        )
+    )
+    fs = 1000.0
+    profile = FadingProfile(
+        tuple(d / fs for d, _ in taps), tuple(p for _, p in taps), draw(st.floats(0.0, 400.0))
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=k, max_size=k))
+    rng = np.random.default_rng(seeds[0])
+    signals = list(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    return signals, fs, profile, seeds
+
+
 def assert_streams_fade_alone(signals, fs, profile, seeds):
     """One call over the streams back to back gives each stream's bytes, and
     each generator's end state, of a call on that stream alone."""
@@ -401,6 +424,23 @@ class TestFading:
         signals = [np.exp(0.3j * np.arange(100) + phase) for phase in range(3)]
         assert_streams_fade_alone(signals, FS, profile, seeds=range(3))
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case=fading_cases())
+    def test_random_streams_fade_alone_and_group_by_group(self, case):
+        # At 1 kHz a Doppler above about 20 Hz gives B = 1. A group delayed
+        # by n - 1 samples (every group when n = 1) leaves one sample, and
+        # numpy rounds an in-place product of one complex sample differently
+        # from the oracle's out-of-place one, by an ulp: the oracle is held
+        # to bytes wherever every group leaves two samples or more.
+        signals, fs, profile, seeds = case
+        assert_streams_fade_alone(signals, fs, profile, seeds)
+        n = signals[0].size
+        if all(delay < n - 1 for delay, _, _ in _fading_plan(profile, fs, n)[1]):
+            for x, seed in zip(signals, seeds):
+                grouped, _ = grouped_fading(x, fs, profile, np.random.default_rng(seed))
+                out = apply_fading(x, fs, profile, np.random.default_rng(seed))
+                assert out.tobytes() == grouped.tobytes()
+
     def test_one_generator_in_a_sequence_is_the_one_stream_call(self):
         signal = random_frame(8, 20, 2)
         listed = apply_fading(signal, FS, etu_like_profile(), [np.random.default_rng(4)])
@@ -530,6 +570,25 @@ class TestFading:
         with pytest.raises(ValueError, match="^fs must be finite and > 0, got "):
             apply_fading(random_frame(7, 2, 7), fs, etu_like_profile(), rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape", [(3, 64), ()], ids=["rows", "scalar"])
+    def test_samples_not_1d_rejected_before_any_draw(self, shape):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^samples must be one 1-D array, got shape "):
+            apply_fading(np.ones(shape, dtype=complex), FS, etu_like_profile(), rng)
+        assert rng.bit_generator.state == state
+
+    def test_huge_finite_delay_is_past_the_stream(self):
+        # 1e305 s at 125 kHz overflows to an infinite sample delay; the tap
+        # contributes nothing, like one at 1 ms (125 samples) past a
+        # 100-sample stream
+        signal = np.exp(0.3j * np.arange(100))
+        huge = FadingProfile((0.0, 1e305), (0.0, -3.0), 5.0)
+        past = FadingProfile((0.0, 1e-3), (0.0, -3.0), 5.0)
+        a = apply_fading(signal, FS, huge, np.random.default_rng(1))
+        b = apply_fading(signal, FS, past, np.random.default_rng(1))
+        assert a.tobytes() == b.tobytes()
 
     def test_huge_finite_powers_normalise_like_their_offsets(self):
         signal = random_frame(7, 2, 6)
