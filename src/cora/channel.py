@@ -222,8 +222,9 @@ def fields_from_text(cls, text: dict[str, str]) -> dict:
     return {key: parse_value(kinds[key], key, value) for key, value in text.items() if key in kinds}
 
 
-def _scaled_noise(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
-    """Complex noise of the given total variance from standard normal I and Q parts."""
+def _scaled_noise(re: np.ndarray, im: np.ndarray, power: float, snr_db: float) -> np.ndarray:
+    """Complex noise `snr_db` below `power` from standard normal I and Q parts."""
+    variance = power / 10.0 ** (snr_db / 10.0)
     scale = math.sqrt(variance / 2.0) if variance > 0 else 0.0
     return scale * (re + 1j * im)
 
@@ -249,7 +250,7 @@ def collide(
     for frame, (start, gain_db) in zip(frames, placements):
         stop = min(start + len(frame), out.size)
         out[start:stop] += 10.0 ** (gain_db / 20.0) * frame[: stop - start]
-    out += _scaled_noise(*noise, power / 10.0 ** (snr_db / 10.0))
+    out += _scaled_noise(*noise, power, snr_db)
     return out
 
 
@@ -461,7 +462,7 @@ def clipped_tone(
 
 def gen_training_windows(
     cfg: TrainConfig, streams: list[np.random.Generator]
-) -> tuple[SymbolWindow, np.ndarray, list[tuple]]:
+) -> tuple[SymbolWindow, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Draw K synthetic dechirped windows with collisions and noise, one per stream.
 
     Each window holds a unit wanted tone at a uniform random bin with a
@@ -482,9 +483,9 @@ def gen_training_windows(
     switching at each row's boundary), the noise, and one (K, N) FFT.
 
     Returns the windows as one (K, N) SymbolWindow, the true bins (K,),
-    and per window its draws as (true_bin, true_deviation, true_phase,
-    interferers), each interferer a tuple (power_db, boundary, deviation,
-    bin_a, bin_b, phase_a, phase_b).
+    and the draws (true, counts, slots): true[k] = (bin, deviation,
+    phase), counts[k] interferers, and slots[k, :counts[k]] rows of
+    (power_db, amplitude, boundary, deviation, bin_a, bin_b, phase_a, phase_b).
     """
     if len(streams) == 0:
         raise ValueError("need at least one stream")
@@ -494,49 +495,40 @@ def gen_training_windows(
     # Generator.uniform(low, high) is low + (high - low) * rng.random(): the
     # same doubles, and several of them per call
     two_pi = 2.0 * np.pi
-    draws = []
+    true = np.empty((len(streams), 3))
+    counts = np.empty(len(streams), dtype=np.int64)
+    slots = np.empty((len(streams), cfg.max_interferers, 8))
     noise = np.empty((len(streams), 2, n))
     for row, rng in enumerate(streams):
-        true_bin = int(rng.integers(n))
+        true_bin = rng.integers(n)
         dev_u, phase_u = rng.random(2).tolist()
-        interferers = []
-        for _ in range(int(rng.integers(cfg.max_interferers + 1))):
+        true[row] = true_bin, -f + 2.0 * f * dev_u, two_pi * phase_u
+        counts[row] = rng.integers(cfg.max_interferers + 1)
+        for slot in range(counts[row]):
             power_db = low_db + (high_db - low_db) * rng.random()
-            boundary = int(rng.integers(n))
+            boundary = rng.integers(n)
             dev = -f + 2.0 * f * rng.random()
-            bin_a, bin_b = rng.integers(n, size=2).tolist()
-            phase_a, phase_b = (two_pi * rng.random(2)).tolist()
-            interferers.append((power_db, boundary, dev, bin_a, bin_b, phase_a, phase_b))
+            bins = rng.integers(n, size=2).tolist()
+            phases = (two_pi * rng.random(2)).tolist()
+            # Python's float power, as one window alone computes it: numpy's
+            # vectorised power rounds about 5% of these amplitudes differently.
+            slots[row, slot] = power_db, 10.0 ** (power_db / 20.0), boundary, dev, *bins, *phases
         rng.standard_normal(out=noise[row])
-        draws.append((true_bin, -f + 2.0 * f * dev_u, two_pi * phase_u, interferers))
 
     k = np.arange(n)
-    true_bins, devs, phases, _ = zip(*draws)
-    true_bins = np.array(true_bins)
-    omega = 2.0 * np.pi * (true_bins + np.array(devs))
-    window = _tone(1.0, omega[:, None], np.array(phases)[:, None], k, n)
+    omega = 2.0 * np.pi * (true[:, :1] + true[:, 1:2])
+    window = _tone(1.0, omega, true[:, 2:], k, n)
     for slot in range(cfg.max_interferers):
-        rows = [row for row, d in enumerate(draws) if len(d[3]) > slot]
-        if not rows:
-            break
-        power_db, boundary, dev, bin_a, bin_b, phase_a, phase_b = zip(
-            *(draws[row][3][slot] for row in rows)
-        )
-        # Python's float power, as one window alone computes it: numpy's
-        # vectorised power rounds about 5% of these amplitudes differently.
-        amp = np.array([10.0 ** (p / 20.0) for p in power_db])
-        dev = np.array(dev)
-        before = k < np.array(boundary)[:, None]
-        omega = np.where(
-            before,
-            (2.0 * np.pi * (np.array(bin_a) + dev))[:, None],
-            (2.0 * np.pi * (np.array(bin_b) + dev))[:, None],
-        )
-        phase = np.where(before, np.array(phase_a)[:, None], np.array(phase_b)[:, None])
-        window[rows] += _tone(amp[:, None], omega, phase, k, n)
-    window += _scaled_noise(noise[:, 0], noise[:, 1], 1.0 / 10.0 ** (cfg.snr_db / 10.0))
+        rows = np.flatnonzero(counts > slot)
+        _, amp, boundary, dev, bin_a, bin_b, phase_a, phase_b = slots[rows, slot].T[..., None]
+        before = k < boundary
+        omega = np.where(before, 2.0 * np.pi * (bin_a + dev), 2.0 * np.pi * (bin_b + dev))
+        phase = np.where(before, phase_a, phase_b)
+        window[rows] += _tone(amp, omega, phase, k, n)
+    window += _scaled_noise(noise[:, 0], noise[:, 1], 1.0, cfg.snr_db)
 
-    return SymbolWindow(window, np.abs(np.fft.fft(window, axis=-1))), true_bins, draws
+    windows = SymbolWindow(window, np.abs(np.fft.fft(window, axis=-1)))
+    return windows, true[:, 0].astype(np.int64), (true, counts, slots)
 
 
 def gen_training_symbol(
@@ -548,14 +540,14 @@ def gen_training_symbol(
     itself. Returns the window, the true bin, and a metadata dict
     describing the draws (handy when debugging the feature extractors).
     """
-    windows, _, [(true_bin, true_dev, _, interferers)] = gen_training_windows(cfg, [rng])
+    windows, true_bins, (true, counts, slots) = gen_training_windows(cfg, [rng])
     sym = SymbolWindow(windows.time_samples[0], windows.magnitudes[0])
     meta = {
-        "true_bin": true_bin,
-        "true_deviation": true_dev,
+        "true_bin": int(true_bins[0]),
+        "true_deviation": float(true[0, 1]),
         "interferers": [
-            {"power_db": power_db, "boundary": boundary, "deviation": dev, "bins": (bin_a, bin_b)}
-            for power_db, boundary, dev, bin_a, bin_b, _, _ in interferers
+            {"power_db": db, "boundary": int(edge), "deviation": dev, "bins": (int(a), int(b))}
+            for db, _, edge, dev, a, b, _, _ in slots[0, : counts[0]].tolist()
         ],
     }
-    return sym, true_bin, meta
+    return sym, meta["true_bin"], meta

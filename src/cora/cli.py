@@ -292,8 +292,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _load_config(args, _BENCH_KEYS, "bench config")
-    grid = _cora_grid(cfg)
     sf_list = [sf for sf in cfg.get("sf_list", "8").split(",") if sf.strip()]
+    if not sf_list:
+        raise ConfigError("sf_list: need at least one value")
+    grid = _cora_grid(cfg)
     phys = [_build(PhyParams, cfg | {"sf": sf}) for sf in sf_list]
     scenario = _build(ScenarioSpec, cfg)
     timing = fields_from_text(bench_stages, cfg)

@@ -332,8 +332,6 @@ def _training_chunk(
     """One chunk's wanted-tone and interference (p, h) pairs, window k drawn from streams[k]."""
     windows, true_bins, _ = gen_training_windows(cfg, streams)
     missed = baseline_detect(windows.magnitudes) != true_bins
-    if not missed.any():
-        return np.empty((0, 2)), np.empty((0, 2))
     kept = SymbolWindow(windows.time_samples[missed], windows.magnitudes[missed])
     p = pmd(kept.magnitudes, kept.magnitudes.max(axis=-1, keepdims=True))
     h = hpd(kept)
@@ -374,8 +372,8 @@ def collect_training_features(cfg: TrainConfig) -> TrainingSamples:
     """
     run_chunk = partial(_training_chunk, cfg)
     parts, workers = map_chunks(run_chunk, cfg.seed, cfg.n_symbols, cfg.n_bins, fork=True)
-    true_arr = np.concatenate([np.empty((0, 2))] + [true for true, _ in parts])
-    intf_arr = np.concatenate([np.empty((0, 2))] + [intf for _, intf in parts])
+    true_arr = np.concatenate([true for true, _ in parts])
+    intf_arr = np.concatenate([intf for _, intf in parts])
     return TrainingSamples(true_arr, intf_arr, cfg.n_symbols, len(true_arr), workers)
 
 

@@ -226,13 +226,17 @@ def receive(
     of all streams go through every stage as one (F, K, N) array, in the
     order given. Each window is damped by the window before it in its own
     stream (see `score_bins`), and each stream's preamble gives its own
-    reference peak. A window not wholly inside the stream raises
-    ValueError, and so does, for cora, a stream shorter than its
+    reference peak. Starts that are not a 1-D integer array (bool is not
+    an integer here) raise ValueError, and so do a window not wholly
+    inside the stream and, for cora, a stream shorter than its
     `preamble_len` preamble windows. Returns the detected bins and their
     scores, (K,) or (F, K): the peak magnitude for the baseline, the
     history-damped posterior for cora.
     """
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or starts.size and not np.issubdtype(starts.dtype, np.integer):
+        raise ValueError(f"starts must be 1-D integers, got {starts.dtype} {starts.shape}")
+    starts = starts.astype(np.int64)
     lead, length = samples.shape[:-1], samples.shape[-1]
     n = cfg.phy.n
     outside = starts[(starts < 0) | (starts > length - n)]
@@ -340,8 +344,7 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     total = n_warmup + n_iter
     bins = rng.integers(0, n, total)
     raw = modulate_symbol(bins, phy)
-    variance = 1.0 / 10.0 ** (cfg.scenario.snr_db / 10.0)
-    raw += _scaled_noise(rng.standard_normal(raw.shape), rng.standard_normal(raw.shape), variance)
+    raw += _scaled_noise(*rng.standard_normal((2, *raw.shape)), 1.0, cfg.scenario.snr_db)
 
     expected_peak = float(n)
     t_dechirp = t_features = t_classifier = t_argmax = 0.0

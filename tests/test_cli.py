@@ -163,6 +163,34 @@ class TestConfigParsing:
         assert err == "error: bandwidth_hz must be finite and positive, got inf\n"
         assert not out.exists()
 
+    # error branches no other test reaches: each exits 1, names its cause
+    # and writes nothing
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            ("evaluate", "n_frames=2\n", "config must set sf"),
+            ("evaluate", "sf=8\nsnr_db=,\n", "snr_db: need at least one value"),
+            ("evaluate", "sf=8\nfading=maybe\n", "fading: expected true/false, got 'maybe'"),
+            ("bench", "sf_list=,\n", "sf_list: need at least one value"),
+            ("demod", "sf=8\n", "missing 'window_start,true_bin' header"),
+        ],
+        ids=["no-sf", "empty-snr-list", "bad-fading", "empty-sf-list", "sidecar-no-header"],
+    )
+    def test_error_names_its_cause(self, tmp_path, capsys, command, body, message):
+        cfg = write_cfg(tmp_path / "c.cfg", body)
+        if command == "demod":
+            iq = tmp_path / "cap.iq"
+            write_iq(iq, np.zeros(512, dtype=complex), 125e3)
+            comment_only = "# interferer offset=0 gain_db=0\n"
+            (tmp_path / "cap.iq.truth.csv").write_text(comment_only, encoding="utf-8")
+            argv = [command, str(iq), "--config", cfg]
+        else:
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "out.csv")]
+        rc, stdout, err = run_cli(argv, capsys)
+        assert (rc, stdout) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         rc, _, err = run_cli(
             ["train", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "g")],
@@ -310,11 +338,17 @@ class TestEvaluate:
             tmp_path / "e.cfg", "sf=8\nn_frames=2\nsnr_db=-10,0,10\nseed=1\n"
         )
         out = tmp_path / "r.csv"
-        rc, stdout, _ = run_cli(["evaluate", "--config", cfg, "--out", str(out)], capsys)
+        argv = ["evaluate", "--config", cfg, "--out", str(out), "--verbose"]
+        rc, stdout, _ = run_cli(argv, capsys)
         assert rc == 0
-        assert "wrote 3 result row(s)" in stdout
         rows = read_rows(out)
         assert [float(r["snr_db"]) for r in rows] == [-10.0, 0.0, 10.0]
+        # --verbose: one line per campaign, then the summary
+        assert stdout.splitlines() == [
+            f"snr={float(r['snr_db'])} detector=baseline "
+            f"ser={float(r['ser']):.6g} prr={float(r['prr']):.6g}"
+            for r in rows
+        ] + [f"wrote 3 result row(s) to {out}"]
 
     def test_cora_noiseless_is_perfect(self, tmp_path, capsys, detector_grid_file):
         cfg = write_cfg(
@@ -382,12 +416,19 @@ class TestBench:
             f"sf_list=8,10\nn_warmup=5\nn_iter=40\nseed=0\ngrid={detector_grid_file}\n",
         )
         out = tmp_path / "bench.csv"
-        rc, stdout, _ = run_cli(["bench", "--config", cfg, "--out", str(out)], capsys)
+        argv = ["bench", "--config", cfg, "--out", str(out), "--verbose"]
+        rc, stdout, _ = run_cli(argv, capsys)
         assert rc == 0
-        assert "wrote 4 bench row(s)" in stdout
         rows = read_rows(out)
         assert [r["sf"] for r in rows] == ["8", "8", "10", "10"]
         assert [r["detector"] for r in rows] == ["baseline", "cora"] * 2
+        # --verbose: one line per row with its total stage time, then the summary
+        stages = ("t_dechirp_s", "t_features_s", "t_classifier_s", "t_argmax_s")
+        assert stdout.splitlines() == [
+            f"sf={r['sf']} detector={r['detector']} "
+            f"total={sum(float(r[s]) for s in stages) * 1e6:.2f} us/symbol"
+            for r in rows
+        ] + [f"wrote 4 bench row(s) to {out}"]
         for row in rows:
             assert float(row["t_dechirp_s"]) > 0.0
             assert float(row["t_argmax_s"]) > 0.0

@@ -283,6 +283,19 @@ class TestReceive:
         bins, scores = receive(np.zeros(4096, dtype=complex), [], quick_cfg())
         assert bins.shape == scores.shape == (0,)
 
+    # SF7, L = 2080: starts 128 apart would take the view path, others the
+    # gather; neither may truncate or reinterpret a start
+    @pytest.mark.parametrize(
+        "starts",
+        [[1536.9, 1664.2], [0.5, 300.0], [True, False], [[0, 128], [256, 384]]],
+        ids=["float-view", "float-gather", "bool", "2-D"],
+    )
+    def test_starts_must_be_one_dimensional_integers(self, starts):
+        phy = PhyParams(sf=7)
+        samples = build_frame([1, 2, 3, 4], 8, phy)
+        with pytest.raises(ValueError, match="^starts must be 1-D integers, got "):
+            receive(samples, starts, quick_cfg(phy=phy))
+
     # SF7, L = 2080: the last whole window starts at 1952. Back-to-back
     # starts take the view path, any others the gather.
     @pytest.mark.parametrize(
@@ -528,6 +541,12 @@ class TestBenchStages:
         for value in (rec.t_dechirp_s, rec.t_features_s, rec.t_classifier_s, rec.t_argmax_s):
             assert value > 0
         assert rec.ser == 0.0
+
+    def test_noisy_symbols_count_their_errors(self):
+        cfg = quick_cfg(phy=PhyParams(sf=7), scenario=ScenarioSpec(snr_db=-20.0))
+        rec = bench_stages(cfg, n_warmup=5, n_iter=50)
+        assert rec.symbol_errors > 0
+        assert rec.frames_ok == 50 - rec.symbol_errors
 
     def test_rejects_thin_iteration_counts(self):
         with pytest.raises(ValueError):

@@ -188,6 +188,13 @@ class TestChunkedCollect:
         assert samples.true_features.tobytes() == ref_true.tobytes()
         assert samples.interference_features.tobytes() == ref_intf.tobytes()
 
+    def test_chunk_without_a_missed_window_gives_no_pairs(self):
+        # no interferers at 40 dB: the argmax finds every true bin
+        cfg = TrainConfig(max_interferers=0, snr_db=40.0)
+        streams = np.random.default_rng(6).spawn(TRAINING_CHUNK)
+        true, intf = detector_module._training_chunk(cfg, streams)
+        assert true.shape == intf.shape == (0, 2)
+
 
 def train_on_workers(cfg, workers, monkeypatch, tmp_path):
     """Train with `workers` pool workers: the grid file's bytes, the samples
