@@ -26,32 +26,38 @@ from cora.phy import SymbolWindow
 JAKES_OSCILLATORS = 16
 
 
+def _representable_db(db: float) -> bool:
+    """Whether power ratio 10^(db/10) and its reciprocal are finite and non-zero.
+
+    That holds within about ±3,082 dB; NaN and both infinities fail it.
+    """
+    try:
+        ratio = 10.0 ** (db / 10.0)
+    except OverflowError:
+        return False
+    return 0.0 < ratio < math.inf and 1.0 / ratio < math.inf
+
+
 def _check_snr_db(snr_db: float) -> None:
     """Reject an SNR that sets no representable noise level.
 
-    +inf dB means no noise. A finite SNR is accepted when its power ratio
-    10^(snr_db/10) and the reciprocal are both finite and non-zero, which
-    holds within about ±3,082 dB; NaN and -inf dB fail the same test.
+    +inf dB means no noise; any other SNR must pass `_representable_db`.
     """
-    if snr_db == math.inf:
-        return
-    try:
-        ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if not (0.0 < ratio < math.inf and 1.0 / ratio < math.inf):
+    if snr_db != math.inf and not _representable_db(snr_db):
         raise ValueError(f"snr_db must be +inf or finite within about ±3082 dB, got {snr_db}")
 
 
 def _finite_range(name: str, pair) -> tuple[float, float]:
-    """`pair` as a (low, high) tuple of floats; ValueError unless high - low is finite and >= 0.
+    """`pair` as a (low, high) tuple of dB; ValueError unless low <= high, both representable.
 
-    That one test also rejects NaN and infinite ends, and ends so far
-    apart that a uniform draw between them overflows.
+    Each end must pass `_representable_db`, so that neither a uniform draw
+    between the ends nor the gain it sets overflows.
     """
     pair = tuple(float(x) for x in pair)
-    if len(pair) != 2 or not 0.0 <= pair[1] - pair[0] < math.inf:
-        raise ValueError(f"{name} must be finite (low, high) with low <= high, got {pair}")
+    if len(pair) != 2 or not pair[0] <= pair[1] or not all(map(_representable_db, pair)):
+        raise ValueError(
+            f"{name} must be finite (low, high) within about ±3082 dB with low <= high, got {pair}"
+        )
     return pair
 
 
@@ -136,6 +142,8 @@ class TrainConfig:
             raise ValueError(f"smooth_sigma must be finite and >= 0, got {self.smooth_sigma}")
         if not 0 < self.smooth_floor < math.inf:
             raise ValueError(f"smooth_floor must be finite and > 0, got {self.smooth_floor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _as_bool(text: str) -> bool:
@@ -263,9 +271,11 @@ def compose_collision(
     """Sum the target frame, offset interferers, and noise into one stream.
 
     `interferers` lists (samples, gain_db, offset) triples, each offset in
-    [0, len(target)) from the target's first sample. The output has the
-    target's length: interferer samples beyond the target's last sample
-    are dropped. The AWGN, one `standard_normal((2, L))` draw, is
+    [0, len(target)) from the target's first sample and each gain -inf dB
+    (a silent interferer) or within `_representable_db`'s range; any
+    other gain raises ValueError before the noise is drawn. The output
+    has the target's length: interferer samples beyond the target's last
+    sample are dropped. The AWGN, one `standard_normal((2, L))` draw, is
     calibrated to the target's own power, so an infinite-SNR call with no
     interferers returns the target. `collide` on a copy of the target.
     """
@@ -275,8 +285,11 @@ def compose_collision(
     for _, gain_db, offset in interferers:
         if not isinstance(offset, (int, np.integer)) or not 0 <= offset < target.size:
             raise ValueError(f"interferer offset {offset!r} not an integer in [0, {target.size})")
-        if math.isnan(gain_db):
-            raise ValueError("interferer gain_db must not be NaN")
+        # -inf dB is a silent interferer
+        if gain_db != -math.inf and not _representable_db(gain_db):
+            raise ValueError(
+                f"interferer gain_db must be -inf or finite within about ±3082 dB, got {gain_db}"
+            )
     _check_snr_db(snr_db)
     frames = [np.asarray(frame) for frame, _, _ in interferers]
     placements = [(int(offset), gain_db) for _, gain_db, offset in interferers]

@@ -346,18 +346,13 @@ def cmd_demod(args: argparse.Namespace) -> int:
     sidecar = cfg.get("sidecar", str(_sidecar_path(args.iq_path)))
     rows, _ = read_sidecar(sidecar)
     phy = _build(PhyParams, cfg, bandwidth_hz=fs)
-    n = phy.n
     grid = _cora_grid(cfg) if detector == "cora" else None
     exp = _build(ExperimentConfig, cfg, phy=phy, detector=detector, grid=grid)
-    if grid is not None and samples.size < exp.preamble_len * n:
-        raise IqFormatError(f"{args.iq_path}: too short for a {exp.preamble_len}-symbol preamble")
     starts = np.array([start for start, _true in rows], dtype=np.int64)
-    outside = starts[(starts < 0) | (starts + n > samples.size)]
-    if outside.size:
-        raise IqFormatError(
-            f"{sidecar}: window at {outside[0]} falls outside the {samples.size}-sample stream"
-        )
-    bins, scores = receive(samples, starts, exp)
+    try:
+        bins, scores = receive(samples, starts, exp)
+    except ValueError as exc:
+        raise IqFormatError(f"{args.iq_path}, {sidecar}: {exc}") from None
     print("window_start,detected_bin,score")
     for start, bin_, score in zip(starts, bins, scores):
         print(f"{start},{bin_},{format_value(float(score))}")

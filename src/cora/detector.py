@@ -204,11 +204,7 @@ def pmd(magnitudes: np.ndarray, expected_peak: float | np.ndarray) -> np.ndarray
     magnitudes, such as (K, 1) for one peak per window; every entry must
     be finite and positive.
     """
-    try:
-        valid = 0 < expected_peak < np.inf
-    except ValueError:  # an array of more than one entry
-        valid = ((expected_peak > 0) & (expected_peak < np.inf)).all()
-    if not valid:
+    if not np.all((expected_peak > 0) & (expected_peak < np.inf)):
         raise ValueError(f"expected_peak must be finite and positive, got {expected_peak}")
     dev = np.abs(magnitudes - expected_peak) / expected_peak
     return np.minimum(dev, 1.0)
@@ -264,52 +260,40 @@ def _lookup(grid: PosteriorGrid, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     return grid.cells.ravel().take(_cell_index(p, res) * res + _cell_index(h, res))
 
 
-def score_bins(
-    features: FeatureField, grid: PosteriorGrid, prev: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def score_bins(features: FeatureField, grid: PosteriorGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin posteriors q and history-damped scores, without the argmax.
 
     Each bin's score is its posterior q_k, damped by how occupied the bin
-    looked in the previous window: q_k * (1 - prev_q_k). The rows of a
-    (K, N) field are consecutive windows, so row k is damped by row k - 1
-    and row 0 by `prev`, the (N,) posteriors of the window before; a
-    frame's first window has no history (`prev` None) and scores q_k
-    alone. An (F, K, N) field holds F frames, and damping restarts at
-    each frame's row 0, which `prev` damps. Only this stage takes `prev`.
-    Skips feature validation: a FeatureField guarantees its arrays are
-    finite and in [0, 1].
+    looked in the previous window of its frame: q_k * (1 - prev_q_k). The
+    rows of a (K, N) field are a frame's consecutive windows, so row k is
+    damped by row k - 1, and row 0, a frame's first window, scores q_k
+    alone, as does a one-window (N,) field. An (F, K, N) field holds F
+    frames, and damping restarts at each frame's row 0. Skips feature
+    validation: a FeatureField guarantees its arrays are finite and in
+    [0, 1].
     """
     q = _lookup(grid, features.p, features.h)
-    # damping by (1 - 0) leaves q exact
-    prev = np.zeros(q.shape[-1]) if prev is None else np.asarray(prev, dtype=np.float64)
-    if prev.shape != q.shape[-1:]:
-        raise ValueError(f"prev holds {prev.shape} posteriors, window has {q.shape[-1:]}")
+    prev = np.zeros_like(q)
     if q.ndim > 1:
-        first = np.broadcast_to(prev, q[..., :1, :].shape)
-        prev = np.concatenate([first, q[..., :-1, :]], axis=-2)
+        prev[..., 1:, :] = q[..., :-1, :]
     return q, q * (1.0 - prev)
 
 
-def classify(
-    features: FeatureField, grid: PosteriorGrid
-) -> tuple[int | np.ndarray, float | np.ndarray]:
+def classify(features: FeatureField, grid: PosteriorGrid) -> tuple[np.ndarray, np.ndarray]:
     """Pick the bin most likely to hold the frame's own tone, per window.
 
-    Scores come from `score_bins` without `prev`; ties resolve to the
-    lowest bin. Returns (bin, score): an int and a float for one window,
-    arrays with one entry per window for more.
+    Scores come from `score_bins`; ties resolve to the lowest bin.
+    Returns (bin, score), with one entry per window: numpy scalars for one
+    window (N,), arrays of shape (K,) or (F, K) for more.
     """
     _, scores = score_bins(features, grid)
     best = scores.argmax(axis=-1)
-    score = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
-    if best.ndim == 0:
-        best, score = int(best), float(score)
-    return best, score
+    return best, np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
 
 
 def detect_symbol(
     window: SymbolWindow, expected_peak: float | np.ndarray, grid: PosteriorGrid
-) -> tuple[int | np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Full collision-aware detection for dechirped window(s), (N,), (K, N) or (F, K, N).
 
     The expected peak broadcasts against the magnitudes, as in `pmd`:

@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"frame_error_threshold must be >= 0, got {self.frame_error_threshold}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -326,12 +328,13 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     """Measure mean per-symbol wall time for each detection stage.
 
     Times the receive path's stages one window at a time: `dechirp`, the
-    features (`pmd`, `hpd`), the classifier (`score_bins`, each window
-    damped by the one before) and the argmax. Symbols are pre-generated
-    (`modulate_symbol` plus noise) so only detection is timed; the first
-    `n_warmup` iterations are discarded. For the baseline detector
-    the feature and classifier stages report zero, and its argmax runs on
-    the magnitude spectrum. Runs single-threaded with a monotonic clock.
+    features (`pmd`, `hpd`), the classifier (`score_bins`, which scores
+    each window alone, as a frame's first window is scored) and the
+    argmax. Symbols are pre-generated (`modulate_symbol` plus noise) so
+    only detection is timed; the first `n_warmup` iterations are
+    discarded. For the baseline detector the feature and classifier
+    stages report zero, and its argmax runs on the magnitude spectrum.
+    Runs single-threaded with a monotonic clock.
     """
     if n_iter < 30:
         raise ValueError(f"n_iter must be >= 30 for stable means, got {n_iter}")
@@ -349,7 +352,6 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
     expected_peak = float(n)
     t_dechirp = t_features = t_classifier = t_argmax = 0.0
     errors = 0
-    prev = None
     clock = time.perf_counter
     for i in range(total):
         t0 = clock()
@@ -358,9 +360,9 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
         if cfg.detector == "cora":
             features = FeatureField(pmd(window.magnitudes, expected_peak), hpd(window))
             t2 = clock()
-            prev, scores = score_bins(features, cfg.grid, prev)
+            _, scores = score_bins(features, cfg.grid)
             t3 = clock()
-            detected = int(np.argmax(scores))
+            detected = scores.argmax()
             t4 = clock()
         else:
             t2 = t3 = t1

@@ -200,10 +200,10 @@ def dechirp(window: np.ndarray, params: PhyParams) -> SymbolWindow:
     return SymbolWindow(flattened, np.abs(np.fft.fft(flattened, axis=-1)))
 
 
-def baseline_detect(magnitudes: np.ndarray) -> int | np.ndarray:
+def baseline_detect(magnitudes: np.ndarray) -> np.ndarray:
     """Magnitude argmax detector over the last axis; ties resolve to the lowest bin.
 
-    Returns an int for one window (N,) and an array of bins for more.
+    Returns one bin per window: a numpy scalar for one window (N,), an
+    array of shape (K,) or (F, K) for more.
     """
-    best = magnitudes.argmax(axis=-1)
-    return int(best) if best.ndim == 0 else best
+    return magnitudes.argmax(axis=-1)

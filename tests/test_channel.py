@@ -226,12 +226,23 @@ class TestComposeCollision:
             compose_collision(target, [(target, 0.0, 128)], np.inf, np.random.default_rng(0))
 
     def test_interferer_validation(self):
+        # a gain whose power ratio overflows or vanishes sets no interferer
+        # level; every bad placement raises before the noise is drawn
         phy = PhyParams(sf=7)
         frame = modulate_symbol(3, phy)
         rng = np.random.default_rng(0)
-        for gain_db, offset in ((0.0, -1), (float("nan"), 0), (0.0, 3.0)):
+        state = rng.bit_generator.state
+        bad_gains = (math.nan, math.inf, 1e4, -1e4, 3083.0, -3083.0)
+        for gain_db, offset in ((0.0, -1), (0.0, 3.0), *((g, 0) for g in bad_gains)):
             with pytest.raises(ValueError):
-                compose_collision(frame, [(frame, gain_db, offset)], np.inf, rng)
+                compose_collision(frame, [(frame, gain_db, offset)], 10.0, rng)
+            assert rng.bit_generator.state == state
+
+    def test_minus_inf_gain_is_a_silent_interferer(self):
+        frame = modulate_symbol(3, PhyParams(sf=7))
+        silent = compose_collision(frame, [(frame, -math.inf, 5)], 10.0, np.random.default_rng(4))
+        alone = compose_collision(frame, [], 10.0, np.random.default_rng(4))
+        npt.assert_array_equal(silent, alone)
 
     def test_deterministic_given_seed(self):
         phy = PhyParams(sf=7)

@@ -6,7 +6,9 @@ them. File outputs (grids, CSVs, IQ captures, sidecars) are parsed back
 with the package's own readers.
 """
 
+import ast
 import csv
+import inspect
 import re
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cora import cli, detector, harness
+from cora import channel, cli, detector, harness, phy
 from cora.channel import TrainConfig, fields_from_text
 from cora.cli import (
     ConfigError,
@@ -655,21 +657,42 @@ class TestDemod:
             rc, stdout, err = run_cli(["demod", str(iq), "--config", cfg], capsys)
             assert (rc, stdout) == (1, "")
             assert err == (
-                f"error: {sidecar}: window at {start} falls outside the 5696-sample stream\n"
+                f"error: {iq}, {sidecar}: window at {start} "
+                "falls outside the 5696-sample stream\n"
             )
 
     def test_cora_capture_shorter_than_preamble_rejected(
         self, tmp_path, capsys, detector_grid_file
     ):
+        # the one window lies inside the capture, whose preamble is cut short
         iq = self.gen_clean_capture(tmp_path, capsys)
+        sidecar = tmp_path / "cap.iq.truth.csv"
         samples, fs = read_iq(iq)
         write_iq(iq, samples[: 8 * 256 - 1], fs)
+        sidecar.write_text("window_start,true_bin\n0,0\n", encoding="utf-8")
         cfg = write_cfg(tmp_path / "d.cfg", "sf=8\ndetector=cora\n")
         rc, stdout, err = run_cli(
             ["demod", str(iq), "--config", cfg, "--grid", str(detector_grid_file)], capsys
         )
         assert (rc, stdout) == (1, "")
-        assert err == f"error: {iq}: too short for a 8-symbol preamble\n"
+        assert err == (
+            f"error: {iq}, {sidecar}: a 2047-sample stream is too short for a 8-symbol preamble\n"
+        )
+
+    def test_silent_cora_capture_names_its_files(self, tmp_path, capsys, detector_grid_file):
+        # an all-zero capture has no preamble peak to calibrate p against
+        iq = tmp_path / "silent.iq"
+        sidecar = tmp_path / "silent.iq.truth.csv"
+        write_iq(iq, np.zeros(16 * 128, dtype=np.complex128), 125000.0)
+        sidecar.write_text(f"window_start,true_bin\n{8 * 128},0\n", encoding="utf-8")
+        cfg = write_cfg(tmp_path / "d.cfg", "sf=7\ndetector=cora\n")
+        rc, stdout, err = run_cli(
+            ["demod", str(iq), "--config", cfg, "--grid", str(detector_grid_file)], capsys
+        )
+        assert (rc, stdout) == (1, "")
+        assert err == (
+            f"error: {iq}, {sidecar}: expected_peak must be finite and positive, got [[0.]]\n"
+        )
 
     @pytest.mark.parametrize(
         "fields",
@@ -894,9 +917,10 @@ class TestSnrRule:
 
 
 class TestRangeRule:
-    # A (low, high) range is drawn from uniformly, so its ends and their
-    # difference must be finite, and so must the smoothing knobs. Each
-    # fails as a validation error before any window or frame is drawn.
+    # A (low, high) dB range is drawn from uniformly and each draw sets a
+    # gain, so each end must be finite within the SNR rule's ±3,082 dB, and
+    # the smoothing knobs must be finite. Each fails as a validation error
+    # before any window or frame is drawn.
     @pytest.mark.parametrize(
         "command, line",
         [
@@ -906,6 +930,9 @@ class TestRangeRule:
             ("train", "power_range_db=nan,nan"),
             ("train", "power_range_db=-inf,0"),
             ("train", "power_range_db=-1e308,1e308"),
+            # ends whose power ratio overflows: the gain drawn between them would too
+            ("evaluate", "sir_db=-100000,-99999"),
+            ("train", "power_range_db=0,7000"),
             ("train", "smooth_sigma=inf"),
             ("train", "smooth_floor=inf"),
         ],
@@ -919,6 +946,21 @@ class TestRangeRule:
         key = line.partition("=")[0]
         assert err.startswith(f"error: {key} must be finite"), err
         assert err.count("\n") == 1, err
+        assert not out.exists()
+
+
+class TestSeedRule:
+    # numpy's SeedSequence takes no negative entropy; the configs say so by key
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_negative_seed_is_rejected(self, tmp_path, capsys, command):
+        text = {"train": "n_symbols=1500\n", "evaluate": "sf=8\nn_frames=2\n"}[command]
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli(
+            [command, "--config", cfg, "--out", str(out), "--seed", "-1"], capsys
+        )
+        assert (rc, stdout) == (1, "")
+        assert err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
 
@@ -964,6 +1006,39 @@ class TestReadmeConfigs:
         except Parsed:
             return
         pytest.fail(f"{name} exits {rc}: {capsys.readouterr().err}")
+
+
+class TestReadmeReferences:
+    def test_code_references_resolve(self):
+        # backticked spans of the prose, outside fenced blocks, each joined onto one line
+        prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+        spans = [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", prose)]
+        modules = (phy, channel, detector, harness, cli)
+        layers = {module.__name__.split(".")[-1]: module for module in modules}
+        pattern = r"\b(phy|channel|detector|harness|cli)\.(\w+)(\([^)]*\))?"
+        seen = {"names": 0, "calls": 0, "tests": 0}
+        for span in spans:
+            for layer, name, call in re.findall(pattern, span):
+                assert hasattr(layers[layer], name), f"`{span}`: {layer}.{name} does not exist"
+                seen["names"] += 1
+                if call:
+                    listed = [arg.strip() for arg in call[1:-1].split(",") if arg.strip()]
+                    params = list(inspect.signature(getattr(layers[layer], name)).parameters)
+                    assert params[: len(listed)] == listed, f"`{span}`: {name} takes {params}"
+                    seen["calls"] += 1
+            for ref in re.findall(r"tests/\w+\.py(?:::\w+)*", span):
+                path, *names = ref.split("::")
+                scope = ast.parse((README.parent / path).read_text(encoding="utf-8")).body
+                for name in names:
+                    found = [
+                        node
+                        for node in scope
+                        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+                    ]
+                    assert found, f"`{span}`: {name} is not defined in {path}"
+                    scope = found[0].body
+                seen["tests"] += 1
+        assert all(seen.values()), f"README shows no reference of some kind: {seen}"
 
 
 class TestEntryPoint:

@@ -230,35 +230,35 @@ class TestPosteriorLookup:
 
 
 class TestClassify:
-    """`classify`, and the damping by `prev` that only `score_bins` takes."""
+    """`classify`, and the damping of each row by the row before it in `score_bins`."""
 
     def test_previous_window_damps_score(self):
-        # q = 0.9 at bin 5, prev posterior 0.1 there: score 0.9*(1-0.1).
-        grid = tiny_grid(np.array([[0.9, 0.0], [0.0, 0.0]]))
+        # Row 0 puts posterior 0.1 on bin 5, row 1 q = 0.9 there: score 0.9*(1-0.1).
+        grid = tiny_grid(np.array([[0.9, 0.1], [0.0, 0.0]]))
         n = 8
-        p = np.full(n, 0.9)
-        h = np.full(n, 0.9)
-        p[5] = h[5] = 0.1
-        prev = np.zeros(n)
-        prev[5] = 0.1
-        q, scores = score_bins(FeatureField(p, h), grid, prev)
-        assert np.argmax(scores) == 5
-        npt.assert_allclose(scores[5], 0.81)
-        npt.assert_allclose(q[5], 0.9)
+        p = np.full((2, n), 0.9)
+        h = np.full((2, n), 0.9)
+        p[0, 5], h[0, 5] = 0.1, 0.9
+        p[1, 5] = h[1, 5] = 0.1
+        q, scores = score_bins(FeatureField(p, h), grid)
+        npt.assert_allclose(q[0, 5], 0.1)
+        assert np.argmax(scores[1]) == 5
+        npt.assert_allclose(scores[1, 5], 0.81)
+        npt.assert_allclose(q[1, 5], 0.9)
 
     def test_saturated_previous_bin_is_suppressed(self):
         # A bin the previous window pinned at posterior 1 scores zero now,
         # which is how a persistent interferer preamble gets rejected.
-        grid = tiny_grid(np.array([[0.9, 0.0], [0.0, 0.2]]))
+        grid = tiny_grid(np.array([[0.9, 1.0], [0.0, 0.2]]))
         n = 4
-        p = np.full(n, 0.9)
-        h = np.full(n, 0.9)
-        p[0] = h[0] = 0.1
-        prev = np.zeros(n)
-        prev[0] = 1.0
-        _, scores = score_bins(FeatureField(p, h), grid, prev)
-        assert np.argmax(scores) != 0
-        npt.assert_allclose(scores.max(), 0.2)
+        p = np.full((2, n), 0.9)
+        h = np.array([np.full(n, 0.1), np.full(n, 0.9)])
+        p[0, 0], h[0, 0] = 0.1, 0.9
+        p[1, 0] = h[1, 0] = 0.1
+        q, scores = score_bins(FeatureField(p, h), grid)
+        npt.assert_array_equal(q[0], [1.0, 0.0, 0.0, 0.0])
+        assert np.argmax(scores[1]) != 0
+        npt.assert_allclose(scores[1].max(), 0.2)
 
     def test_first_window_uses_posterior_alone(self):
         grid = tiny_grid(np.array([[0.7, 0.0], [0.0, 0.1]]))
@@ -267,8 +267,10 @@ class TestClassify:
         h = np.full(n, 0.9)
         p[3] = h[3] = 0.0
         feats = FeatureField(p, h)
-        for prev in (None, np.zeros(n)):
-            q, scores = score_bins(feats, grid, prev)
+        # one window (N,), then the same window as row 0 of a (K, N) field
+        frame = FeatureField(np.stack([p, np.zeros(n)]), np.stack([h, np.zeros(n)]))
+        frame_q, frame_scores = score_bins(frame, grid)
+        for q, scores in (score_bins(feats, grid), (frame_q[0], frame_scores[0])):
             npt.assert_array_equal(scores, q)
             assert np.argmax(scores) == 3
             npt.assert_allclose(scores[3], 0.7)
@@ -279,13 +281,6 @@ class TestClassify:
         feats = FeatureField(np.full(5, 0.2), np.full(5, 0.2))
         best, _ = classify(feats, grid)
         assert best == 0
-
-    def test_state_shape_mismatch_rejected(self):
-        grid = tiny_grid(np.full((2, 2), 0.5))
-        feats = FeatureField(np.full(5, 0.2), np.full(5, 0.2))
-        for prev in (np.zeros(7), np.zeros((1, 5)), np.zeros((2, 5))):
-            with pytest.raises(ValueError, match="posteriors"):
-                score_bins(feats, grid, prev)
 
 
 class TestGainInvariance:
