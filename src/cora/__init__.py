@@ -21,7 +21,6 @@ from cora.channel import (
     gen_training_windows,
 )
 from cora.detector import (
-    FeatureField,
     PosteriorGrid,
     TrainingError,
     GridFormatError,

@@ -325,7 +325,7 @@ def _fading_plan(profile: FadingProfile, fs: float, n: int) -> tuple[np.ndarray,
 
     Returns the tone amplitudes, one per angle drawn, normalised so the
     expected channel gain is one, and per rounded tap delay below n, in
-    order of first tap: (delay, its taps, the flat indices of their tones).
+    order of first tap: (delay, the flat indices of its taps' tones).
     """
     # relative to the strongest tap, so no finite dB value overflows
     powers_db = np.asarray(profile.tap_powers_db)
@@ -338,8 +338,8 @@ def _fading_plan(profile: FadingProfile, fs: float, n: int) -> tuple[np.ndarray,
         if delay_s * fs < n:
             delays.setdefault(int(round(delay_s * fs)), []).append(tap)
     tones = np.arange(amps.size).reshape(-1, JAKES_OSCILLATORS)
-    groups = tuple((d, tuple(taps), tones[taps].ravel()) for d, taps in delays.items() if d < n)
-    for array in (amps, *(group_tones for _, _, group_tones in groups)):
+    groups = tuple((d, tones[taps].ravel()) for d, taps in delays.items() if d < n)
+    for array in (amps, *(group_tones for _, group_tones in groups)):
         array.setflags(write=False)
     return amps, groups
 
@@ -420,7 +420,7 @@ def apply_fading(
     candidates = 1 << np.arange((cap - 1).bit_length() + 1)
 
     out = np.zeros((k, n), dtype=np.complex128)
-    for delay, _, tones in groups:
+    for delay, tones in groups:
         # B per stream: the first power of two that reaches the cap or fails the test
         top = np.abs(omegas[:, tones]).max(axis=1) / fs
         fails = (candidates >= cap) | (top[:, None] * 2 * candidates > 0.5)

@@ -247,16 +247,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     samples = collect_training_features(cfg)
     elapsed = time.perf_counter() - start
+    n_kept = len(samples.true_features)
     if args.verbose:
         print(
-            f"generated {samples.n_generated} windows, kept {samples.n_kept} "
-            f"in {elapsed:.2f} s ({samples.n_generated / elapsed:.0f} windows/s), "
+            f"generated {cfg.n_symbols} windows, kept {n_kept} "
+            f"in {elapsed:.2f} s ({cfg.n_symbols / elapsed:.0f} windows/s), "
             f"{samples.n_workers} worker processes"
         )
     grid = grid_from_samples(samples, cfg)
     save_grid(grid, args.out)
     print(
-        f"kept {samples.n_kept}/{samples.n_generated} windows; "
+        f"kept {n_kept}/{cfg.n_symbols} windows; "
         f"resolution={grid.resolution} prior={format_value(grid.prior)}"
     )
     print(f"grid written to {args.out}")

@@ -7,10 +7,12 @@ power deviation (how much the bin's energy changes between window
 halves). A Bayes posterior over a 2-D grid of those features, estimated
 from simulated collisions, scores every bin; the previous window's
 posteriors damp bins that were already occupied, which is what suppresses
-an interferer's repeated preamble symbols. Every stage works on the last
-axis, so a frame's K windows go through it as one (K, N) array, and the
-windows of F frames as one (F, K, N) array. `map_chunks` runs training,
-campaigns and gen-scenario in chunks and holds their one seeding rule.
+an interferer's repeated preamble symbols. The features travel as two
+arrays of one shape, p and h, and the grid lookup alone checks that they
+lie in [0, 1]. Every stage works on the last axis, so a frame's K windows
+go through it as one (K, N) array, and the windows of F frames as one
+(F, K, N) array. `map_chunks` runs training, campaigns and gen-scenario
+in chunks and holds their one seeding rule.
 """
 
 from __future__ import annotations
@@ -128,24 +130,6 @@ class GridFormatError(ValueError):
     """Raised when a grid file does not follow the documented layout."""
 
 
-@dataclass
-class FeatureField:
-    """Per-bin features p (peak deviation) and h (half-symbol), (N,), (K, N) or (F, K, N)."""
-
-    p: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=np.float64)
-        self.h = np.asarray(self.h, dtype=np.float64)
-        if self.p.shape != self.h.shape or self.p.ndim == 0 or self.p.size == 0:
-            raise ValueError("p and h must be matching non-empty arrays of windows")
-        for name, arr in (("p", self.p), ("h", self.h)):
-            # a single range test also rejects NaN and both infinities
-            if not ((arr >= 0.0) & (arr <= 1.0)).all():
-                raise ValueError(f"feature {name} must lie in [0, 1]")
-
-
 @dataclass(frozen=True)
 class PosteriorGrid:
     """Posterior probability of 'bin holds the frame's own tone' per feature cell.
@@ -180,19 +164,15 @@ class PosteriorGrid:
 
 @dataclass
 class TrainingSamples:
-    """Feature pairs harvested from baseline-misclassified training windows."""
+    """(p, h) pairs harvested from baseline-misclassified training windows.
+
+    `true_features` has one row per kept window, so its length is the
+    kept-window count.
+    """
 
     true_features: np.ndarray
     interference_features: np.ndarray
-    n_generated: int
-    n_kept: int
     n_workers: int = 0  # worker processes that built them; 0 for this process
-
-    def __post_init__(self):
-        self.true_features = np.atleast_2d(np.asarray(self.true_features, dtype=np.float64))
-        self.interference_features = np.atleast_2d(
-            np.asarray(self.interference_features, dtype=np.float64)
-        )
 
 
 def pmd(magnitudes: np.ndarray, expected_peak: float | np.ndarray) -> np.ndarray:
@@ -204,7 +184,7 @@ def pmd(magnitudes: np.ndarray, expected_peak: float | np.ndarray) -> np.ndarray
     magnitudes, such as (K, 1) for one peak per window; every entry must
     be finite and positive.
     """
-    if not np.all((expected_peak > 0) & (expected_peak < np.inf)):
+    if not np.logical_and(expected_peak > 0, expected_peak < np.inf).all():
         raise ValueError(f"expected_peak must be finite and positive, got {expected_peak}")
     dev = np.abs(magnitudes - expected_peak) / expected_peak
     return np.minimum(dev, 1.0)
@@ -249,44 +229,51 @@ def hpd(window: SymbolWindow) -> np.ndarray:
 
 
 def _cell_index(values: np.ndarray, resolution: int) -> np.ndarray:
-    """Nearest-cell index for feature values in [0, 1]."""
-    idx = (np.asarray(values) * resolution).astype(np.int64)
+    """Nearest-cell index for feature values, which must lie in [0, 1].
+
+    The one range test also rejects NaN and both infinities, which would
+    otherwise become wrong indices (a negative one wraps in `take`).
+    """
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise ValueError("features must lie in [0, 1]")
+    idx = (values * resolution).astype(np.int64)
     return np.minimum(idx, resolution - 1)
 
 
 def _lookup(grid: PosteriorGrid, p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Nearest-cell posterior for features already known to lie in [0, 1]."""
+    """Nearest-cell posterior q of per-bin features p and h, arrays of one shape."""
+    if p.shape != h.shape:
+        raise ValueError(f"p and h must have one shape, got {p.shape} and {h.shape}")
     res = grid.resolution
     return grid.cells.ravel().take(_cell_index(p, res) * res + _cell_index(h, res))
 
 
-def score_bins(features: FeatureField, grid: PosteriorGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin posteriors q and history-damped scores, without the argmax.
+def score_bins(p: np.ndarray, h: np.ndarray, grid: PosteriorGrid) -> np.ndarray:
+    """History-damped per-bin scores of features p and h, without the argmax.
 
-    Each bin's score is its posterior q_k, damped by how occupied the bin
-    looked in the previous window of its frame: q_k * (1 - prev_q_k). The
-    rows of a (K, N) field are a frame's consecutive windows, so row k is
-    damped by row k - 1, and row 0, a frame's first window, scores q_k
-    alone, as does a one-window (N,) field. An (F, K, N) field holds F
-    frames, and damping restarts at each frame's row 0. Skips feature
-    validation: a FeatureField guarantees its arrays are finite and in
-    [0, 1].
+    p (peak deviation) and h (half-symbol) are (N,), (K, N) or (F, K, N)
+    arrays of one shape. Each bin's score is its posterior q_k from
+    `_lookup`, damped by how occupied the bin looked in the previous
+    window of its frame: q_k * (1 - prev_q_k). The rows of a (K, N) array
+    are a frame's consecutive windows, so row k is damped by row k - 1,
+    and row 0, a frame's first window, scores q_k alone, as does a
+    one-window (N,) array. An (F, K, N) array holds F frames, and damping
+    restarts at each frame's row 0.
     """
-    q = _lookup(grid, features.p, features.h)
-    prev = np.zeros_like(q)
-    if q.ndim > 1:
-        prev[..., 1:, :] = q[..., :-1, :]
-    return q, q * (1.0 - prev)
+    scores = _lookup(grid, p, h)
+    if scores.ndim > 1:
+        scores[..., 1:, :] *= 1.0 - scores[..., :-1, :]
+    return scores
 
 
-def classify(features: FeatureField, grid: PosteriorGrid) -> tuple[np.ndarray, np.ndarray]:
+def classify(p: np.ndarray, h: np.ndarray, grid: PosteriorGrid) -> tuple[np.ndarray, np.ndarray]:
     """Pick the bin most likely to hold the frame's own tone, per window.
 
     Scores come from `score_bins`; ties resolve to the lowest bin.
     Returns (bin, score), with one entry per window: numpy scalars for one
     window (N,), arrays of shape (K,) or (F, K) for more.
     """
-    _, scores = score_bins(features, grid)
+    scores = score_bins(p, h, grid)
     best = scores.argmax(axis=-1)
     return best, np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
 
@@ -300,8 +287,7 @@ def detect_symbol(
     (F, 1, 1) gives each frame its own preamble reference. Returns
     `classify`'s (bin, score).
     """
-    features = FeatureField(pmd(window.magnitudes, expected_peak), hpd(window))
-    return classify(features, grid)
+    return classify(pmd(window.magnitudes, expected_peak), hpd(window), grid)
 
 
 def _feature_pairs(p: np.ndarray, h: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -358,7 +344,7 @@ def collect_training_features(cfg: TrainConfig) -> TrainingSamples:
     parts, workers = map_chunks(run_chunk, cfg.seed, cfg.n_symbols, cfg.n_bins, fork=True)
     true_arr = np.concatenate([true for true, _ in parts])
     intf_arr = np.concatenate([intf for _, intf in parts])
-    return TrainingSamples(true_arr, intf_arr, cfg.n_symbols, len(true_arr), workers)
+    return TrainingSamples(true_arr, intf_arr, workers)
 
 
 def feature_histogram(
@@ -377,8 +363,6 @@ def feature_histogram(
     pairs = np.atleast_2d(np.asarray(pairs, dtype=np.float64))
     if pairs.shape[0] == 0 or pairs.shape[1] != 2:
         raise ValueError(f"pairs must be a non-empty (m, 2) array, got shape {pairs.shape}")
-    if np.any(~np.isfinite(pairs)) or np.any((pairs < 0) | (pairs > 1)):
-        raise ValueError("feature pairs must lie in [0, 1]")
     i = _cell_index(pairs[:, 0], resolution)
     j = _cell_index(pairs[:, 1], resolution)
     hist = np.bincount(i * resolution + j, minlength=resolution * resolution)
@@ -421,9 +405,10 @@ def grid_from_samples(samples: TrainingSamples, cfg: TrainConfig) -> PosteriorGr
     class's sample count and the prior scales the other way, such cells
     settle near even odds (0.5) rather than at either extreme.
     """
-    if samples.n_kept < MIN_KEPT_WINDOWS:
+    n_kept = len(samples.true_features)
+    if n_kept < MIN_KEPT_WINDOWS:
         raise TrainingError(
-            f"only {samples.n_kept} of {samples.n_generated} windows were "
+            f"only {n_kept} of {cfg.n_symbols} windows were "
             f"baseline-misclassified; need at least {MIN_KEPT_WINDOWS}. "
             "Increase n_symbols or make the scenario harder."
         )

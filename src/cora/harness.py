@@ -29,7 +29,6 @@ from cora.channel import (
     format_value,
 )
 from cora.detector import (
-    FeatureField,
     PosteriorGrid,
     detect_symbol,
     hpd,
@@ -358,9 +357,9 @@ def bench_stages(cfg: ExperimentConfig, n_warmup: int = 100, n_iter: int = 1000)
         window = dechirp(raw[i], phy)
         t1 = clock()
         if cfg.detector == "cora":
-            features = FeatureField(pmd(window.magnitudes, expected_peak), hpd(window))
+            p, h = pmd(window.magnitudes, expected_peak), hpd(window)
             t2 = clock()
-            _, scores = score_bins(features, cfg.grid)
+            scores = score_bins(p, h, cfg.grid)
             t3 = clock()
             detected = scores.argmax()
             t4 = clock()

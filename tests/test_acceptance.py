@@ -135,7 +135,7 @@ class TestTrainingIntegrity:
             capsys,
             "training integrity",
             ok,
-            f"20000 symbols in {elapsed:.1f}s, kept {samples.n_kept}, prior={grid.prior:.17g} "
+            f"20000 symbols in {elapsed:.1f}s, kept {len(samples.true_features)}, prior={grid.prior:.17g} "
             f"(exact 1/11: {prior_exact}), hist sums 1 within 1e-9: {sums_ok}, "
             f"corner contrast {low:.3f}-{high:.3f}={contrast:.3f} (need >= 0.3)",
         )

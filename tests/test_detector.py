@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cora import (
-    FeatureField,
     PhyParams,
     PosteriorGrid,
     TrainConfig,
@@ -23,6 +22,7 @@ from cora import (
     compose_collision,
     dechirp,
     detect_symbol,
+    feature_histogram,
     hpd,
     modulate_symbol,
     pmd,
@@ -200,8 +200,8 @@ class TestHpdIdentity:
 
 
 def lookup(grid: PosteriorGrid, p, h) -> np.ndarray:
-    """Posteriors q of feature values, before damping, through `score_bins`."""
-    return score_bins(FeatureField(p, h), grid)[0]
+    """Posteriors q of feature values, before damping."""
+    return detector_module._lookup(grid, np.asarray(p, dtype=float), np.asarray(h, dtype=float))
 
 
 class TestPosteriorLookup:
@@ -240,7 +240,7 @@ class TestClassify:
         h = np.full((2, n), 0.9)
         p[0, 5], h[0, 5] = 0.1, 0.9
         p[1, 5] = h[1, 5] = 0.1
-        q, scores = score_bins(FeatureField(p, h), grid)
+        q, scores = lookup(grid, p, h), score_bins(p, h, grid)
         npt.assert_allclose(q[0, 5], 0.1)
         assert np.argmax(scores[1]) == 5
         npt.assert_allclose(scores[1, 5], 0.81)
@@ -255,7 +255,7 @@ class TestClassify:
         h = np.array([np.full(n, 0.1), np.full(n, 0.9)])
         p[0, 0], h[0, 0] = 0.1, 0.9
         p[1, 0] = h[1, 0] = 0.1
-        q, scores = score_bins(FeatureField(p, h), grid)
+        q, scores = lookup(grid, p, h), score_bins(p, h, grid)
         npt.assert_array_equal(q[0], [1.0, 0.0, 0.0, 0.0])
         assert np.argmax(scores[1]) != 0
         npt.assert_allclose(scores[1].max(), 0.2)
@@ -266,20 +266,20 @@ class TestClassify:
         p = np.full(n, 0.9)
         h = np.full(n, 0.9)
         p[3] = h[3] = 0.0
-        feats = FeatureField(p, h)
-        # one window (N,), then the same window as row 0 of a (K, N) field
-        frame = FeatureField(np.stack([p, np.zeros(n)]), np.stack([h, np.zeros(n)]))
-        frame_q, frame_scores = score_bins(frame, grid)
-        for q, scores in (score_bins(feats, grid), (frame_q[0], frame_scores[0])):
+        # one window (N,), then the same window as row 0 of a (K, N) array
+        frame_p, frame_h = np.stack([p, np.zeros(n)]), np.stack([h, np.zeros(n)])
+        for q, scores in (
+            (lookup(grid, p, h), score_bins(p, h, grid)),
+            (lookup(grid, frame_p, frame_h)[0], score_bins(frame_p, frame_h, grid)[0]),
+        ):
             npt.assert_array_equal(scores, q)
             assert np.argmax(scores) == 3
             npt.assert_allclose(scores[3], 0.7)
-        assert classify(feats, grid) == (3, pytest.approx(0.7))
+        assert classify(p, h, grid) == (3, pytest.approx(0.7))
 
     def test_ties_break_to_lowest_bin(self):
         grid = tiny_grid(np.full((2, 2), 0.5))
-        feats = FeatureField(np.full(5, 0.2), np.full(5, 0.2))
-        best, _ = classify(feats, grid)
+        best, _ = classify(np.full(5, 0.2), np.full(5, 0.2), grid)
         assert best == 0
 
 
@@ -351,17 +351,33 @@ class TestGridImmutability:
                 PosteriorGrid(2, np.full((2, 2), 0.5), bad_prior, cfg)
 
 
-class TestFeatureField:
-    def test_validation(self):
+class TestFeatureRange:
+    """The one [0, 1] rule on features, shared by decoding and training."""
+
+    STAGES = {
+        "score_bins": lambda p, h: score_bins(p, h, tiny_grid(np.full((2, 2), 0.5))),
+        "classify": lambda p, h: classify(p, h, tiny_grid(np.full((2, 2), 0.5))),
+        "feature_histogram": lambda p, h: feature_histogram(np.column_stack([p, h]), 2, 1.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("feature", ["p", "h"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf, -np.inf])
+    def test_out_of_range_rejected(self, stage, feature, bad):
+        good, wrong = np.array([0.0, 0.5, 1.0]), np.array([0.0, bad, 1.0])
+        p, h = (wrong, good) if feature == "p" else (good, wrong)
+        self.STAGES[stage](good, good)  # the same call with both features in range
+        with pytest.raises(ValueError, match=r"^features must lie in \[0, 1\]$"):
+            self.STAGES[stage](p, h)
+
+    def test_classify_rejects_unpaired_features(self):
+        grid = tiny_grid(np.full((2, 2), 0.5))
+        # (N,) against (K, N) would broadcast into a wrong pairing
+        for p, h in ((np.full(4, 0.5), np.full((2, 4), 0.5)), (np.full(1, 0.5), np.full(2, 0.5))):
+            with pytest.raises(ValueError, match="^p and h must have one shape"):
+                classify(p, h, grid)
         with pytest.raises(ValueError):
-            FeatureField(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
-        for p, h in ((-0.1, 0.5), (0.5, 1.2), (np.nan, 0.5), (0.5, np.inf)):
-            with pytest.raises(ValueError, match="must lie in"):
-                FeatureField(np.array([p]), np.array([h]))
-        with pytest.raises(ValueError):
-            FeatureField(np.array([0.5]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            FeatureField(np.array([]), np.array([]))
+            classify(np.array([]), np.array([]), grid)
 
 
 def start_chunk(log_dir, streams):

@@ -13,7 +13,6 @@ import pytest
 from cora import (
     CSV_COLUMNS,
     ExperimentConfig,
-    FeatureField,
     PhyParams,
     ScenarioSpec,
     baseline_detect,
@@ -230,8 +229,8 @@ def per_window_receive(samples, starts, cfg):
             best = baseline_detect(window.magnitudes)
             score = window.magnitudes[best]
         else:
-            f = FeatureField(pmd(window.magnitudes, expected_peak), hpd(window))
-            q, _ = score_bins(f, cfg.grid)
+            # a lone window's score is its posterior q
+            q = score_bins(pmd(window.magnitudes, expected_peak), hpd(window), cfg.grid)
             damped = q if prev is None else q * (1.0 - prev)
             best = int(np.argmax(damped))
             score = damped[best]
@@ -361,11 +360,12 @@ class TestChunkedCampaign:
         if frames == "chunk+1":
             frames = _chunk_frames(cfg) + 1
         cfg.n_frames = frames
-        ref_posteriors = record_calls(monkeypatch, detector_module, "score_bins")
+        stages = ("_lookup", "score_bins")  # posteriors, then damped scores
+        ref_logs = [record_calls(monkeypatch, detector_module, name) for name in stages]
         ref_bins, ref_scores, ref_record = per_frame_campaign(cfg)
         monkeypatch.undo()
         chunk, _ = track_chunks(monkeypatch)
-        posteriors = record_calls(monkeypatch, detector_module, "score_bins", chunk)
+        logs = [record_calls(monkeypatch, detector_module, name, chunk) for name in stages]
         decoded = record_calls(monkeypatch, harness, "receive", chunk)
         record = run_experiment(cfg)
 
@@ -374,10 +374,10 @@ class TestChunkedCampaign:
         npt.assert_array_equal(scores, ref_scores)
         # every bin's posterior and damped score, not only the winners'
         n = cfg.phy.n
-        for i in (0, 1):
+        for pair in zip(logs, ref_logs):
             got, want = (
-                np.concatenate([np.reshape(out[i], (-1, n)) for out in log] + [np.empty((0, n))])
-                for log in (posteriors, ref_posteriors)
+                np.concatenate([np.reshape(out, (-1, n)) for out in log] + [np.empty((0, n))])
+                for log in pair
             )
             npt.assert_array_equal(got, want)
         write_csv([record], tmp_path / "chunked.csv")
@@ -506,6 +506,8 @@ def record_calls(monkeypatch, module, name, chunk=None):
 
     Without `chunk` the log is in call order. With `chunk` (from
     `track_chunks`) it is in chunk order, whichever thread made the call.
+    An array is logged as a copy, since `score_bins` damps the array
+    `_lookup` returns in place.
     """
     log = []
     keys = []
@@ -518,7 +520,7 @@ def record_calls(monkeypatch, module, name, chunk=None):
         with lock:
             at = bisect.bisect_right(keys, key)
             keys.insert(at, key)
-            log.insert(at, out)
+            log.insert(at, out.copy() if isinstance(out, np.ndarray) else out)
         return out
 
     monkeypatch.setattr(module, name, wrapper)

@@ -17,7 +17,6 @@ from scipy.ndimage import gaussian_filter
 
 import cora
 from cora import (
-    FeatureField,
     GridFormatError,
     PosteriorGrid,
     TrainConfig,
@@ -109,10 +108,10 @@ class TestFeatureHistogram:
 class TestCollect:
     def test_sample_bookkeeping(self):
         samples = collect_training_features(QUICK_CFG)
-        assert samples.n_generated == QUICK_CFG.n_symbols
-        assert 0 < samples.n_kept < samples.n_generated
-        assert samples.true_features.shape == (samples.n_kept, 2)
-        expected_intf = samples.n_kept * QUICK_CFG.interference_samples_per_symbol
+        n_kept = len(samples.true_features)
+        assert 0 < n_kept < QUICK_CFG.n_symbols
+        assert samples.true_features.shape == (n_kept, 2)
+        expected_intf = n_kept * QUICK_CFG.interference_samples_per_symbol
         assert samples.interference_features.shape == (expected_intf, 2)
         for arr in (samples.true_features, samples.interference_features):
             assert np.all((arr >= 0) & (arr <= 1))
@@ -181,9 +180,7 @@ class TestChunkedCollect:
         ref_true, ref_intf, ref_kept = per_window_features(cfg, np.random.default_rng(cfg.seed))
         samples = collect_training_features(cfg)
         assert ref_kept > 0
-        assert samples.n_kept == ref_kept
-        assert samples.n_generated == cfg.n_symbols
-        assert samples.true_features.shape == ref_true.shape
+        assert samples.true_features.shape == ref_true.shape == (ref_kept, 2)
         assert samples.interference_features.shape == ref_intf.shape
         assert samples.true_features.tobytes() == ref_true.tobytes()
         assert samples.interference_features.tobytes() == ref_intf.tobytes()
@@ -244,7 +241,7 @@ class TestTrainingPool:
             2: (2, 2),
             3: (3, 3),
         }
-        assert runs[1][1].n_kept > 0
+        assert len(runs[1][1].true_features) > 0
         assert runs[1][0] == runs[2][0] == runs[3][0]
         # the pairs themselves come in chunk order (the grid's counts would not show it)
         for name in ("true_features", "interference_features"):
@@ -376,16 +373,14 @@ class TestGridFromSamples:
         # prior imbalance.
         true_f = np.full((200, 2), 0.1)
         intf_f = np.full((2000, 2), 0.9)
-        samples = TrainingSamples(true_f, intf_f, 400, 200)
         cfg = TrainConfig(n_symbols=400, seed=0)
-        grid = grid_from_samples(samples, cfg)
-        q, _ = score_bins(FeatureField([0.9], [0.1]), grid)
+        grid = grid_from_samples(TrainingSamples(true_f, intf_f), cfg)
+        # a lone window's score is its posterior q
+        q = score_bins(np.array([0.9]), np.array([0.1]), grid)
         npt.assert_allclose(q, [0.5], atol=1e-3)
 
     def test_insufficient_windows_rejected(self):
-        samples = TrainingSamples(
-            np.full((99, 2), 0.5), np.full((990, 2), 0.5), 1000, 99
-        )
+        samples = TrainingSamples(np.full((99, 2), 0.5), np.full((990, 2), 0.5))
         with pytest.raises(TrainingError):
             grid_from_samples(samples, QUICK_CFG)
 
