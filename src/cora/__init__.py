@@ -5,7 +5,6 @@ from cora.phy import (
     SymbolWindow,
     modulate_symbol,
     build_frame,
-    build_frames,
     dechirp,
     baseline_detect,
 )
@@ -18,7 +17,6 @@ from cora.channel import (
     clipped_tone,
     etu_like_profile,
     gen_training_symbol,
-    gen_training_windows,
 )
 from cora.detector import (
     PosteriorGrid,
@@ -44,7 +42,6 @@ from cora.harness import (
     receive,
     run_experiment,
     simulate_frame,
-    simulate_frames,
     bench_stages,
     write_csv,
 )

@@ -473,7 +473,7 @@ def clipped_tone(
     return out
 
 
-def gen_training_windows(
+def gen_training_symbol(
     cfg: TrainConfig, streams: list[np.random.Generator]
 ) -> tuple[SymbolWindow, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Draw K synthetic dechirped windows with collisions and noise, one per stream.
@@ -542,25 +542,3 @@ def gen_training_windows(
 
     windows = SymbolWindow(window, np.abs(np.fft.fft(window, axis=-1)))
     return windows, true[:, 0].astype(np.int64), (true, counts, slots)
-
-
-def gen_training_symbol(
-    cfg: TrainConfig, rng: np.random.Generator
-) -> tuple[SymbolWindow, int, dict]:
-    """Draw one synthetic dechirped window with collisions and noise.
-
-    The one-window view of `gen_training_windows`, drawing from `rng`
-    itself. Returns the window, the true bin, and a metadata dict
-    describing the draws (handy when debugging the feature extractors).
-    """
-    windows, true_bins, (true, counts, slots) = gen_training_windows(cfg, [rng])
-    sym = SymbolWindow(windows.time_samples[0], windows.magnitudes[0])
-    meta = {
-        "true_bin": int(true_bins[0]),
-        "true_deviation": float(true[0, 1]),
-        "interferers": [
-            {"power_db": db, "boundary": int(edge), "deviation": dev, "bins": (int(a), int(b))}
-            for db, _, edge, dev, a, b, _, _ in slots[0, : counts[0]].tolist()
-        ],
-    }
-    return sym, meta["true_bin"], meta

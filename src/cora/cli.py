@@ -42,7 +42,7 @@ from cora.harness import (
     bench_stages,
     receive,
     run_experiment,
-    simulate_frames,
+    simulate_frame,
     write_csv,
 )
 from cora.phy import PhyParams, frame_length, payload_start
@@ -329,7 +329,7 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     )
     # frame 0 of the campaign with this seed
     total = frame_length(exp.symbols_per_frame, exp.preamble_len, phy)
-    (frames,), _ = map_chunks(partial(simulate_frames, exp), exp.seed, 1, total)
+    (frames,), _ = map_chunks(partial(simulate_frame, exp), exp.seed, 1, total)
     samples, payload, interferers = (part[0] for part in frames)
     write_iq(args.out, samples, phy.sample_rate_hz)
     start = payload_start(exp.preamble_len, phy)

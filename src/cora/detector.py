@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cora.channel import TrainConfig, format_value, gen_training_windows, parse_tokens, text_keys
+from cora.channel import TrainConfig, format_value, gen_training_symbol, parse_tokens, text_keys
 from cora.phy import SymbolWindow, baseline_detect
 
 # A training run must keep at least this many baseline-misclassified
@@ -300,7 +300,7 @@ def _training_chunk(
     cfg: TrainConfig, streams: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
     """One chunk's wanted-tone and interference (p, h) pairs, window k drawn from streams[k]."""
-    windows, true_bins, _ = gen_training_windows(cfg, streams)
+    windows, true_bins, _ = gen_training_symbol(cfg, streams)
     missed = baseline_detect(windows.magnitudes) != true_bins
     kept = SymbolWindow(windows.time_samples[missed], windows.magnitudes[missed])
     p = pmd(kept.magnitudes, kept.magnitudes.max(axis=-1, keepdims=True))
@@ -336,7 +336,7 @@ def collect_training_features(cfg: TrainConfig) -> TrainingSamples:
     the samples depend on `cfg` alone. The chunks run on forked worker
     processes (window synthesis holds the GIL, so threads would not help);
     `_training_chunk` builds a chunk as one (K, N) array with
-    `gen_training_windows`, filters it with the baseline and runs `pmd`
+    `gen_training_symbol`, filters it with the baseline and runs `pmd`
     and `hpd` once on its kept rows. Memory, apart from the harvested
     pairs, does not grow with `n_symbols`.
     """

@@ -39,7 +39,7 @@ from cora.detector import (
 from cora.phy import (
     PhyParams,
     baseline_detect,
-    build_frames,
+    build_frame,
     dechirp,
     frame_length,
     modulate_symbol,
@@ -133,7 +133,7 @@ class MetricsRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
-def simulate_frames(
+def simulate_frame(
     cfg: ExperimentConfig, streams: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray, list[list[tuple[int, float]]]]:
     """Build F collided, faded, noisy frames, one per stream, plus their payload truth.
@@ -143,7 +143,7 @@ def simulate_frames(
     of each interferer; then the I and Q noise. This order is part of the
     determinism contract, so a frame's channel depends only on its stream,
     never on the detector or on how frames are chunked. The targets and
-    the interferers of all streams are two gathers (`build_frames`). A
+    the interferers of all streams are two gathers (`build_frame`). A
     faded chunk then takes two `apply_fading` calls, one over all targets
     and one over all interferers with each stream's generator repeated per
     slot; each stream's draws still come in the order above. Last, frame
@@ -172,8 +172,8 @@ def simulate_frames(
             placed.append((offset, -sir))
         placements.append(placed)
 
-    samples = build_frames(payloads[:, 0], cfg.preamble_len, phy)
-    others = build_frames(payloads[:, 1:], cfg.preamble_len, phy)
+    samples = build_frame(payloads[:, 0], cfg.preamble_len, phy)
+    others = build_frame(payloads[:, 1:], cfg.preamble_len, phy)
     if sc.fading_profile is not None:
         fs, profile = phy.sample_rate_hz, sc.fading_profile
         samples = apply_fading(samples.reshape(-1), fs, profile, streams).reshape(samples.shape)
@@ -185,19 +185,6 @@ def simulate_frames(
         rng.standard_normal(out=noise)
         collide(samples[row], others[row], placements[row], sc.snr_db, noise)
     return samples, payloads[:, 0], placements
-
-
-def simulate_frame(
-    cfg: ExperimentConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, float]]]:
-    """Build one collided, faded, noisy frame plus its payload truth.
-
-    The one-frame view of `simulate_frames`, drawing from `rng` itself.
-    Returns the composite samples, the target payload symbols, and the
-    interferers as (offset_samples, gain_db) pairs.
-    """
-    samples, payloads, placements = simulate_frames(cfg, [rng])
-    return samples[0], payloads[0], placements[0]
 
 
 def expected_peak_from_preamble(samples: np.ndarray, cfg: ExperimentConfig) -> float | np.ndarray:
@@ -274,7 +261,7 @@ def demodulate_frame(
 
 def _chunk_errors(cfg: ExperimentConfig, streams: list[np.random.Generator]) -> np.ndarray:
     """Symbol errors of each frame of one campaign chunk, one frame per stream."""
-    samples, truth, _ = simulate_frames(cfg, streams)
+    samples, truth, _ = simulate_frame(cfg, streams)
     return np.count_nonzero(demodulate_frame(samples, cfg) != truth, axis=-1)
 
 
@@ -283,7 +270,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
 
     Frame k is item k of a `map_chunks` run seeded with `cfg.seed`. The
     chunks run on threads, since numpy releases the GIL for their noise
-    draws, gathers, FFTs and products. `simulate_frames` builds a chunk
+    draws, gathers, FFTs and products. `simulate_frame` builds a chunk
     as one (F, L) array and `demodulate_frame` decodes it as one (F, K,
     N) array, so results depend neither on the chunk size nor on the
     thread. Each frame still costs its own generator and its full-length

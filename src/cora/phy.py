@@ -129,17 +129,19 @@ def _frame_header(preamble_len: int, params: PhyParams) -> np.ndarray:
     return header
 
 
-def build_frames(
+def build_frame(
     payloads: np.ndarray | list[int],
     preamble_len: int,
     params: PhyParams,
 ) -> np.ndarray:
-    """Frame samples for every row of payload symbols on the last axis.
+    """Assemble frames: preamble, two sync symbols, 2.25 downchirps, payload.
 
-    Payloads (S,) give one frame (L,), and leading axes carry over: (F, S)
-    gives F frames as one (F, L) array. Each frame is the shared header
-    followed by the payload upchirps from `modulate_symbol`, which also
-    checks the symbol values.
+    Payload symbols (S,) give one frame (L,), and leading axes carry over:
+    (F, S) gives F frames as one (F, L) array. Each frame is the shared
+    header followed by the payload upchirps from `modulate_symbol`, which
+    also checks the symbol values. The quarter downchirp keeps the
+    conventional header length of 4.25 symbols after the preamble, so the
+    first payload sample sits at (preamble_len + 4) * N + N // 4.
     """
     if not isinstance(preamble_len, (int, np.integer)) or preamble_len < 1:
         raise ValueError(f"preamble_len must be a positive integer, got {preamble_len}")
@@ -153,24 +155,6 @@ def build_frames(
     frames[..., : header.size] = header
     frames[..., header.size :] = modulate_symbol(payloads, params).reshape(lead + (body,))
     return frames
-
-
-def build_frame(
-    payload_symbols: np.ndarray | list[int],
-    preamble_len: int,
-    params: PhyParams,
-) -> np.ndarray:
-    """Assemble a frame: preamble, two sync symbols, 2.25 downchirps, payload.
-
-    The quarter downchirp keeps the conventional header length of 4.25
-    symbols after the preamble, so the first payload sample sits at
-    (preamble_len + 4) * N + N // 4. The one-frame view of `build_frames`:
-    payload symbols that are not one row give no 1-D frame, and raise.
-    """
-    frame = build_frames(payload_symbols, preamble_len, params)
-    if frame.ndim != 1:
-        raise ValueError(f"payload symbols must be one row, got shape {np.shape(payload_symbols)}")
-    return frame
 
 
 def payload_start(preamble_len: int, params: PhyParams) -> int:

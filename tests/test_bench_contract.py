@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 import cora.cli  # the tracer wraps every layer, cli included
-from cora import harness
-from cora.channel import etu_like_profile
+from cora import detector, harness
+from cora.channel import TrainConfig, etu_like_profile
 from cora.harness import ExperimentConfig, ScenarioSpec
 from cora.phy import PhyParams
 
@@ -75,6 +75,25 @@ def test_tracer_counts_every_faded_sample():
     streams = [np.random.default_rng(seed) for seed in range(3)]
     tracer = load_tracer().Tracer()
     with tracer.installed():
-        samples, _, _ = harness.simulate_frames(cfg, streams)
+        samples, _, _ = harness.simulate_frame(cfg, streams)
     assert tracer.calls["channel.apply_fading"] == 2
     assert tracer.counts["channel.apply_fading.samples"] == 9 * samples.shape[-1]
+
+
+def test_tracer_counts_the_declared_frame_and_window_builders():
+    # The declared names are the builders the campaigns and training run.
+    # A four-frame SF7 collision campaign is one chunk in this process.
+    scenario = ScenarioSpec(snr_db=10.0, n_interferers=1, sir_db=(-6.0, 0.0))
+    cfg = ExperimentConfig(
+        phy=PhyParams(sf=7), detector="baseline", scenario=scenario, n_frames=4, symbols_per_frame=4
+    )
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        harness.run_experiment(cfg)
+        # 200 windows of 256 bins are one chunk, so no worker is forked.
+        # Forked training workers are not traced (ROADMAP item 14), so the
+        # benchmark's 20k-window training still records 0 calls of it.
+        detector.collect_training_features(TrainConfig(n_symbols=200, seed=1))
+    assert tracer.calls["phy.build_frame"] >= 1
+    assert tracer.calls["harness.simulate_frame"] >= 1
+    assert tracer.calls["channel.gen_training_symbol"] == 1

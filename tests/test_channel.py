@@ -27,7 +27,6 @@ from cora import (
     dechirp,
     etu_like_profile,
     gen_training_symbol,
-    gen_training_windows,
     modulate_symbol,
 )
 from cora.channel import (
@@ -777,89 +776,83 @@ class TestTrainingWindows:
         # built alone from the same stream, and every stream ends in the
         # same state: the batch changes no draw and no rounding.
         cfg = TrainConfig(n_symbols=1, **overrides)
-        windows, true_bins, _ = gen_training_windows(cfg, np.random.default_rng(8).spawn(40))
+        windows, true_bins, (true, counts, slots) = gen_training_symbol(
+            cfg, np.random.default_rng(8).spawn(40)
+        )
         ref_streams = np.random.default_rng(8).spawn(40)
         for row, stream in enumerate(ref_streams):
-            window, true_bin, _ = per_window_training_symbol(cfg, stream)
+            window, true_bin, meta = per_window_training_symbol(cfg, stream)
             assert windows.time_samples[row].tobytes() == window.tobytes()
             assert windows.magnitudes[row].tobytes() == np.abs(np.fft.fft(window)).tobytes()
             assert true_bins[row] == true_bin
+            # the draw bookkeeping holds the reference's draws exactly
+            assert (true[row, 0], true[row, 1]) == (meta["true_bin"], meta["true_deviation"])
+            assert counts[row] == len(meta["interferers"])
+            for slot, itf in zip(slots[row], meta["interferers"]):
+                power_db, _, boundary, dev, bin_a, bin_b, _, _ = slot.tolist()
+                assert (power_db, boundary, dev) == (
+                    itf["power_db"], itf["boundary"], itf["deviation"]
+                )
+                assert (bin_a, bin_b) == itf["bins"]
         streams = np.random.default_rng(8).spawn(40)
-        gen_training_windows(cfg, streams)
+        gen_training_symbol(cfg, streams)
         for stream, ref in zip(streams, ref_streams):
             assert stream.bit_generator.state == ref.bit_generator.state
 
     def test_empty_stream_list_rejected(self):
         with pytest.raises(ValueError, match="at least one stream"):
-            gen_training_windows(TrainConfig(n_symbols=1), [])
-
-    def test_one_window_view_keeps_meta(self):
-        cfg = TrainConfig(n_symbols=1, max_interferers=3)
-        for seed in range(20):
-            sym, true_bin, meta = gen_training_symbol(cfg, np.random.default_rng(seed))
-            window, ref_bin, ref_meta = per_window_training_symbol(cfg, np.random.default_rng(seed))
-            assert sym.time_samples.shape == (cfg.n_bins,)
-            assert sym.time_samples.tobytes() == window.tobytes()
-            assert (true_bin, meta) == (ref_bin, ref_meta)
+            gen_training_symbol(TrainConfig(n_symbols=1), [])
 
 
 class TestTrainingSymbol:
+    # The same generator passed K times makes the draws of K successive
+    # one-stream calls, window for window.
     def test_clean_symbol_detected_by_baseline(self):
         cfg = TrainConfig(
             n_symbols=1, max_interferers=0, frac_freq_range=0.0, snr_db=300.0
         )
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            window, true_bin, meta = gen_training_symbol(cfg, rng)
-            assert baseline_detect(window.magnitudes) == true_bin
-            assert meta["true_bin"] == true_bin
-            npt.assert_allclose(
-                window.magnitudes[true_bin], cfg.n_bins, rtol=1e-6
-            )
+        windows, true_bins, (true, _, _) = gen_training_symbol(cfg, [rng] * 20)
+        npt.assert_array_equal(baseline_detect(windows.magnitudes), true_bins)
+        npt.assert_array_equal(true[:, 0], true_bins)
+        npt.assert_allclose(windows.magnitudes[np.arange(20), true_bins], cfg.n_bins, rtol=1e-6)
 
     def test_strong_interferers_defeat_baseline_sometimes(self):
         # With every interferer pinned at +13 dB, a visible fraction of
         # windows must fool the magnitude argmax.
-        # The same generator passed K times makes the draws of K successive
-        # gen_training_symbol calls, window for window.
         cfg = TrainConfig(n_symbols=1, power_range_db=(13.0, 13.0), snr_db=300.0)
         rng = np.random.default_rng(99)
         wrong = 0
         for _ in range(10):
-            windows, true_bins, _ = gen_training_windows(cfg, [rng] * 1000)
+            windows, true_bins, _ = gen_training_symbol(cfg, [rng] * 1000)
             wrong += int(np.count_nonzero(baseline_detect(windows.magnitudes) != true_bins))
         assert wrong > 0, "no misclassified windows in 10k draws"
 
     def test_interferer_count_and_meta_fields(self):
         cfg = TrainConfig(n_symbols=1)
-        rng = np.random.default_rng(2)
-        counts = set()
-        for _ in range(200):
-            _, _, meta = gen_training_symbol(cfg, rng)
-            counts.add(len(meta["interferers"]))
-            for itf in meta["interferers"]:
-                assert -15.0 <= itf["power_db"] <= 13.0
-                assert 0 <= itf["boundary"] < cfg.n_bins
-                assert abs(itf["deviation"]) <= cfg.frac_freq_range
-        assert counts == {0, 1, 2}
+        _, _, (_, counts, slots) = gen_training_symbol(cfg, [np.random.default_rng(2)] * 200)
+        assert set(counts.tolist()) == {0, 1, 2}
+        for row, count in enumerate(counts):
+            for power_db, _, boundary, dev, *_ in slots[row, :count].tolist():
+                assert -15.0 <= power_db <= 13.0
+                assert 0 <= boundary < cfg.n_bins
+                assert abs(dev) <= cfg.frac_freq_range
 
     def test_noise_level_tracks_snr_config(self):
         # The wanted tone has unit power, so the window with the tone
         # removed should carry roughly the configured noise variance.
         cfg = TrainConfig(n_symbols=1, max_interferers=0, frac_freq_range=0.0, snr_db=-3.0)
-        rng = np.random.default_rng(31)
-        powers = []
-        for _ in range(300):
-            window, _, _ = gen_training_symbol(cfg, rng)
-            # Total window power minus the unit tone power leaves the noise.
-            powers.append(np.mean(np.abs(window.time_samples) ** 2) - 1.0)
+        windows, _, _ = gen_training_symbol(cfg, [np.random.default_rng(31)] * 300)
+        # Total window power minus the unit tone power leaves the noise.
+        powers = np.mean(np.abs(windows.time_samples) ** 2, axis=-1) - 1.0
         target = 10.0 ** (3.0 / 10.0)
         assert abs(np.mean(powers) - target) < 0.1 * target
 
     def test_deterministic_given_seed(self):
         cfg = TrainConfig(n_symbols=1)
-        a, bin_a, meta_a = gen_training_symbol(cfg, np.random.default_rng(1234))
-        b, bin_b, meta_b = gen_training_symbol(cfg, np.random.default_rng(1234))
+        a, bin_a, draws_a = gen_training_symbol(cfg, [np.random.default_rng(1234)])
+        b, bin_b, draws_b = gen_training_symbol(cfg, [np.random.default_rng(1234)])
         npt.assert_array_equal(a.time_samples, b.time_samples)
-        assert bin_a == bin_b
-        assert meta_a == meta_b
+        npt.assert_array_equal(bin_a, bin_b)
+        for x, y in zip(draws_a, draws_b):
+            npt.assert_array_equal(x, y)

@@ -516,13 +516,13 @@ class TestGenScenario:
         out = tmp_path / "cap.iq"
         assert run_cli(["gen-scenario", "--config", gen_cfg, "--out", str(out)], capsys)[0] == 0
         chunks = []
-        simulate = harness.simulate_frames
+        simulate = harness.simulate_frame
 
-        def simulate_frames(cfg, streams):
+        def simulate_frame(cfg, streams):
             chunks.append(simulate(cfg, streams))
             return chunks[-1]
 
-        monkeypatch.setattr(harness, "simulate_frames", simulate_frames)
+        monkeypatch.setattr(harness, "simulate_frame", simulate_frame)
         campaign = write_cfg(tmp_path / "c.cfg", text + "n_frames=5\nseed=13\n")
         argv = ["evaluate", "--config", campaign, "--out", str(tmp_path / "c.csv")]
         assert run_cli(argv, capsys)[0] == 0

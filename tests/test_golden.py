@@ -31,7 +31,7 @@ import pytest
 from cora.channel import TrainConfig, compose_collision, etu_like_profile
 from cora.cli import main
 from cora.detector import map_chunks, save_grid, train
-from cora.harness import ExperimentConfig, ScenarioSpec, simulate_frames
+from cora.harness import ExperimentConfig, ScenarioSpec, simulate_frame
 from cora.phy import PhyParams, build_frame, frame_length
 
 GRID_SHA256 = "ba0cc803c80e53172861feaa57f5ab4068f5963fb33bfb02e2d3bc889f1cea51"
@@ -239,7 +239,7 @@ def test_simulated_frame_bytes(case):
     sc = FRAMES_SCENARIOS[case]
     cfg = ExperimentConfig(phy=PhyParams(sf=8), detector="baseline", scenario=sc, seed=7)
     total = frame_length(cfg.symbols_per_frame, cfg.preamble_len, cfg.phy)
-    chunks, _ = map_chunks(partial(simulate_frames, cfg), cfg.seed, 9, total)
+    chunks, _ = map_chunks(partial(simulate_frame, cfg), cfg.seed, 9, total)
     assert [len(samples) for samples, _, _ in chunks] == [7, 2]
     samples = np.concatenate([samples for samples, _, _ in chunks])
     assert sha256(sample_bytes(samples)) == FRAMES_SHA256[case]

@@ -174,8 +174,8 @@ class TestPairedFairness:
         cfg_base = quick_cfg(scenario=sc, seed=321)
         cfg_cora = quick_cfg(detector="cora", grid=detector_grid, scenario=sc, seed=321)
         for child in np.random.SeedSequence(321).spawn(3):
-            s_base, t_base, _ = simulate_frame(cfg_base, np.random.default_rng(child))
-            s_cora, t_cora, _ = simulate_frame(cfg_cora, np.random.default_rng(child))
+            (s_base,), (t_base,), _ = simulate_frame(cfg_base, [np.random.default_rng(child)])
+            (s_cora,), (t_cora,), _ = simulate_frame(cfg_cora, [np.random.default_rng(child)])
             npt.assert_array_equal(s_base, s_cora)
             npt.assert_array_equal(t_base, t_cora)
 
@@ -184,8 +184,8 @@ class TestPairedFairness:
         cfg_base = quick_cfg(scenario=sc, seed=77)
         cfg_cora = quick_cfg(detector="cora", grid=detector_grid, scenario=sc, seed=77)
         child = np.random.SeedSequence(77).spawn(1)[0]
-        s_base, _, _ = simulate_frame(cfg_base, np.random.default_rng(child))
-        s_cora, _, _ = simulate_frame(cfg_cora, np.random.default_rng(child))
+        (s_base,), _, _ = simulate_frame(cfg_base, [np.random.default_rng(child)])
+        (s_cora,), _, _ = simulate_frame(cfg_cora, [np.random.default_rng(child)])
         npt.assert_array_equal(s_base, s_cora)
 
 
@@ -193,7 +193,7 @@ class TestPreambleEstimate:
     def test_clean_frame_reads_full_peak(self):
         cfg = quick_cfg(n_frames=1)
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
-        samples, _, _ = simulate_frame(cfg, rng)
+        (samples,), _, _ = simulate_frame(cfg, [rng])
         npt.assert_allclose(expected_peak_from_preamble(samples, cfg), 256.0, rtol=1e-9)
 
     def test_strong_interferer_does_not_capture_estimate(self):
@@ -208,7 +208,7 @@ class TestPreambleEstimate:
         )
         cfg = quick_cfg(scenario=sc, n_frames=1, seed=9)
         rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
-        samples, _, _ = simulate_frame(cfg, rng)
+        (samples,), _, _ = simulate_frame(cfg, [rng])
         ep = expected_peak_from_preamble(samples, cfg)
         assert 0.9 * 256 < ep < 1.1 * 256, f"estimate drifted to {ep}"
 
@@ -250,7 +250,7 @@ def receive_case(case, phy):
         samples = samples + 0.3 * rng.standard_normal(samples.size)
         return samples, start + n * np.arange(8)
     sc = ScenarioSpec(snr_db=5.0, n_interferers=1, sir_db=(-6.0, 0.0))
-    samples, _, _ = simulate_frame(quick_cfg(phy=phy, scenario=sc, symbols_per_frame=10), rng)
+    (samples,), _, _ = simulate_frame(quick_cfg(phy=phy, scenario=sc, symbols_per_frame=10), [rng])
     starts = start + n * np.arange(10)
     if case == "demod-starts":
         # unsorted, overlapping and off the symbol grid, as a sidecar may list
@@ -428,9 +428,9 @@ class TestCampaignPool:
         cfg = quick_cfg()
         per_chunk = _chunk_frames(cfg)
         cfg.n_frames = 3 * per_chunk
-        simulate = harness.simulate_frames
+        simulate = harness.simulate_frame
 
-        def simulate_frames(cfg, streams):
+        def simulate_frame(cfg, streams):
             first = streams[0].bit_generator.seed_seq.spawn_key[0]
             if first == per_chunk:
                 time.sleep(0.05)  # the last chunk fails first in time
@@ -439,7 +439,7 @@ class TestCampaignPool:
                 raise ValueError("last chunk")
             return simulate(cfg, streams)
 
-        monkeypatch.setattr(harness, "simulate_frames", simulate_frames)
+        monkeypatch.setattr(harness, "simulate_frame", simulate_frame)
         monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
         before = set(threading.enumerate())
         with pytest.raises(ValueError, match="^middle chunk$"):
@@ -476,7 +476,7 @@ def track_chunks(monkeypatch, hold=1):
 
     `run_experiment` decodes chunks on a thread pool, so calls made for
     different chunks interleave. A thread works on one chunk from its
-    `simulate_frames` call until its `receive` returns. The first `hold`
+    `simulate_frame` call until its `receive` returns. The first `hold`
     chunks to start wait at a barrier until all `hold` have started.
     Returns a threading.local whose `key` is that chunk's first frame
     index on the calling thread, and the list of threads that simulated
@@ -486,9 +486,9 @@ def track_chunks(monkeypatch, hold=1):
     threads = []
     lock = threading.Lock()
     barrier = threading.Barrier(hold, timeout=60)
-    simulate = harness.simulate_frames
+    simulate = harness.simulate_frame
 
-    def simulate_frames(cfg, streams):
+    def simulate_frame(cfg, streams):
         current.key = streams[0].bit_generator.seed_seq.spawn_key
         with lock:
             threads.append(threading.get_ident())
@@ -497,7 +497,7 @@ def track_chunks(monkeypatch, hold=1):
             barrier.wait()
         return simulate(cfg, streams)
 
-    monkeypatch.setattr(harness, "simulate_frames", simulate_frames)
+    monkeypatch.setattr(harness, "simulate_frame", simulate_frame)
     return current, threads
 
 

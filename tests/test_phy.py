@@ -10,7 +10,6 @@ from cora import (
     PhyParams,
     baseline_detect,
     build_frame,
-    build_frames,
     dechirp,
     modulate_symbol,
 )
@@ -60,7 +59,7 @@ class TestChirps:
         # and the two sync symbols
         p = PhyParams(sf=9)
         n = p.n
-        frames = build_frames(np.array([[3, 7], [0, 511]]), 2, p)
+        frames = build_frame(np.array([[3, 7], [0, 511]]), 2, p)
         head = (2 + 2) * n
         down = frames[:, head : head + 2 * n].reshape(2, 2, n)
         npt.assert_array_equal(down, np.broadcast_to(np.conj(modulate_symbol(0, p)), (2, 2, n)))
@@ -222,7 +221,4 @@ class TestFrame:
             build_frame([1.0, 2.0], 8, p)
         with pytest.raises(ValueError):
             build_frame([1], 0, p)
-        # two rows of payload make two frames, not one stream
-        with pytest.raises(ValueError, match="one row"):
-            build_frame([[1, 2], [3, 4]], 8, p)
 

@@ -19,6 +19,7 @@ import cora
 from cora import (
     GridFormatError,
     PosteriorGrid,
+    SymbolWindow,
     TrainConfig,
     TrainingError,
     baseline_detect,
@@ -136,7 +137,8 @@ def per_window_features(cfg, rng):
     n_take = cfg.interference_samples_per_symbol
     true_rows, intf_rows = [], []
     for stream in rng.spawn(cfg.n_symbols):
-        window, true_bin, _ = gen_training_symbol(cfg, stream)
+        windows, (true_bin,), _ = gen_training_symbol(cfg, [stream])
+        window = SymbolWindow(windows.time_samples[0], windows.magnitudes[0])
         if baseline_detect(window.magnitudes) == true_bin:
             continue
         p = pmd(window.magnitudes, float(np.max(window.magnitudes)))
@@ -250,9 +252,9 @@ class TestTrainingPool:
         assert multiprocessing.active_children() == []
 
     def test_first_failing_chunk_raises_and_no_worker_survives(self, monkeypatch):
-        generate = detector_module.gen_training_windows
+        generate = detector_module.gen_training_symbol
 
-        def gen_training_windows(cfg, streams):
+        def gen_training_symbol(cfg, streams):
             first = streams[0].bit_generator.seed_seq.spawn_key[0]
             if first == TRAINING_CHUNK:
                 time.sleep(0.2)  # the last chunk fails first in time
@@ -262,7 +264,7 @@ class TestTrainingPool:
             return generate(cfg, streams)
 
         # workers are forked, so they run the patched generator
-        monkeypatch.setattr(detector_module, "gen_training_windows", gen_training_windows)
+        monkeypatch.setattr(detector_module, "gen_training_symbol", gen_training_symbol)
         monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
         cfg = TrainConfig(n_symbols=3 * TRAINING_CHUNK, seed=5)
         forks = count_forks(monkeypatch)
@@ -280,11 +282,11 @@ class TestTrainingPool:
         code = (
             "import os, time\n"
             "from cora import TrainConfig, detector\n"
-            "def gen_training_windows(cfg, streams):\n"
+            "def gen_training_symbol(cfg, streams):\n"
             "    os.write(1, b'%d\\n' % os.getpid())\n"
             "    time.sleep(30)\n"
             "detector._worker_count = lambda n_chunks: 2\n"
-            "detector.gen_training_windows = gen_training_windows\n"
+            "detector.gen_training_symbol = gen_training_symbol\n"
             f"detector.collect_training_features(TrainConfig(n_symbols={2 * TRAINING_CHUNK}))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cora.__file__).resolve().parents[1])}
