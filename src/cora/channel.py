@@ -230,35 +230,41 @@ def fields_from_text(cls, text: dict[str, str]) -> dict:
     return {key: parse_value(kinds[key], key, value) for key, value in text.items() if key in kinds}
 
 
-def _scaled_noise(re: np.ndarray, im: np.ndarray, power: float, snr_db: float) -> np.ndarray:
-    """Complex noise `snr_db` below `power` from standard normal I and Q parts."""
-    variance = power / 10.0 ** (snr_db / 10.0)
-    scale = math.sqrt(variance / 2.0) if variance > 0 else 0.0
-    return scale * (re + 1j * im)
+def _scaled_noise(
+    re: np.ndarray, im: np.ndarray, power: float | np.ndarray, snr_db: float
+) -> np.ndarray:
+    """Complex noise `snr_db` below `power` (a float or (F, 1) array) from normal I and Q parts."""
+    variance = np.divide(power, 10.0 ** (snr_db / 10.0))
+    scale = np.sqrt(variance / 2.0, out=np.zeros_like(variance), where=variance > 0)
+    noise = np.multiply(1j, im)
+    return np.multiply(scale, np.add(re, noise, out=noise), out=noise)
 
 
 def collide(
     out: np.ndarray,
-    frames: list[np.ndarray],
-    placements: list[tuple[int, float]],
+    frames: Sequence[Sequence[np.ndarray]],
+    placements: list[list[tuple[int, float]]],
     snr_db: float,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Add interferers and noise to one target frame `out` (L,), in place.
+    """Add interferers and noise to F target frames `out` (F, L), in place.
 
-    Interferer `frames[i]` is scaled by `placements[i]` = (offset, gain_db),
-    offset in [0, L), and added from sample `offset` on; its samples beyond
-    the target's last one are dropped. `noise` holds standard normal I and
-    Q parts as (2, L), scaled to sit `snr_db` below the target's own power.
-    Returns `out`.
+    Row f's interferer `frames[f][i]` is scaled by `placements[f][i]` =
+    (offset, gain_db), offset in [0, L), and added from sample `offset` on;
+    its samples beyond the target's last one are dropped. `noise` holds
+    standard normal I and Q parts as (F, 2, L), each row's scaled to sit
+    `snr_db` below its own target's power. Only the interferer slices go row by
+    row: numpy calls on whole chunks overlap on two threads, per-row calls
+    on L-sample arrays do not. Returns `out`.
     """
-    power = np.mean(np.abs(out) ** 2)
-    if not power:
+    power = np.mean(np.abs(out) ** 2, axis=-1)
+    if not power.all():
         raise ValueError("target frame has zero power")
-    for frame, (start, gain_db) in zip(frames, placements):
-        stop = min(start + len(frame), out.size)
-        out[start:stop] += 10.0 ** (gain_db / 20.0) * frame[: stop - start]
-    out += _scaled_noise(*noise, power, snr_db)
+    for row, placed in enumerate(placements):
+        for frame, (start, gain_db) in zip(frames[row], placed):
+            stop = min(start + len(frame), out.shape[-1])
+            out[row, start:stop] += 10.0 ** (gain_db / 20.0) * frame[: stop - start]
+    out += _scaled_noise(noise[:, 0], noise[:, 1], power[:, None], snr_db)
     return out
 
 
@@ -277,7 +283,7 @@ def compose_collision(
     has the target's length: interferer samples beyond the target's last
     sample are dropped. The AWGN, one `standard_normal((2, L))` draw, is
     calibrated to the target's own power, so an infinite-SNR call with no
-    interferers returns the target. `collide` on a copy of the target.
+    interferers returns the target. `collide` on a one-row copy of the target.
     """
     target = np.asarray(target, dtype=np.complex128)
     if target.ndim != 1 or target.size == 0:
@@ -293,8 +299,8 @@ def compose_collision(
     _check_snr_db(snr_db)
     frames = [np.asarray(frame) for frame, _, _ in interferers]
     placements = [(int(offset), gain_db) for _, gain_db, offset in interferers]
-    noise = rng.standard_normal((2, target.size))
-    return collide(target.copy(), frames, placements, snr_db, noise)
+    noise = rng.standard_normal((1, 2, target.size))
+    return collide(target[None].copy(), [frames], [placements], snr_db, noise)[0]
 
 
 # Terms of the Taylor series that stands in for each tone's fine factor in

@@ -186,8 +186,9 @@ def pmd(magnitudes: np.ndarray, expected_peak: float | np.ndarray) -> np.ndarray
     """
     if not np.logical_and(expected_peak > 0, expected_peak < np.inf).all():
         raise ValueError(f"expected_peak must be finite and positive, got {expected_peak}")
-    dev = np.abs(magnitudes - expected_peak) / expected_peak
-    return np.minimum(dev, 1.0)
+    dev = np.subtract(magnitudes, expected_peak)
+    dev = np.divide(np.abs(dev, out=dev), expected_peak, out=dev)
+    return np.minimum(dev, 1.0, out=dev)
 
 
 @lru_cache(maxsize=16)
@@ -221,23 +222,25 @@ def hpd(window: SymbolWindow) -> np.ndarray:
     n = window.n
     if n % 2 != 0:
         raise ValueError(f"window length must be even, got {n}")
-    masked_bins = np.fft.fft(window.time_samples * _half_mask(n), axis=-1)
+    z = np.abs(np.fft.fft(window.time_samples * _half_mask(n), axis=-1))
     x_mag = window.magnitudes
-    z = np.minimum(x_mag, np.abs(masked_bins))
+    np.minimum(x_mag, z, out=z)
     live = x_mag > DEAD_BIN_RELATIVE_FLOOR * x_mag.max(axis=-1, keepdims=True)
-    return np.divide(z, x_mag, out=np.ones_like(z), where=live)
+    np.divide(z, x_mag, out=z, where=live)
+    z[~live] = 1.0
+    return z
 
 
 def _cell_index(values: np.ndarray, resolution: int) -> np.ndarray:
     """Nearest-cell index for feature values, which must lie in [0, 1].
 
-    The one range test also rejects NaN and both infinities, which would
-    otherwise become wrong indices (a negative one wraps in `take`).
+    The one min/max range test also rejects NaN and both infinities, which
+    would otherwise become wrong indices (a negative one wraps around the grid).
     """
-    if not ((values >= 0.0) & (values <= 1.0)).all():
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError("features must lie in [0, 1]")
-    idx = (values * resolution).astype(np.int64)
-    return np.minimum(idx, resolution - 1)
+    idx = np.multiply(values, resolution, out=np.empty(values.shape, np.int64), casting="unsafe")
+    return np.minimum(idx, resolution - 1, out=idx)
 
 
 def _lookup(grid: PosteriorGrid, p: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -245,7 +248,7 @@ def _lookup(grid: PosteriorGrid, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     if p.shape != h.shape:
         raise ValueError(f"p and h must have one shape, got {p.shape} and {h.shape}")
     res = grid.resolution
-    return grid.cells.ravel().take(_cell_index(p, res) * res + _cell_index(h, res))
+    return grid.cells[_cell_index(p, res), _cell_index(h, res)]
 
 
 def score_bins(p: np.ndarray, h: np.ndarray, grid: PosteriorGrid) -> np.ndarray:

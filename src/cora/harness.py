@@ -146,9 +146,9 @@ def simulate_frame(
     the interferers of all streams are two gathers (`build_frame`). A
     faded chunk then takes two `apply_fading` calls, one over all targets
     and one over all interferers with each stream's generator repeated per
-    slot; each stream's draws still come in the order above. Last, frame
-    by frame, its noise fills one (2, L) buffer and `collide` adds its
-    interferers and noise to it in place, as `compose_collision` would.
+    slot; each stream's draws still come in the order above. Last, each
+    stream draws its noise into its row of one (F, 2, L) buffer and one
+    `collide` call adds all interferers and noise, as `compose_collision` would.
 
     Returns the samples (F, L), the target payloads (F, S), and per frame
     its interferers as (offset_samples, gain_db) pairs.
@@ -180,11 +180,10 @@ def simulate_frame(
         if sc.n_interferers:
             slots = [rng for rng in streams for _ in range(sc.n_interferers)]
             others = apply_fading(others.reshape(-1), fs, profile, slots).reshape(others.shape)
-    noise = np.empty((2, total))
+    noise = np.empty((len(streams), 2, total))
     for row, rng in enumerate(streams):
-        rng.standard_normal(out=noise)
-        collide(samples[row], others[row], placements[row], sc.snr_db, noise)
-    return samples, payloads[:, 0], placements
+        rng.standard_normal(out=noise[row])
+    return collide(samples, others, placements, sc.snr_db, noise), payloads[:, 0], placements
 
 
 def expected_peak_from_preamble(samples: np.ndarray, cfg: ExperimentConfig) -> float | np.ndarray:
@@ -269,12 +268,13 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     """Run a seeded campaign and aggregate SER, PRR, and throughput.
 
     Frame k is item k of a `map_chunks` run seeded with `cfg.seed`. The
-    chunks run on threads, since numpy releases the GIL for their noise
-    draws, gathers, FFTs and products. `simulate_frame` builds a chunk
-    as one (F, L) array and `demodulate_frame` decodes it as one (F, K,
-    N) array, so results depend neither on the chunk size nor on the
-    thread. Each frame still costs its own generator and its full-length
-    normal draw of I and Q, which no batching removes.
+    chunks run on threads: on two, numpy calls on whole chunks and each
+    frame's full-length noise draw overlap, per-frame calls on L-sample
+    arrays do not. `simulate_frame` builds a chunk as one (F, L) array in
+    whole-chunk calls and `demodulate_frame` decodes it as one (F, K, N)
+    array, so results depend neither on the chunk size nor on the thread.
+    Each frame still costs its own generator and its full-length normal
+    draw of I and Q, which no batching removes.
 
     Stage timings are reported as 0.0 here so result files are
     byte-stable across machines; `bench_stages` is the timing path.

@@ -23,6 +23,7 @@ from cora import (
     baseline_detect,
     build_frame,
     clipped_tone,
+    collide,
     compose_collision,
     dechirp,
     etu_like_profile,
@@ -250,6 +251,66 @@ class TestComposeCollision:
         a = compose_collision(target, interferers, 5.0, np.random.default_rng(77))
         b = compose_collision(target, interferers, 5.0, np.random.default_rng(77))
         npt.assert_array_equal(a, b)
+
+
+@st.composite
+def collision_chunks(draw):
+    """F = 1-5 targets of one length with interferers, placements, SNR and row seeds.
+
+    Targets are faded or not, scaled to non-unit powers, and hold signed
+    zeros; offsets include 0 and L - 1, gains -inf dB, SNR +inf dB.
+    """
+    rows = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 300))
+    n_intf = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
+    zeros = rng.random(length) < 0.1
+    zeros[0] = False  # every row keeps some power
+    targets[:, zeros] = complex(-0.0, -0.0)
+    targets *= 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    for row in range(rows):
+        if draw(st.booleans()):
+            targets[row] = apply_fading(targets[row], FS, etu_like_profile(), rng)
+    frames = rng.standard_normal((rows, n_intf, draw(st.integers(1, 2 * length))))
+    offsets = st.sampled_from([0, length - 1]) | st.integers(0, length - 1)
+    gains = st.just(-math.inf) | st.floats(-40.0, 40.0)
+    placements = [[(draw(offsets), draw(gains)) for _ in range(n_intf)] for _ in range(rows)]
+    snr_db = draw(st.just(math.inf) | st.floats(-20.0, 60.0))
+    seeds = draw(st.lists(st.integers(0, 99), min_size=rows, max_size=rows))
+    return targets, frames, placements, snr_db, seeds
+
+
+class TestChunkCollide:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case=collision_chunks())
+    def test_chunk_is_row_by_row_compose_collision(self, case):
+        # one chunk call against F one-frame calls, each row's noise from its own seed
+        targets, frames, placements, snr_db, seeds = case
+        length = targets.shape[1]
+        noise = np.stack([np.random.default_rng(s).standard_normal((2, length)) for s in seeds])
+        chunk = collide(targets.copy(), frames, placements, snr_db, noise)
+        rows = np.stack([
+            compose_collision(
+                target,
+                [(frame, gain_db, offset) for frame, (offset, gain_db) in zip(row_frames, placed)],
+                snr_db,
+                np.random.default_rng(seed),
+            )
+            for target, row_frames, placed, seed in zip(targets, frames, placements, seeds)
+        ])
+        assert chunk.tobytes() == rows.tobytes()
+        signs = [np.signbit(x.view(np.float64)) for x in (chunk, rows)]
+        npt.assert_array_equal(*signs)
+
+    def test_zero_power_row_raises(self):
+        targets = np.ones((3, 16), dtype=np.complex128)
+        targets[1] = complex(-0.0, 0.0)
+        noise = np.random.default_rng(0).standard_normal((3, 2, 16))
+        with pytest.raises(ValueError, match="target frame has zero power"):
+            collide(targets, np.empty((3, 0, 16)), [[], [], []], 10.0, noise)
+        with pytest.raises(ValueError, match="target frame has zero power"):
+            compose_collision(targets[1], [], 10.0, np.random.default_rng(0))
 
 
 def reference_fading(x, fs, profile, rng):
