@@ -231,41 +231,47 @@ def fields_from_text(cls, text: dict[str, str]) -> dict:
 
 
 def _scaled_noise(
-    re: np.ndarray, im: np.ndarray, power: float | np.ndarray, snr_db: float
+    re: np.ndarray, im: np.ndarray, power: float | np.ndarray, snr_db: float, out=None
 ) -> np.ndarray:
-    """Complex noise `snr_db` below `power` (a float or (F, 1) array) from normal I and Q parts."""
+    """Complex noise `snr_db` below `power` (a float or (F, 1) array) from I and Q, in `out`."""
     variance = np.divide(power, 10.0 ** (snr_db / 10.0))
     scale = np.sqrt(variance / 2.0, out=np.zeros_like(variance), where=variance > 0)
-    noise = np.multiply(1j, im)
+    noise = np.multiply(1j, im, out=out)
     return np.multiply(scale, np.add(re, noise, out=noise), out=noise)
 
 
 def collide(
-    out: np.ndarray,
+    targets: np.ndarray,
     frames: Sequence[Sequence[np.ndarray]],
     placements: list[list[tuple[int, float]]],
     snr_db: float,
     noise: np.ndarray,
+    spare: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Add interferers and noise to F target frames `out` (F, L), in place.
+    """Add interferers and noise to F target frames `targets` (F, L), in place or into `out`.
 
     Row f's interferer `frames[f][i]` is scaled by `placements[f][i]` =
     (offset, gain_db), offset in [0, L), and added from sample `offset` on;
     its samples beyond the target's last one are dropped. `noise` holds
     standard normal I and Q parts as (F, 2, L), each row's scaled to sit
-    `snr_db` below its own target's power. Only the interferer slices go row by
-    row: numpy calls on whole chunks overlap on two threads, per-row calls
-    on L-sample arrays do not. Returns `out`.
+    `snr_db` below its own target's power. The interferers go into `targets`
+    in place, the complex noise into `spare` (a dead (F, L) complex128
+    buffer, such as rows of `frames`, added first) or a new array, and the
+    noisy frames, returned, into `out` (it may hold the draws) or `targets`.
+    Only the interferer slices go row by row: numpy calls on whole chunks
+    overlap on two threads, per-row calls on L-sample arrays do not.
     """
-    power = np.mean(np.abs(out) ** 2, axis=-1)
+    power = np.abs(targets)
+    power = np.mean(np.square(power, out=power), axis=-1)
     if not power.all():
         raise ValueError("target frame has zero power")
     for row, placed in enumerate(placements):
         for frame, (start, gain_db) in zip(frames[row], placed):
-            stop = min(start + len(frame), out.shape[-1])
-            out[row, start:stop] += 10.0 ** (gain_db / 20.0) * frame[: stop - start]
-    out += _scaled_noise(noise[:, 0], noise[:, 1], power[:, None], snr_db)
-    return out
+            stop = min(start + len(frame), targets.shape[-1])
+            targets[row, start:stop] += 10.0 ** (gain_db / 20.0) * frame[: stop - start]
+    scaled = _scaled_noise(noise[:, 0], noise[:, 1], power[:, None], snr_db, spare)
+    return np.add(targets, scaled, out=targets if out is None else out)
 
 
 def compose_collision(

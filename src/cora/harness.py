@@ -30,7 +30,7 @@ from cora.channel import (
 )
 from cora.detector import (
     PosteriorGrid,
-    detect_symbol,
+    classify,
     hpd,
     map_chunks,
     pmd,
@@ -142,13 +142,15 @@ def simulate_frame(
     per interferer its payload, SIR and offset; fading of the target, then
     of each interferer; then the I and Q noise. This order is part of the
     determinism contract, so a frame's channel depends only on its stream,
-    never on the detector or on how frames are chunked. The targets and
-    the interferers of all streams are two gathers (`build_frame`). A
-    faded chunk then takes two `apply_fading` calls, one over all targets
-    and one over all interferers with each stream's generator repeated per
-    slot; each stream's draws still come in the order above. Last, each
-    stream draws its noise into its row of one (F, 2, L) buffer and one
-    `collide` call adds all interferers and noise, as `compose_collision` would.
+    never on the detector or on how frames are chunked. All targets and
+    interferers are one (1 + I, F, L) `build_frame` block; a faded chunk
+    fades its targets in one `apply_fading` call, its interferers in a
+    second. One `collide` call adds all interferers and noise, as
+    `compose_collision` would, in dead rows: the noise draws take a new
+    (F, L) unit unless faded, else the block's last row (the faded targets
+    wait in its first while interferers fade), the complex noise the first
+    interferer rows (new without them), the noisy frames the new unit, so
+    that an unfaded block is freed on return, or else the targets' rows.
 
     Returns the samples (F, L), the target payloads (F, S), and per frame
     its interferers as (offset_samples, gain_db) pairs.
@@ -157,13 +159,13 @@ def simulate_frame(
     sc = cfg.scenario
     n_symbols = cfg.symbols_per_frame
     total = frame_length(n_symbols, cfg.preamble_len, phy)
-    payloads = np.empty((len(streams), 1 + sc.n_interferers, n_symbols), dtype=np.int64)
+    payloads = np.empty((1 + sc.n_interferers, len(streams), n_symbols), dtype=np.int64)
     placements = []
     for row, rng in enumerate(streams):
-        payloads[row, 0] = rng.integers(0, phy.n, n_symbols)
+        payloads[0, row] = rng.integers(0, phy.n, n_symbols)
         placed = []
         for slot in range(1, 1 + sc.n_interferers):
-            payloads[row, slot] = rng.integers(0, phy.n, n_symbols)
+            payloads[slot, row] = rng.integers(0, phy.n, n_symbols)
             sir = float(rng.uniform(*sc.sir_db))
             if sc.offset_mode == "random":
                 offset = int(rng.integers(total))
@@ -172,18 +174,24 @@ def simulate_frame(
             placed.append((offset, -sir))
         placements.append(placed)
 
-    samples = build_frame(payloads[:, 0], cfg.preamble_len, phy)
-    others = build_frame(payloads[:, 1:], cfg.preamble_len, phy)
-    if sc.fading_profile is not None:
+    frames = build_frame(payloads, cfg.preamble_len, phy)
+    samples, others = frames[0], frames[1:]
+    if sc.fading_profile is None:
+        draws = out = np.empty_like(samples)
+    else:
         fs, profile = phy.sample_rate_hz, sc.fading_profile
-        samples = apply_fading(samples.reshape(-1), fs, profile, streams).reshape(samples.shape)
+        faded = apply_fading(samples.reshape(-1), fs, profile, streams).reshape(samples.shape)
         if sc.n_interferers:
-            slots = [rng for rng in streams for _ in range(sc.n_interferers)]
+            samples[...], faded = faded, samples  # no unit of their own while interferers fade
+            slots = [rng for _ in range(sc.n_interferers) for rng in streams]
             others = apply_fading(others.reshape(-1), fs, profile, slots).reshape(others.shape)
-    noise = np.empty((len(streams), 2, total))
+        samples, draws, out = faded, frames[-1], None
+    noise = draws.view(np.float64).reshape(len(streams), 2, total)
     for row, rng in enumerate(streams):
         rng.standard_normal(out=noise[row])
-    return collide(samples, others, placements, sc.snr_db, noise), payloads[:, 0], placements
+    spare = others[0] if sc.n_interferers else None
+    samples = collide(samples, others.transpose(1, 0, 2), placements, sc.snr_db, noise, spare, out)
+    return samples, payloads[0], placements
 
 
 def expected_peak_from_preamble(samples: np.ndarray, cfg: ExperimentConfig) -> float | np.ndarray:
@@ -218,7 +226,7 @@ def receive(
     inside the stream and, for cora, a stream shorter than its
     `preamble_len` preamble windows. Returns the detected bins and their
     scores, (K,) or (F, K): the peak magnitude for the baseline, the
-    history-damped posterior for cora.
+    history-damped posterior for cora, which keeps its windows only until h and p exist.
     """
     starts = np.asarray(starts)
     if starts.ndim != 1 or starts.size and not np.issubdtype(starts.dtype, np.integer):
@@ -246,7 +254,9 @@ def receive(
         bins = baseline_detect(window.magnitudes)
         return bins, np.take_along_axis(window.magnitudes, bins[..., None], axis=-1)[..., 0]
     expected_peak = np.reshape(expected_peak_from_preamble(samples, cfg), lead + (1, 1))
-    return detect_symbol(window, expected_peak, cfg.grid)
+    h, p = hpd(window), pmd(window.magnitudes, expected_peak)
+    del window
+    return classify(p, h, cfg.grid)
 
 
 def demodulate_frame(

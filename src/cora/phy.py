@@ -153,7 +153,10 @@ def build_frame(
     body = payloads.shape[-1] * params.n
     frames = np.empty(lead + (header.size + body,), dtype=np.complex128)
     frames[..., : header.size] = header
-    frames[..., header.size :] = modulate_symbol(payloads, params).reshape(lead + (body,))
+    # one gather per stack of the last leading axis, so its temporary is one stack's
+    for index in np.ndindex(lead[:-1]):
+        symbols = modulate_symbol(payloads[index], params)
+        frames[index][..., header.size :] = symbols.reshape(symbols.shape[:-2] + (body,))
     return frames
 
 

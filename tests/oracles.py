@@ -107,14 +107,43 @@ def grouped_fading(x, fs, profile, rng) -> tuple[np.ndarray, list[int]]:
     return out, widths
 
 
+def per_frame_samples(cfg, rng):
+    """One campaign frame from its own generator: build_frame, apply_fading, compose_collision.
+
+    The draws come in the campaign's order: payload; per interferer its
+    payload, SIR and offset; fading of the target, then of each
+    interferer; then the noise. Returns the samples and the payload.
+    """
+    phy = cfg.phy
+    sc = cfg.scenario
+    payload = rng.integers(0, phy.n, cfg.symbols_per_frame)
+    target = build_frame(payload, cfg.preamble_len, phy)
+    total = target.size
+    interferers = []
+    for _ in range(sc.n_interferers):
+        frame = build_frame(rng.integers(0, phy.n, cfg.symbols_per_frame), cfg.preamble_len, phy)
+        sir = float(rng.uniform(*sc.sir_db))
+        if sc.offset_mode == "random":
+            offset = int(rng.integers(total))
+        else:
+            offset = min(sc.offset_samples, total - 1)
+        interferers.append((frame, -sir, offset))
+    if sc.fading_profile is not None:
+        fs = phy.sample_rate_hz
+        target = apply_fading(target, fs, sc.fading_profile, rng)
+        interferers = [
+            (apply_fading(frame, fs, sc.fading_profile, rng), gain_db, offset)
+            for frame, gain_db, offset in interferers
+        ]
+    return compose_collision(target, interferers, sc.snr_db, rng), payload
+
+
 def per_frame_campaign(cfg):
-    """A campaign one frame at a time: build_frame, compose_collision, receive.
+    """A campaign one frame at a time: `per_frame_samples`, then receive.
 
     Each frame draws from its own substream spawned from the experiment
-    seed, in the campaign's draw order: payload; per interferer its
-    payload, SIR and offset; fading of the target, then of each
-    interferer; then the noise. Returns the detected bins and scores, one
-    row per frame, and the campaign's record.
+    seed. Returns the detected bins and scores, one row per frame, and the
+    campaign's record.
     """
     phy = cfg.phy
     sc = cfg.scenario
@@ -124,27 +153,7 @@ def per_frame_campaign(cfg):
     symbol_errors = 0
     frames_ok = 0
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_frames):
-        rng = np.random.default_rng(child)
-        payload = rng.integers(0, n, cfg.symbols_per_frame)
-        target = build_frame(payload, cfg.preamble_len, phy)
-        total = target.size
-        interferers = []
-        for _ in range(sc.n_interferers):
-            frame = build_frame(rng.integers(0, n, cfg.symbols_per_frame), cfg.preamble_len, phy)
-            sir = float(rng.uniform(*sc.sir_db))
-            if sc.offset_mode == "random":
-                offset = int(rng.integers(total))
-            else:
-                offset = min(sc.offset_samples, total - 1)
-            interferers.append((frame, -sir, offset))
-        if sc.fading_profile is not None:
-            fs = phy.sample_rate_hz
-            target = apply_fading(target, fs, sc.fading_profile, rng)
-            interferers = [
-                (apply_fading(frame, fs, sc.fading_profile, rng), gain_db, offset)
-                for frame, gain_db, offset in interferers
-            ]
-        samples = compose_collision(target, interferers, sc.snr_db, rng)
+        samples, payload = per_frame_samples(cfg, np.random.default_rng(child))
         detected, score = receive(samples, starts, cfg)
         bins.append(detected)
         scores.append(score)

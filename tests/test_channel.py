@@ -281,6 +281,24 @@ def collision_chunks(draw):
     return targets, frames, placements, snr_db, seeds
 
 
+@st.composite
+def campaign_chunks(draw):
+    """Targets as `collision_chunks` draws them, with 0-3 complex128
+    interferer rows of their length stacked slot by slot, (I, F, L), as a
+    campaign chunk holds them."""
+    targets, _, _, snr_db, seeds = draw(collision_chunks())
+    rows, length = targets.shape
+    n_intf = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    others = rng.standard_normal((n_intf, rows, length)) + 1j * rng.standard_normal(
+        (n_intf, rows, length)
+    )
+    offsets = st.sampled_from([0, length - 1]) | st.integers(0, length - 1)
+    gains = st.just(-math.inf) | st.floats(-40.0, 40.0)
+    placements = [[(draw(offsets), draw(gains)) for _ in range(n_intf)] for _ in range(rows)]
+    return targets, others, placements, snr_db, seeds
+
+
 class TestChunkCollide:
     @settings(max_examples=150, deadline=None, database=None)
     @given(case=collision_chunks())
@@ -302,6 +320,38 @@ class TestChunkCollide:
         assert chunk.tobytes() == rows.tobytes()
         signs = [np.signbit(x.view(np.float64)) for x in (chunk, rows)]
         npt.assert_array_equal(*signs)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case=campaign_chunks(), over_draws=st.booleans())
+    def test_dead_buffers_keep_every_byte(self, case, over_draws):
+        # buffers as a campaign reuses them: the draws in a dead complex
+        # buffer, the complex noise in the first interferer rows (without
+        # interferers, in a second dead buffer), the noisy frames over the
+        # draws or in place
+        targets, others, placements, snr_db, seeds = case
+        # the references first: the chunk call overwrites the first interferer rows
+        alone = np.stack([
+            compose_collision(
+                target,
+                [(frame, gain_db, offset) for frame, (offset, gain_db) in zip(row_frames, placed)],
+                snr_db,
+                np.random.default_rng(seed),
+            )
+            for target, row_frames, placed, seed in zip(
+                targets, others.transpose(1, 0, 2), placements, seeds
+            )
+        ])
+        rows, length = targets.shape
+        dead = np.full((2, rows, length), complex(math.nan, -0.0))
+        noise = dead[0].view(np.float64).reshape(rows, 2, length)
+        for row, seed in enumerate(seeds):
+            np.random.default_rng(seed).standard_normal(out=noise[row])
+        spare = others[0] if len(others) else dead[1]
+        out = dead[0] if over_draws else None
+        chunk = collide(targets.copy(), others.transpose(1, 0, 2), placements, snr_db, noise, spare, out)
+        assert np.shares_memory(chunk, dead[0]) == over_draws
+        assert chunk.tobytes() == alone.tobytes()
+        npt.assert_array_equal(*(np.signbit(x.view(np.float64)) for x in (chunk, alone)))
 
     def test_zero_power_row_raises(self):
         targets = np.ones((3, 16), dtype=np.complex128)

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -34,7 +35,7 @@ from cora import phy as phy_module
 from cora.detector import CHUNK_SAMPLES
 from cora.harness import expected_peak_from_preamble
 from cora.phy import frame_length, payload_start
-from oracles import per_frame_campaign
+from oracles import per_frame_campaign, per_frame_samples
 
 PHY8 = PhyParams(sf=8)
 
@@ -383,6 +384,91 @@ class TestChunkedCampaign:
         write_csv([record], tmp_path / "chunked.csv")
         write_csv([ref_record], tmp_path / "per-frame.csv")
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per-frame.csv").read_bytes()
+
+
+# Chunks whose buffers `simulate_frame` reuses in different ways: a new
+# draw buffer (unfaded), the dead unfaded targets (faded, alone) or the
+# dead unfaded interferers (faded, with interferers) hold the noise draws,
+# and the first interferer rows, faded or not, the complex noise.
+SIMULATE_CASES = {
+    "clean": ScenarioSpec(snr_db=10.0),
+    "collision": ScenarioSpec(snr_db=10.0, n_interferers=1, sir_db=(-6.0, 0.0)),
+    "noiseless-2-interferers": ScenarioSpec(n_interferers=2, sir_db=(0.0, 3.0)),
+    "faded": ScenarioSpec(snr_db=5.0, fading_profile=etu_like_profile()),
+    "faded-noiseless": ScenarioSpec(fading_profile=etu_like_profile()),
+    "faded-2-interferers": ScenarioSpec(
+        snr_db=5.0, n_interferers=2, sir_db=(-6.0, 6.0), fading_profile=etu_like_profile()
+    ),
+}
+
+
+class TestSimulateFrame:
+    @pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+    def test_chunk_rows_are_frames_built_alone(self, case):
+        # every row keeps the bytes and signed zeros of its frame built alone
+        cfg = quick_cfg(phy=PhyParams(sf=7), scenario=SIMULATE_CASES[case], symbols_per_frame=4)
+        streams = [np.random.default_rng(seed) for seed in range(5)]
+        samples, truth, _ = simulate_frame(cfg, streams)
+        rows, payloads = zip(*(per_frame_samples(cfg, np.random.default_rng(s)) for s in range(5)))
+        alone = np.stack(rows)
+        assert samples.tobytes() == alone.tobytes()
+        npt.assert_array_equal(*(np.signbit(x.view(np.float64)) for x in (samples, alone)))
+        npt.assert_array_equal(truth, np.stack(payloads))
+
+
+class TestChunkMemory:
+    """Peak memory of one 7-frame SF8 campaign chunk, in units of one (F, L)
+    complex128 array (F * L * 16 = 924,672 bytes).
+
+    numpy reports its buffers to tracemalloc. Each peak is read on a second
+    call, once the first has filled the caches (frame header, fading plan,
+    power tables). Each bound is this design's reading plus 0.15 units,
+    about one numpy ufunc buffer of 8,192 complex values.
+    """
+
+    COLLISION = ScenarioSpec(snr_db=10.0, n_interferers=1, sir_db=(-6.0, 0.0))
+
+    @staticmethod
+    def peak_units(fn) -> float:
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (7 * frame_length(20, 8, PHY8) * 16)
+
+    def chunk(self, cfg):
+        assert _chunk_frames(cfg) == 7
+        return lambda: simulate_frame(cfg, [np.random.default_rng(seed) for seed in range(7)])
+
+    def test_collision_chunk(self):
+        # the targets and interferers (2), the draws (1), |targets| (0.5);
+        # the interferer rows hold the complex noise once added. 4.15 when
+        # the noise took a new unit and |targets| ** 2 a second half unit.
+        assert self.peak_units(self.chunk(quick_cfg(scenario=self.COLLISION))) < 3.66
+
+    def test_faded_chunk(self):
+        # the faded targets (1), the dead unfaded ones holding the draws (1)
+        # and the complex noise (1), which no byte-exact form builds in less
+        sc = ScenarioSpec(snr_db=5.0, fading_profile=etu_like_profile())
+        assert self.peak_units(self.chunk(quick_cfg(scenario=sc))) < 3.30
+
+    def test_faded_chunk_with_interferers(self):
+        # while the interferers fade: all frames (3), their faded copies (2)
+        # and the fading's own arrays; the faded targets wait in the rows of
+        # the unfaded ones rather than in a unit of their own (7.18)
+        sc = ScenarioSpec(snr_db=5.0, n_interferers=2, fading_profile=etu_like_profile())
+        assert self.peak_units(self.chunk(quick_cfg(scenario=sc))) < 6.32
+
+    def test_cora_receive(self, detector_grid):
+        # the dechirped window (0.93) and the masked transform and its FFT
+        # (1.24); the window is dropped before the grid lookup. 2.49 when
+        # it lived on through the lookup's index and posterior arrays.
+        samples = self.chunk(quick_cfg(scenario=self.COLLISION))()[0]
+        cfg = quick_cfg("cora", detector_grid)
+        assert self.peak_units(lambda: harness.demodulate_frame(samples, cfg)) < 2.32
 
 
 class TestCampaignPool:

@@ -209,6 +209,23 @@ class TestFrame:
         npt.assert_array_equal(frame[head + n : head + 2 * n], down)
         npt.assert_array_equal(frame[head + 2 * n : head + 2 * n + n // 4], down[: n // 4])
 
+    # the upchirps are gathered one stack of the last leading axis at a time
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 0, 4), (2, 1, 2, 4)])
+    def test_leading_axes_hold_frames_built_alone(self, shape):
+        p = PhyParams(sf=7)
+        payloads = np.random.default_rng(0).integers(0, p.n, shape)
+        frames = build_frame(payloads, 8, p)
+        assert frames.shape == shape[:-1] + (frame_length(shape[-1], 8, p),)
+        for index in np.ndindex(shape[:-1]):
+            npt.assert_array_equal(frames[index], build_frame(payloads[index], 8, p))
+
+    def test_bad_symbol_in_a_later_stack_rejected(self):
+        p = PhyParams(sf=7)
+        payloads = np.zeros((2, 3, 4), dtype=np.int64)
+        payloads[1, 2, 3] = p.n
+        with pytest.raises(ValueError, match=r"must lie in \[0, 128\)"):
+            build_frame(payloads, 8, p)
+
     def test_rejects_bad_payloads(self):
         p = PhyParams(sf=7)
         with pytest.raises(ValueError):
