@@ -5,13 +5,16 @@ frame-on-frame collisions with AWGN calibrated to the target frame's
 power, and the dechirped-domain symbol generator used to train the
 collision classifier.
 Next to `TrainConfig` sits the one text codec of grid, IQ, sidecar and CSV
-files: `format_value` writes each value, `parse_tokens` reads `key=value` tokens.
+files: `format_value` writes each value, `parse_tokens` reads `key=value` tokens,
+and `write_file` writes each file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import math
+import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -201,6 +204,21 @@ def format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(map(format_value, value))
     return str(value)
+
+
+def write_file(path, data: bytes) -> None:
+    """Write `data` to `path`, following symlinks, as a new file where a regular one stands.
+
+    That file is unlinked, not truncated (on ext4 that can stall for tens of ms), so a hard
+    link's other names keep the old bytes. A FIFO, a device or a file that cannot be
+    unlinked is truncated in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.isfile(target):
+        with contextlib.suppress(OSError):
+            os.unlink(target)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def parse_tokens(tokens: list[str], kinds: Mapping[str, str], required: bool = True) -> dict:
@@ -459,9 +477,14 @@ def apply_fading(
 def _tone(amplitude, omega, phase, k, n: int) -> np.ndarray:
     """amplitude * exp(1j * (omega * k / n + phase)): `omega` in radians per window.
 
-    Every argument broadcasts, so one call builds a (K, N) batch of tones.
+    `omega * k` has the tones' shape, such as (K, N) for a batch, and the
+    other arguments broadcast against it; each step after it works in place.
     """
-    return amplitude * np.exp(1j * (omega * k / n + phase))
+    x = omega * k
+    x /= n
+    x += phase
+    tone = np.multiply(1j, x)
+    return np.multiply(np.exp(tone, out=tone), amplitude, out=tone)
 
 
 def clipped_tone(
@@ -533,7 +556,7 @@ def gen_training_symbol(
             power_db = low_db + (high_db - low_db) * rng.random()
             boundary = rng.integers(n)
             dev = -f + 2.0 * f * rng.random()
-            bins = rng.integers(n, size=2).tolist()
+            bins = rng.integers(n), rng.integers(n)  # as integers(n, size=2), faster
             phases = (two_pi * rng.random(2)).tolist()
             # Python's float power, as one window alone computes it: numpy's
             # vectorised power rounds about 5% of these amplitudes differently.

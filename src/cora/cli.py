@@ -25,6 +25,7 @@ from cora.channel import (
     parse_tokens,
     parse_value,
     text_keys,
+    write_file,
 )
 from cora.detector import (
     PosteriorGrid,
@@ -152,7 +153,7 @@ def _cora_grid(cfg: dict[str, str]) -> PosteriorGrid:
 def write_iq(path: str | Path, samples: np.ndarray, fs: float) -> None:
     """Write `CORA-IQ v1` header plus interleaved little-endian float32 I/Q."""
     header = f"{IQ_MAGIC} fs={format_value(fs)} n={samples.size}\n"
-    Path(path).write_bytes(header.encode("ascii") + samples.astype("<c8").tobytes())
+    write_file(path, header.encode("ascii") + samples.astype("<c8").tobytes())
 
 
 def read_iq(path: str | Path) -> tuple[np.ndarray, float]:
@@ -197,7 +198,7 @@ def write_sidecar(
     lines = [f"# interferer offset={o} gain_db={format_value(g)}" for o, g in interferers]
     lines.append("window_start,true_bin")
     lines.extend(f"{s},{b}" for s, b in zip(window_starts, true_bins))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_sidecar(path: str | Path) -> tuple[list[tuple[int, int]], list[tuple[int, float]]]:

@@ -17,6 +17,7 @@ in chunks and holds their one seeding rule.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -26,7 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from cora.channel import TrainConfig, format_value, gen_training_symbol, parse_tokens, text_keys
+from cora.channel import (
+    TrainConfig,
+    format_value,
+    gen_training_symbol,
+    parse_tokens,
+    text_keys,
+    write_file,
+)
 from cora.phy import SymbolWindow, baseline_detect
 
 # A training run must keep at least this many baseline-misclassified
@@ -80,10 +88,62 @@ def _exit_with_parent(parent: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _on_streams(fn, seed: int, first: int, count: int):
-    """`fn` of the streams of items first .. first + count - 1, built where the chunk runs."""
-    seqs = (np.random.SeedSequence(seed, spawn_key=(k,)) for k in range(first, first + count))
-    return fn([np.random.default_rng(seq) for seq in seqs])
+def _seed_words(seed: int, n_items: int) -> np.ndarray:
+    """Row k: `SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)`, for k < n_items.
+
+    numpy's algorithm on uint32 arrays, which wrap as its words do, and of
+    which only k's has one entry per item: the seed's little-endian words,
+    zero-padded to the pool size of 4, then k (one word: a run that fits in
+    memory has fewer than 2**32 items), are hashed and mixed into the pool,
+    hashed into the state.
+    """
+    seed = int(np.random.SeedSequence(seed).entropy)  # numpy's check: an integer >= 0
+    mask = 0xFFFFFFFF
+    words = [np.array([seed >> s & mask], np.uint32) for s in range(0, seed.bit_length() or 1, 32)]
+    words += [np.zeros(1, np.uint32)] * (4 - len(words)) + [np.arange(n_items, dtype=np.uint32)]
+
+    def hashmix(value, chain):  # chain: [hash constant, its multiplier], advanced in place
+        value = value ^ chain[0]
+        chain[0] = chain[0] * chain[1] & mask
+        value *= chain[0]
+        return value ^ value >> 16
+
+    def mix_in(dst, word):  # numpy's mix of pool word dst with the hash of `word`
+        out = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(word, chain)
+        pool[dst] = out ^ out >> 16
+
+    chain = [0x43B0D7E5, 0x931E8875]
+    pool = [hashmix(word, chain) for word in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        mix_in(dst, pool[src])
+    for word, dst in itertools.product(words[4:], range(4)):
+        mix_in(dst, word)
+    chain, state = [0x8B51F9DD, 0x58F38DED], np.empty((n_items, 8), "<u4")
+    for i in range(8):
+        state[:, i] = hashmix(pool[i % 4], chain)
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+class _ItemSeed(np.random.bit_generator.ISeedSequence):
+    """Item k's `SeedSequence(entropy, spawn_key=(k,))`, holding its `_seed_words` row."""
+
+    def __init__(self, entropy: int, k: int, words: np.ndarray):
+        self.entropy, self.spawn_key, self._words = entropy, (k,), words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:  # PCG64's request
+            return self._words
+        seq = np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key)
+        return seq.generate_state(n_words, dtype)
+
+
+def _on_streams(fn, seed: int, first: int, words: np.ndarray):
+    """`fn` of the streams of items first, first + 1, ..., from their rows of `_seed_words`.
+
+    Item k's stream is `default_rng(SeedSequence(seed, spawn_key=(k,)))`, bit for bit.
+    """
+    seqs = (_ItemSeed(seed, k, row) for k, row in enumerate(words, first))
+    return fn([np.random.Generator(np.random.PCG64(seq)) for seq in seqs])
 
 
 def map_chunks(
@@ -92,9 +152,10 @@ def map_chunks(
     """`fn(streams)` over the `n_items` items of the run seeded with `seed`, chunk by chunk.
 
     The one seeding rule: item k draws from `default_rng` of child k of
-    `SeedSequence(seed)`, which is `SeedSequence(seed, spawn_key=(k,))`,
-    so a chunk of max(1, CHUNK_SAMPLES // item_samples) items builds its
-    streams where it runs. Chunks run on `_worker_count` threads, or with
+    `SeedSequence(seed)`, which is `SeedSequence(seed, spawn_key=(k,))`.
+    One `_seed_words` pass here hashes every item's PCG64 words, and a
+    chunk of max(1, CHUNK_SAMPLES // item_samples) items gets its rows and
+    builds its streams where it runs. Chunks run on `_worker_count` threads, or with
     `fork` on forked processes that exit if this one dies; with one
     worker, or where `_can_fork` refuses, in this process. The first chunk
     to fail, in chunk order, raises here and cancels the chunks not yet
@@ -103,11 +164,12 @@ def map_chunks(
     """
     per_chunk = max(1, CHUNK_SAMPLES // item_samples)
     firsts = range(0, n_items, per_chunk)
-    counts = [min(per_chunk, n_items - first) for first in firsts]
+    words = _seed_words(seed, n_items)
+    rows = [words[first : first + per_chunk] for first in firsts]
     run = partial(_on_streams, fn, seed)
     workers = _worker_count(len(firsts))
     if workers < 2 or (fork and not _can_fork()):
-        return list(map(run, firsts, counts)), 0
+        return list(map(run, firsts, rows)), 0
     if fork:
         import numpy.random  # noqa: F401  loaded once here, for the forked workers to share
         from concurrent.futures import ProcessPoolExecutor
@@ -119,7 +181,7 @@ def map_chunks(
 
         pool = ThreadPoolExecutor(workers)
     with pool:
-        return list(pool.map(run, firsts, counts)), workers
+        return list(pool.map(run, firsts, rows)), workers
 
 
 class TrainingError(RuntimeError):
@@ -453,7 +515,7 @@ def save_grid(grid: PosteriorGrid, destination: str | Path) -> None:
         " ".join(f"{key}={format_value(value)}" for key, value in asdict(grid.config).items()),
     ]
     text = "".join(line + "\n" for line in header).encode("utf-8")
-    Path(destination).write_bytes(text + grid.cells.astype("<f8").tobytes())
+    write_file(destination, text + grid.cells.astype("<f8").tobytes())
 
 
 def load_grid(source: str | Path) -> PosteriorGrid:

@@ -27,6 +27,7 @@ from cora.channel import (
     apply_fading,
     collide,
     format_value,
+    write_file,
 )
 from cora.detector import (
     PosteriorGrid,
@@ -402,5 +403,4 @@ def write_csv(records: list[MetricsRecord], destination) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
         lines.append(",".join(format_value(getattr(rec, name)) for name in CSV_COLUMNS))
-    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(destination, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -405,3 +405,47 @@ class TestMapChunks:
         # every chunk ran on a worker, none in the calling thread
         assert f"{os.getpid()} {threading.get_ident()}" not in started
         assert multiprocessing.active_children() == []
+
+
+def stream_seeds(streams):
+    """Each stream's seed entropy, spawn key and PCG64 state, as picklable values."""
+    seqs = [g.bit_generator.seed_seq for g in streams]
+    return [(seq.entropy, seq.spawn_key, g.bit_generator.state) for seq, g in zip(seqs, streams)]
+
+
+class TestSeedingRule:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 9]
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["threads", "fork"])
+    def test_streams_are_those_of_seed_sequence_children(self, fork, monkeypatch):
+        """Every stream is `default_rng(SeedSequence(seed, spawn_key=(k,)))`, past item 1,000 too.
+
+        One seed word up to 2**32 - 1, two from 2**32, three past 2**64,
+        and five, more than the pool of four, past 2**128.
+        """
+        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
+        for seed in self.SEEDS:
+            # 100 items per chunk: chunks start at 0, 100, ..., 1,200
+            chunks, workers = map_chunks(stream_seeds, seed, 1250, CHUNK_SAMPLES // 100, fork)
+            assert workers == 2
+            got = [item for chunk in chunks for item in chunk]
+            assert len(got) == 1250
+            for k, (entropy, spawn_key, state) in enumerate(got):
+                ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+                assert (entropy, spawn_key) == (seed, (k,))
+                assert state == ref.bit_generator.state, (seed, k)
+
+    def test_seed_is_checked_as_seed_sequence_checks_it(self):
+        for seed, error in ((-1, ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                map_chunks(stream_seeds, seed, 3, 1)
+        (chunk,), _ = map_chunks(stream_seeds, np.uint64(2**63), 2, 1)
+        ref = np.random.default_rng(np.random.SeedSequence(2**63, spawn_key=(1,)))
+        assert chunk[1] == (2**63, (1,), ref.bit_generator.state)
+
+    def test_other_state_requests_fall_back_to_seed_sequence(self):
+        (seq,), _ = map_chunks(lambda streams: streams[0].bit_generator.seed_seq, 2**32, 1, 1)
+        ref = np.random.SeedSequence(2**32, spawn_key=(0,))
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (3, np.uint32)):
+            want = ref.generate_state(n_words, dtype)
+            npt.assert_array_equal(seq.generate_state(n_words, dtype), want, strict=True)

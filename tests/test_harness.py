@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import os
 import sys
 import threading
 import time
@@ -679,3 +680,26 @@ class TestWriteCsv:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv([], tmp_path / "out.csv")
+
+    def test_symlinked_output_updates_its_target(self, tmp_path):
+        rec = run_experiment(quick_cfg(n_frames=1))
+        write_csv([rec], tmp_path / "plain.csv")
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        write_csv([rec], link)
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_fifo_output_gets_the_csv(self, tmp_path):
+        rec = run_experiment(quick_cfg(n_frames=1))
+        write_csv([rec], tmp_path / "plain.csv")
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_csv([rec], fifo)
+        reader.join(timeout=10)
+        assert fifo.is_fifo()
+        assert got == [(tmp_path / "plain.csv").read_bytes()]
