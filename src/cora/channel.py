@@ -207,16 +207,16 @@ def format_value(value) -> str:
 
 
 def write_file(path, data: bytes) -> None:
-    """Write `data` to `path`, following symlinks, as a new file where a regular one stands.
+    """Write `data` to `path`, as a new file where a regular file this process may write stands.
 
     That file is unlinked, not truncated (on ext4 that can stall for tens of ms), so a hard
-    link's other names keep the old bytes. A FIFO, a device or a file that cannot be
-    unlinked is truncated in place.
+    link's other names keep the old bytes. A symlink, a FIFO, a device, a file this process
+    may not write or one that cannot be unlinked is left to `open`, which truncates it in place
+    or refuses it.
     """
-    target = os.path.realpath(path)
-    if os.path.isfile(target):
+    if os.path.isfile(path) and not os.path.islink(path) and os.access(path, os.W_OK):
         with contextlib.suppress(OSError):
-            os.unlink(target)
+            os.unlink(path)
     with open(path, "wb") as fh:
         fh.write(data)
 

@@ -22,7 +22,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -124,17 +124,33 @@ def _seed_words(seed: int, n_items: int) -> np.ndarray:
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
-class _ItemSeed(np.random.bit_generator.ISeedSequence):
-    """Item k's `SeedSequence(entropy, spawn_key=(k,))`, holding its `_seed_words` row."""
+class _ItemSeed(np.random.bit_generator.ISpawnableSeedSequence):
+    """Item k's `SeedSequence(entropy, spawn_key=(k,))`, holding its `_seed_words` row.
+
+    PCG64's request is answered from the row; everything else (other
+    `generate_state` requests, `spawn`, `pool`, `state`, ...) goes to that
+    `SeedSequence`, built on first use.
+    """
 
     def __init__(self, entropy: int, k: int, words: np.ndarray):
         self.entropy, self.spawn_key, self._words = entropy, (k,), words
 
+    @cached_property
+    def _seq(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key)
+
+    def __getattr__(self, name):
+        if name.startswith("_"):  # copy and pickle probe these before __init__ has run
+            raise AttributeError(name)
+        return getattr(self._seq, name)
+
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == 4 and dtype is np.uint64:  # PCG64's request
             return self._words
-        seq = np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key)
-        return seq.generate_state(n_words, dtype)
+        return self._seq.generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._seq.spawn(n_children)
 
 
 def _on_streams(fn, seed: int, first: int, words: np.ndarray):
@@ -403,7 +419,9 @@ def collect_training_features(cfg: TrainConfig) -> TrainingSamples:
     `_training_chunk` builds a chunk as one (K, N) array with
     `gen_training_symbol`, filters it with the baseline and runs `pmd`
     and `hpd` once on its kept rows. Memory, apart from the harvested
-    pairs, does not grow with `n_symbols`.
+    pairs, grows with `n_symbols` only through the run's seed words in
+    `map_chunks`: 32 bytes per window while the chunks run, 60 while they
+    are hashed, and none once the pairs are concatenated.
     """
     run_chunk = partial(_training_chunk, cfg)
     parts, workers = map_chunks(run_chunk, cfg.seed, cfg.n_symbols, cfg.n_bins, fork=True)

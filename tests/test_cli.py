@@ -9,7 +9,10 @@ with the package's own readers.
 import ast
 import csv
 import inspect
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -392,6 +395,20 @@ class TestEvaluate:
         assert run_cli(["evaluate", "--config", cfg, "--out", str(out_a)], capsys)[0] == 0
         assert run_cli(["evaluate", "--config", cfg, "--out", str(out_b)], capsys)[0] == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_stdout_output_redirected_to_a_file_lands_in_it(self, tmp_path, capsys):
+        """`cora evaluate --out /dev/stdout > out.csv`: the CSV is written into out.csv."""
+        cfg = write_cfg(tmp_path / "e.cfg", "sf=8\nn_frames=2\nseed=5\n")
+        argv = ["evaluate", "--config", cfg, "--out", str(tmp_path / "r.csv")]
+        assert run_cli(argv, capsys)[0] == 0
+        out = tmp_path / "out.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "cora", "evaluate", "--config", cfg, "--out", "/dev/stdout"]
+        with open(out, "wb") as fh:  # as a shell's `>` opens it
+            subprocess.run(argv, stdout=fh, env=env, check=True)
+        # the summary line is printed at stdout's own offset, 0, over the CSV header
+        want = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert out.read_text().splitlines()[-len(want):] == want
 
     def test_fading_run_marks_column(self, tmp_path, capsys):
         cfg = write_cfg(

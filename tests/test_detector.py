@@ -449,3 +449,17 @@ class TestSeedingRule:
         for n_words, dtype in ((4, np.uint32), (8, np.uint64), (3, np.uint32)):
             want = ref.generate_state(n_words, dtype)
             npt.assert_array_equal(seq.generate_state(n_words, dtype), want, strict=True)
+
+    def test_streams_spawn_as_seed_sequence_children_do(self):
+        """`spawn`, `pool`, `state` and the spawn counter are those of the `SeedSequence`."""
+        (streams,), _ = map_chunks(lambda streams: streams, 2**64 + 3, 3, 1)
+        for k, stream in enumerate(streams):
+            ref = np.random.default_rng(np.random.SeedSequence(2**64 + 3, spawn_key=(k,)))
+            seq, ref_seq = stream.bit_generator.seed_seq, ref.bit_generator.seed_seq
+            npt.assert_array_equal(seq.pool, ref_seq.pool, strict=True)
+            got, want = stream.spawn(2), ref.spawn(2)
+            assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in want]
+            got, want = seq.spawn(3), ref_seq.spawn(3)
+            keys = [s.spawn_key for s in got]
+            assert keys == [s.spawn_key for s in want] == [(k, i) for i in (2, 3, 4)]
+            assert seq.n_children_spawned == 5 and seq.state == ref_seq.state

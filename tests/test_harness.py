@@ -691,6 +691,27 @@ class TestWriteCsv:
         assert link.is_symlink() and link.resolve() == target
         assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_output_is_refused(self, tmp_path):
+        rec = run_experiment(quick_cfg(n_frames=1))
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        out.chmod(0o444)
+        with pytest.raises(PermissionError):
+            write_csv([rec], out)
+        assert out.read_text() == "old\n"
+
+    def test_output_it_may_not_write_is_opened_not_unlinked(self, tmp_path, monkeypatch):
+        """Such a file goes to `open` in place, so a hard link to it sees what `open` did."""
+        rec = run_experiment(quick_cfg(n_frames=1))
+        write_csv([rec], tmp_path / "plain.csv")
+        out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+        out.write_text("old\n")
+        other.hardlink_to(out)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        write_csv([rec], out)
+        assert other.read_bytes() == out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_fifo_output_gets_the_csv(self, tmp_path):
         rec = run_experiment(quick_cfg(n_frames=1))
         write_csv([rec], tmp_path / "plain.csv")
