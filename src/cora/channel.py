@@ -125,8 +125,8 @@ class TrainConfig:
         object.__setattr__(
             self, "power_range_db", _finite_range("power_range_db", self.power_range_db)
         )
-        if self.n_bins < 2 or (self.n_bins & (self.n_bins - 1)) != 0:
-            raise ValueError(f"n_bins must be a power of two >= 2, got {self.n_bins}")
+        if not 2 <= self.n_bins <= 2**32 or (self.n_bins & (self.n_bins - 1)) != 0:
+            raise ValueError(f"n_bins must be a power of two in [2, 2**32], got {self.n_bins}")
         if self.n_symbols < 1:
             raise ValueError(f"n_symbols must be >= 1, got {self.n_symbols}")
         if self.max_interferers < 0:
@@ -248,14 +248,18 @@ def fields_from_text(cls, text: dict[str, str]) -> dict:
     return {key: parse_value(kinds[key], key, value) for key, value in text.items() if key in kinds}
 
 
+def _noise_scale(power: float | np.ndarray, snr_db: float) -> np.ndarray:
+    """The factor on standard normal I and Q that puts complex noise `snr_db` below `power`."""
+    variance = np.divide(power, 10.0 ** (snr_db / 10.0))
+    return np.sqrt(variance / 2.0, out=np.zeros_like(variance), where=variance > 0)
+
+
 def _scaled_noise(
     re: np.ndarray, im: np.ndarray, power: float | np.ndarray, snr_db: float, out=None
 ) -> np.ndarray:
     """Complex noise `snr_db` below `power` (a float or (F, 1) array) from I and Q, in `out`."""
-    variance = np.divide(power, 10.0 ** (snr_db / 10.0))
-    scale = np.sqrt(variance / 2.0, out=np.zeros_like(variance), where=variance > 0)
     noise = np.multiply(1j, im, out=out)
-    return np.multiply(scale, np.add(re, noise, out=noise), out=noise)
+    return np.multiply(_noise_scale(power, snr_db), np.add(re, noise, out=noise), out=noise)
 
 
 def collide(
@@ -479,12 +483,14 @@ def _tone(amplitude, omega, phase, k, n: int) -> np.ndarray:
 
     `omega * k` has the tones' shape, such as (K, N) for a batch, and the
     other arguments broadcast against it; each step after it works in place.
+    An `amplitude` of None skips the product, which for 1.0 changes no byte.
     """
     x = omega * k
     x /= n
     x += phase
     tone = np.multiply(1j, x)
-    return np.multiply(np.exp(tone, out=tone), amplitude, out=tone)
+    np.exp(tone, out=tone)
+    return tone if amplitude is None else np.multiply(tone, amplitude, out=tone)
 
 
 def clipped_tone(
@@ -508,6 +514,24 @@ def clipped_tone(
     return out
 
 
+def _slot_words(n_slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where interferer slots' draws sit among the raw PCG64 words after a window's header.
+
+    A slot draws power, boundary, deviation, two bins and two phases. A
+    double takes a fresh 64-bit word; a 32-bit integer draw takes the
+    buffered high half if there is one, else the low half of a fresh word,
+    whose high half it buffers. From an empty buffer slots take 6, 5, 6, 5,
+    ... words. Returns per slot its doubles' words (S, 4) and its integers'
+    32-bit halves (S, 3), half 2i + 1 being word i's high half, and the
+    words that c slots take, for c in 0..S.
+    """
+    pair, odd = np.divmod(np.arange(n_slots + 1), 2)
+    ends = 11 * pair + 6 * odd
+    w, odd = 11 * pair[:-1, None], odd[:-1, None] == 1
+    doubles = w + np.where(odd, [6, 7, 9, 10], [0, 2, 4, 5])
+    return doubles, 2 * w + np.where(odd, [7, 16, 17], [2, 3, 6]), ends
+
+
 def gen_training_symbol(
     cfg: TrainConfig, streams: list[np.random.Generator]
 ) -> tuple[SymbolWindow, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -525,10 +549,16 @@ def gen_training_symbol(
     Window k draws only from `streams[k]`, in this order: true bin, true
     deviation, true phase, interferer count; per interferer its power,
     boundary, deviation, bin before and after the boundary, and phase
-    before and after; then the I and Q noise. The K windows are then built
-    together: one exponential for the wanted tones, one per interferer
-    slot over the windows that have that interferer (bin and phase
-    switching at each row's boundary), the noise, and one (K, N) FFT.
+    before and after; then the I and Q noise. The interferers' draws come
+    from raw PCG64 words (`_slot_words`), decoded for all windows at once:
+    Generator.random() of a word w is (w >> 11) * 2**-53, and integers(n)
+    of a 32-bit draw u is Lemire's (u * n) >> 32 = u >> (32 - log2 n),
+    which never rejects for a power of two. The last word that fills the
+    buffer goes through integers(n), so each stream's whole
+    `bit_generator.state` ends as the scalar calls leave it. The K windows
+    are then built together: one exponential for the wanted tones, one per
+    interferer slot over the windows that have that interferer (bin and
+    phase switching at each row's boundary), the noise, and one (K, N) FFT.
 
     Returns the windows as one (K, N) SymbolWindow, the true bins (K,),
     and the draws (true, counts, slots): true[k] = (bin, deviation,
@@ -547,33 +577,53 @@ def gen_training_symbol(
     counts = np.empty(len(streams), dtype=np.int64)
     slots = np.empty((len(streams), cfg.max_interferers, 8))
     noise = np.empty((len(streams), 2, n))
+    doubles, halves, ends = _slot_words(cfg.max_interferers + 1)
+    words = np.zeros((len(streams), ends[-1]), "<u8")
+    skipped = np.zeros(len(streams), dtype=np.int64)
+    shift = 33 - n.bit_length()  # 32 - log2 n
     for row, rng in enumerate(streams):
         true_bin = rng.integers(n)
         dev_u, phase_u = rng.random(2).tolist()
         true[row] = true_bin, -f + 2.0 * f * dev_u, two_pi * phase_u
-        counts[row] = rng.integers(cfg.max_interferers + 1)
-        for slot in range(counts[row]):
-            power_db = low_db + (high_db - low_db) * rng.random()
-            boundary = rng.integers(n)
-            dev = -f + 2.0 * f * rng.random()
-            bins = rng.integers(n), rng.integers(n)  # as integers(n, size=2), faster
-            phases = (two_pi * rng.random(2)).tolist()
-            # Python's float power, as one window alone computes it: numpy's
-            # vectorised power rounds about 5% of these amplitudes differently.
-            slots[row, slot] = power_db, 10.0 ** (power_db / 20.0), boundary, dev, *bins, *phases
+        count = counts[row] = rng.integers(cfg.max_interferers + 1)
+        if count:
+            # A half that the header left buffered (one the stream came in
+            # with, or a rejected count draw) is the first boundary, as word
+            # 3's high half would be, and the slots take slots 1..count's
+            # words. integers(n) draws the third-last, the last to buffer.
+            bits = rng.bit_generator
+            skip = skipped[row] = bits.state["has_uint32"]
+            if skip:
+                words[row, 3] = int(rng.integers(n)) << (32 + shift)
+            start, stop = 6 * skip, ends[count + skip]
+            words[row, start : stop - 3] = bits.random_raw(stop - 3 - start)
+            low, high = int(rng.integers(n)), int(rng.integers(n)) if (count + skip) % 2 == 0 else 0
+            words[row, stop - 3] = (low | high << 32) << shift
+            words[row, stop - 2 : stop] = bits.random_raw(2)
         rng.standard_normal(out=noise[row])
 
     k = np.arange(n)
     omega = 2.0 * np.pi * (true[:, :1] + true[:, 1:2])
-    window = _tone(1.0, omega, true[:, 2:], k, n)
+    window = _tone(None, omega, true[:, 2:], k, n)
     for slot in range(cfg.max_interferers):
         rows = np.flatnonzero(counts > slot)
+        layout = slot + skipped[rows]
+        u = (words[rows[:, None], doubles[layout]] >> 11) * 2.0**-53  # Generator.random()
+        power_db = low_db + (high_db - low_db) * u[:, 0]
+        # Python's float power, as one window alone computes it: numpy's
+        # vectorised power rounds about 5% of these amplitudes differently.
+        amp = [10.0 ** (p / 20.0) for p in power_db.tolist()]
+        boundary, bin_a, bin_b = (words.view("<u4")[rows[:, None], halves[layout]] >> shift).T
+        dev, phases = -f + 2.0 * f * u[:, 1], two_pi * u[:, 2:]
+        slots[rows, slot] = np.column_stack((power_db, amp, boundary, dev, bin_a, bin_b, phases))
         _, amp, boundary, dev, bin_a, bin_b, phase_a, phase_b = slots[rows, slot].T[..., None]
         before = k < boundary
         omega = np.where(before, 2.0 * np.pi * (bin_a + dev), 2.0 * np.pi * (bin_b + dev))
         phase = np.where(before, phase_a, phase_b)
         window[rows] += _tone(amp, omega, phase, k, n)
-    window += _scaled_noise(noise[:, 0], noise[:, 1], 1.0, cfg.snr_db)
+    noise *= _noise_scale(1.0, cfg.snr_db)
+    window.real += noise[:, 0]
+    window.imag += noise[:, 1]
 
     windows = SymbolWindow(window, np.abs(np.fft.fft(window, axis=-1)))
     return windows, true[:, 0].astype(np.int64), (true, counts, slots)

@@ -9,6 +9,8 @@ validation error, 2 runtime or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 from dataclasses import MISSING, fields
@@ -243,29 +245,41 @@ def _sidecar_path(iq_path: str | Path) -> Path:
 # --- subcommands --------------------------------------------------------------
 
 
+def _say(out: str | Path):
+    """`print` for a command's summary lines: to stderr when `out` is stdout's file, where
+    they would land in the output (`--out /dev/stdout > out.csv`), else to stdout."""
+    with contextlib.suppress(OSError):
+        target, stdout = os.stat(out), os.fstat(1)
+        if (target.st_dev, target.st_ino) == (stdout.st_dev, stdout.st_ino):
+            return partial(print, file=sys.stderr)
+    return print
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    say = _say(args.out)
     cfg = _build(TrainConfig, _load_config(args, _TRAIN_KEYS, "train config"))
     start = time.perf_counter()
     samples = collect_training_features(cfg)
     elapsed = time.perf_counter() - start
     n_kept = len(samples.true_features)
     if args.verbose:
-        print(
+        say(
             f"generated {cfg.n_symbols} windows, kept {n_kept} "
             f"in {elapsed:.2f} s ({cfg.n_symbols / elapsed:.0f} windows/s), "
             f"{samples.n_workers} worker processes"
         )
     grid = grid_from_samples(samples, cfg)
     save_grid(grid, args.out)
-    print(
+    say(
         f"kept {n_kept}/{cfg.n_symbols} windows; "
         f"resolution={grid.resolution} prior={format_value(grid.prior)}"
     )
-    print(f"grid written to {args.out}")
+    say(f"grid written to {args.out}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    say = _say(args.out)
     cfg = _load_config(args, _EVALUATE_KEYS, "evaluate config")
     detector = cfg.setdefault("detector", "baseline")
     phy = _build(PhyParams, cfg)
@@ -286,13 +300,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         records.append(run_experiment(exp))
         if args.verbose:
             r = records[-1]
-            print(f"snr={exp.scenario.snr_db} detector={detector} ser={r.ser:.6g} prr={r.prr:.6g}")
+            say(f"snr={exp.scenario.snr_db} detector={detector} ser={r.ser:.6g} prr={r.prr:.6g}")
     write_csv(records, args.out)
-    print(f"wrote {len(records)} result row(s) to {args.out}")
+    say(f"wrote {len(records)} result row(s) to {args.out}")
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    say = _say(args.out)
     cfg = _load_config(args, _BENCH_KEYS, "bench config")
     sf_list = [sf for sf in cfg.get("sf_list", "8").split(",") if sf.strip()]
     if not sf_list:
@@ -316,13 +331,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             records.append(rec)
             if args.verbose:
                 total = rec.t_dechirp_s + rec.t_features_s + rec.t_classifier_s + rec.t_argmax_s
-                print(f"sf={phy.sf} detector={detector} total={total * 1e6:.2f} us/symbol")
+                say(f"sf={phy.sf} detector={detector} total={total * 1e6:.2f} us/symbol")
     write_csv(records, args.out)
-    print(f"wrote {len(records)} bench row(s) to {args.out}")
+    say(f"wrote {len(records)} bench row(s) to {args.out}")
     return 0
 
 
 def cmd_gen_scenario(args: argparse.Namespace) -> int:
+    say = _say(args.out)
     cfg = _load_config(args, _GEN_KEYS, "gen-scenario config")
     phy = _build(PhyParams, cfg)
     exp = _build(
@@ -336,8 +352,8 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     start = payload_start(exp.preamble_len, phy)
     starts = [start + k * phy.n for k in range(exp.symbols_per_frame)]
     write_sidecar(_sidecar_path(args.out), starts, [int(b) for b in payload], interferers)
-    print(f"wrote {len(samples)} samples to {args.out}")
-    print(f"wrote truth sidecar to {_sidecar_path(args.out)}")
+    say(f"wrote {len(samples)} samples to {args.out}")
+    say(f"wrote truth sidecar to {_sidecar_path(args.out)}")
     return 0
 
 

@@ -77,8 +77,23 @@ def _can_fork() -> bool:
     )
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker once `parent` is gone, which its call queue never shows."""
+def _worker_init(parent: int) -> None:
+    """Pool initializer: keep this worker's heap, and end the worker once `parent` is gone.
+
+    A worker never gives memory back, so with glibc's mmap threshold at 32
+    MiB and a high trim threshold each chunk reuses the last one's pages
+    instead of faulting in fresh ones (the trim threshold alone pins the
+    mmap threshold at 128 KiB, below a chunk's 1 MiB arrays). The calling
+    process keeps its allocator settings. A thread watches for the
+    parent's death, which the call queue never shows.
+    """
+    import ctypes  # numpy has loaded it already
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
     def watch():
         while os.getppid() == parent:
@@ -172,7 +187,7 @@ def map_chunks(
     One `_seed_words` pass here hashes every item's PCG64 words, and a
     chunk of max(1, CHUNK_SAMPLES // item_samples) items gets its rows and
     builds its streams where it runs. Chunks run on `_worker_count` threads, or with
-    `fork` on forked processes that exit if this one dies; with one
+    `fork` on forked processes that keep their heap and exit if this one dies; with one
     worker, or where `_can_fork` refuses, in this process. The first chunk
     to fail, in chunk order, raises here and cancels the chunks not yet
     started; every worker is joined before this returns or raises.
@@ -191,7 +206,7 @@ def map_chunks(
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        pool = ProcessPoolExecutor(workers, get_context("fork"), _exit_with_parent, (os.getpid(),))
+        pool = ProcessPoolExecutor(workers, get_context("fork"), _worker_init, (os.getpid(),))
     else:
         from concurrent.futures import ThreadPoolExecutor
 

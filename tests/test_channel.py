@@ -827,6 +827,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(smooth_floor=0.0)
 
+    def test_n_bins_above_one_32_bit_draw_rejected(self):
+        # gen_training_symbol decodes integers(n_bins) from one 32-bit draw
+        assert TrainConfig(n_bins=2**32).n_bins == 2**32
+        with pytest.raises(ValueError, match=r"power of two in \[2, 2\*\*32\]"):
+            TrainConfig(n_bins=2**33)
+
 
 def per_window_training_symbol(cfg, rng):
     """One training window built alone, one clipped_tone per tone, as before
@@ -858,29 +864,57 @@ def per_window_training_symbol(cfg, rng):
     return window, true_bin, meta
 
 
+def assert_matches_reference(cfg, streams, ref_streams):
+    """`gen_training_symbol(cfg, streams)` against the windows that `ref_streams`,
+    twins of `streams`, give one at a time: bytes, draws and whole end states."""
+    windows, true_bins, (true, counts, slots) = gen_training_symbol(cfg, streams)
+    for row, stream in enumerate(ref_streams):
+        window, true_bin, meta = per_window_training_symbol(cfg, stream)
+        assert windows.time_samples[row].tobytes() == window.tobytes()
+        assert windows.magnitudes[row].tobytes() == np.abs(np.fft.fft(window)).tobytes()
+        assert (true_bins[row], true[row, 1]) == (true_bin, meta["true_deviation"])
+        drawn = [[itf["power_db"], itf["boundary"], itf["deviation"], *itf["bins"]]
+                 for itf in meta["interferers"]]
+        assert slots[row, : counts[row]][:, [0, 2, 3, 4, 5]].tolist() == drawn
+    for stream, ref in zip(streams, ref_streams):
+        assert stream.bit_generator.state == ref.bit_generator.state
+
+
+# PCG64's 128-bit LCG multiplier: state' = state * PCG64_MULTIPLIER + inc, mod 2**128.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_state_before(word, rot, inc):
+    """The PCG64 state whose next 64-bit output is `word`, with rotation `rot`.
+
+    The output of a state s is its high and low halves XORed and rotated
+    right by s >> 122, so that state's high half is chosen with `rot` in its
+    top six bits and the low half inverts the XOR; one inverse LCG step
+    gives the state before it.
+    """
+    high = rot << 58 | 0x123456789ABCDEF
+    xored = (word << rot | word >> (64 - rot)) & (2**64 - 1) if rot else word
+    after = high << 64 | (xored ^ high)
+    return (after - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+
+
+TRAINING_OVERRIDES = {
+    "default": {},
+    "no-interferers": {"max_interferers": 0},
+    "three-interferers": {"max_interferers": 3},
+    "inf-snr": {"snr_db": math.inf},
+    "integer-bins": {"frac_freq_range": 0.0},
+    "n8": {"n_bins": 8, "interference_samples_per_symbol": 7},
+    "n1024": {"n_bins": 1024},
+    "wide-ranges": {
+        "max_interferers": 4, "power_range_db": (-40.0, 37.5), "frac_freq_range": 0.5
+    },
+}
+
+
 class TestTrainingWindows:
     @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"max_interferers": 0},
-            {"max_interferers": 3},
-            {"snr_db": math.inf},
-            {"frac_freq_range": 0.0},
-            {"n_bins": 8, "interference_samples_per_symbol": 7},
-            {"n_bins": 1024},
-            {"max_interferers": 4, "power_range_db": (-40.0, 37.5), "frac_freq_range": 0.5},
-        ],
-        ids=[
-            "default",
-            "no-interferers",
-            "three-interferers",
-            "inf-snr",
-            "integer-bins",
-            "n8",
-            "n1024",
-            "wide-ranges",
-        ],
+        "overrides", TRAINING_OVERRIDES.values(), ids=TRAINING_OVERRIDES.keys()
     )
     def test_batch_matches_per_window_reference(self, overrides):
         # Every row of the (K, N) batch carries the same bytes as the window
@@ -909,6 +943,53 @@ class TestTrainingWindows:
         gen_training_symbol(cfg, streams)
         for stream, ref in zip(streams, ref_streams):
             assert stream.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "overrides", TRAINING_OVERRIDES.values(), ids=TRAINING_OVERRIDES.keys()
+    )
+    def test_one_generator_passed_k_times_matches_reference(self, overrides):
+        # window k enters with the buffer window k - 1 left: empty or a half
+        cfg = TrainConfig(n_symbols=1, **overrides)
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        assert_matches_reference(cfg, [rng] * 60, [twin] * 60)
+
+    @pytest.mark.parametrize(
+        "overrides", TRAINING_OVERRIDES.values(), ids=TRAINING_OVERRIDES.keys()
+    )
+    def test_streams_entering_with_a_buffered_half_match_reference(self, overrides):
+        cfg = TrainConfig(n_symbols=1, **overrides)
+        streams, twins = (np.random.default_rng(12).spawn(40) for _ in range(2))
+        for stream in streams + twins:
+            stream.integers(5)  # leaves the high half of a word buffered
+        assert streams[0].bit_generator.state["has_uint32"] == 1
+        assert_matches_reference(cfg, streams, twins)
+
+    @pytest.mark.parametrize("rot", [0, 37])
+    def test_rejected_count_draw_matches_reference(self, rot):
+        # The window's first word has a zero high half: the count draw
+        # integers(3) gets u = 0, and (0 * 3) mod 2**32 = 0 lies below
+        # Lemire's threshold 2**32 mod 3 = 1, so it draws again.
+        cfg = TrainConfig(n_symbols=1)
+        inc = np.random.default_rng(13).bit_generator.state["state"]["inc"]
+        state = {
+            "bit_generator": "PCG64",
+            "state": {"state": pcg64_state_before(0x9E3779B9, rot, inc), "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gens = [np.random.default_rng(0) for _ in range(3)]
+        for gen in gens:
+            gen.bit_generator.state = state
+        assert gens[0].bit_generator.random_raw() == 0x9E3779B9
+        twin = gens[1]
+        twin.integers(cfg.n_bins)
+        twin.random(2)
+        twin.integers(3)  # the rejected draw and a second one: a half stays buffered
+        assert twin.bit_generator.state["has_uint32"] == 1
+        twin.bit_generator.state = state
+        rest = np.random.default_rng(14).spawn(20)
+        twins = np.random.default_rng(14).spawn(20)
+        assert_matches_reference(cfg, [gens[2], *rest], [twin, *twins])
 
     def test_empty_stream_list_rejected(self):
         with pytest.raises(ValueError, match="at least one stream"):

@@ -410,6 +410,22 @@ class TestEvaluate:
         want = (tmp_path / "r.csv").read_text().splitlines()[1:]
         assert out.read_text().splitlines()[-len(want):] == want
 
+    @pytest.mark.parametrize("verbose", [False, True], ids=["quiet", "verbose"])
+    def test_summary_goes_to_stderr_when_the_output_is_stdout(self, tmp_path, capsys, verbose):
+        """With `--out /dev/stdout > out.csv` out.csv holds the CSV alone, the summary goes to stderr."""
+        cfg = write_cfg(tmp_path / "e.cfg", "sf=8\nn_frames=2\nsnr_db=0,10\nseed=5\n")
+        flags = ["--verbose"] * verbose
+        argv = ["evaluate", "--config", cfg, "--out", str(tmp_path / "r.csv"), *flags]
+        _, want_out, _ = run_cli(argv, capsys)
+        out = tmp_path / "out.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "cora", *argv[:3], "--out", "/dev/stdout", *flags]
+        with open(out, "wb") as fh:
+            proc = subprocess.run(argv, stdout=fh, stderr=subprocess.PIPE, env=env, check=True)
+        assert out.read_bytes() == (tmp_path / "r.csv").read_bytes()
+        assert proc.stderr.decode() == want_out.replace(str(tmp_path / "r.csv"), "/dev/stdout")
+        assert len(proc.stderr.splitlines()) == (3 if verbose else 1)
+
     def test_fading_run_marks_column(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "e.cfg", "sf=8\nn_frames=2\nsnr_db=10\nfading=true\nseed=2\n"

@@ -1,5 +1,7 @@
 """Training pipeline: sample harvesting, histograms, Bayes grid, file format."""
 
+import ctypes
+import hashlib
 import multiprocessing
 import os
 import re
@@ -272,6 +274,35 @@ class TestTrainingPool:
             collect_training_features(cfg)
         assert len(forks) == 2
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("has_mallopt", [False, True], ids=["no-mallopt", "recorded"])
+    def test_worker_heap_settings(self, has_mallopt, monkeypatch, tmp_path):
+        # Each forked worker sets glibc's mmap and trim thresholds, this
+        # process never does, and where libc has no mallopt the workers run
+        # without; the pairs are those of the parent commit either way.
+        log = tmp_path / "mallopt.log"
+        log.touch()
+
+        def mallopt(param, value):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {param} {value}\n")
+            return 1
+
+        libc = type("Libc", (), {"mallopt": staticmethod(mallopt)} if has_mallopt else {})
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc())
+        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
+        samples = collect_training_features(TrainConfig(n_symbols=5000, seed=21, snr_db=10.0))
+        assert samples.n_workers == 2
+        pairs = samples.true_features.tobytes() + samples.interference_features.tobytes()
+        assert hashlib.sha256(pairs).hexdigest() == (
+            "341b529053c1ed0ca92f95aad3484d89bac8585ed2fc02645a3e64e77095f008"
+        )
+        calls = [line.split() for line in log.read_text().splitlines()]
+        pids = {pid for pid, _, _ in calls}
+        assert len(pids) == (2 if has_mallopt else 0) and str(os.getpid()) not in pids
+        want = [[pid, "-3", str(32 << 20)] for pid in pids]
+        want += [[pid, "-1", str(1 << 30)] for pid in pids]
+        assert sorted(calls) == sorted(want)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
     def test_workers_exit_with_a_killed_parent(self):
