@@ -478,19 +478,23 @@ def apply_fading(
     return out.reshape(-1)
 
 
-def _tone(amplitude, omega, phase, k, n: int) -> np.ndarray:
-    """amplitude * exp(1j * (omega * k / n + phase)): `omega` in radians per window.
+def _tone(amplitude, omega, phase, n: int) -> np.ndarray:
+    """amplitude * exp(1j * (omega * k / n + phase)) for k < n: `omega` in radians per window.
 
-    `omega * k` has the tones' shape, such as (K, N) for a batch, and the
-    other arguments broadcast against it; each step after it works in place.
-    An `amplitude` of None skips the product, which for 1.0 changes no byte.
+    `omega` and `phase` broadcast as (..., 1); the tones come back as (..., n).
+    With k = B * a + b, b < B = 2 ** floor(log2(n) / 2), a tone is the outer
+    product of coarse factors exp(1j * (omega * B * a / n + phase)) and fine
+    factors exp(1j * omega * b / n): about 2 * sqrt(n) exponentials, not n,
+    and an error still set by rounding the argument. `amplitude` scales the
+    coarse factors; None skips the product, which for 1.0 changes no byte.
     """
-    x = omega * k
-    x /= n
-    x += phase
-    tone = np.multiply(1j, x)
-    np.exp(tone, out=tone)
-    return tone if amplitude is None else np.multiply(tone, amplitude, out=tone)
+    width = 1 << (n.bit_length() - 1) // 2
+    coarse = np.exp(1j * (omega * np.arange(0, n, width) / n + phase))
+    fine = np.exp(1j * (omega * np.arange(width) / n))
+    if amplitude is not None:
+        coarse *= amplitude
+    tone = np.multiply(coarse[..., None], fine[..., None, :])
+    return tone.reshape(*tone.shape[:-2], tone.shape[-2] * width)[..., :n]
 
 
 def clipped_tone(
@@ -503,14 +507,15 @@ def clipped_tone(
 ) -> np.ndarray:
     """Complex tone exp(j*(2*pi*freq_bins*k/n + phase)) on [start, stop).
 
-    Samples outside the interval are zero. This is the dechirped-domain
+    Samples outside the interval are zero; inside it they are those of the
+    full-window tone (`_tone`). This is the dechirped-domain
     shape of a chirp symbol: a full-window tone when aligned, a clipped
     one when the symbol boundary falls inside the window.
     """
     if not 0 <= start <= stop <= n:
         raise ValueError(f"need 0 <= start <= stop <= n, got start={start} stop={stop} n={n}")
     out = np.zeros(n, dtype=np.complex128)
-    out[start:stop] = _tone(amplitude, 2.0 * np.pi * freq_bins, phase, np.arange(start, stop), n)
+    out[start:stop] = _tone(amplitude, 2.0 * np.pi * freq_bins, phase, n)[start:stop]
     return out
 
 
@@ -556,9 +561,10 @@ def gen_training_symbol(
     which never rejects for a power of two. The last word that fills the
     buffer goes through integers(n), so each stream's whole
     `bit_generator.state` ends as the scalar calls leave it. The K windows
-    are then built together: one exponential for the wanted tones, one per
-    interferer slot over the windows that have that interferer (bin and
-    phase switching at each row's boundary), the noise, and one (K, N) FFT.
+    are then built together from `_tone`s: the wanted tones, per interferer
+    slot its tones before and after each row's boundary over the windows
+    that have that interferer, each sample kept from one of them, the
+    noise, and one (K, N) FFT.
 
     Returns the windows as one (K, N) SymbolWindow, the true bins (K,),
     and the draws (true, counts, slots): true[k] = (bin, deviation,
@@ -603,8 +609,7 @@ def gen_training_symbol(
         rng.standard_normal(out=noise[row])
 
     k = np.arange(n)
-    omega = 2.0 * np.pi * (true[:, :1] + true[:, 1:2])
-    window = _tone(None, omega, true[:, 2:], k, n)
+    window = _tone(None, 2.0 * np.pi * (true[:, :1] + true[:, 1:2]), true[:, 2:], n)
     for slot in range(cfg.max_interferers):
         rows = np.flatnonzero(counts > slot)
         layout = slot + skipped[rows]
@@ -617,10 +622,9 @@ def gen_training_symbol(
         dev, phases = -f + 2.0 * f * u[:, 1], two_pi * u[:, 2:]
         slots[rows, slot] = np.column_stack((power_db, amp, boundary, dev, bin_a, bin_b, phases))
         _, amp, boundary, dev, bin_a, bin_b, phase_a, phase_b = slots[rows, slot].T[..., None]
-        before = k < boundary
-        omega = np.where(before, 2.0 * np.pi * (bin_a + dev), 2.0 * np.pi * (bin_b + dev))
-        phase = np.where(before, phase_a, phase_b)
-        window[rows] += _tone(amp, omega, phase, k, n)
+        tone = _tone(amp, 2.0 * np.pi * (bin_b + dev), phase_b, n)
+        np.copyto(tone, _tone(amp, 2.0 * np.pi * (bin_a + dev), phase_a, n), where=k < boundary)
+        window[rows] += tone
     noise *= _noise_scale(1.0, cfg.snr_db)
     window.real += noise[:, 0]
     window.imag += noise[:, 1]

@@ -337,11 +337,17 @@ def _cell_index(values: np.ndarray, resolution: int) -> np.ndarray:
 
 
 def _lookup(grid: PosteriorGrid, p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Nearest-cell posterior q of per-bin features p and h, arrays of one shape."""
+    """Nearest-cell posterior q of per-bin features p and h, arrays of one shape.
+
+    One flat gather: cell (i, j) is element i * resolution + j of the C-ordered cells.
+    """
     if p.shape != h.shape:
         raise ValueError(f"p and h must have one shape, got {p.shape} and {h.shape}")
     res = grid.resolution
-    return grid.cells[_cell_index(p, res), _cell_index(h, res)]
+    flat = _cell_index(p, res)
+    flat *= res
+    flat += _cell_index(h, res)
+    return np.take(grid.cells.ravel(), flat)
 
 
 def score_bins(p: np.ndarray, h: np.ndarray, grid: PosteriorGrid) -> np.ndarray:

@@ -37,6 +37,7 @@ from cora.channel import (
     TAYLOR_TERMS,
     _fading_plan,
     _power_table,
+    _tone,
     format_value,
     parse_tokens,
     parse_value,
@@ -798,6 +799,45 @@ class TestClippedTone:
             clipped_tone(1.0, 1.0, 0.0, 20, 10, 64)
         with pytest.raises(ValueError):
             clipped_tone(1.0, 1.0, 0.0, 0, 65, 64)
+
+    @pytest.mark.parametrize("start, stop", [(0, 256), (0, 0), (0, 1), (37, 200), (255, 256)])
+    def test_full_tone_on_the_interval(self, start, stop):
+        tone = clipped_tone(12.3, 0.7, 2.1, start, stop, 256)
+        full = _tone(0.7, 2.0 * np.pi * 12.3, 2.1, 256)
+        assert tone[start:stop].tobytes() == full[start:stop].tobytes()
+        assert not tone[:start].any() and not tone[stop:].any()
+
+
+class TestTone:
+    @pytest.mark.parametrize("n", [2, 8, 100, 256])
+    def test_matches_the_per_sample_formula(self, n):
+        omega = 2.0 * np.pi * np.array([[3.2], [-0.4], [n - 0.5]])
+        phase = np.array([[0.3], [6.0], [1.0]])
+        direct = 1.5 * np.exp(1j * (omega * np.arange(n) / n + phase))
+        tone = _tone(1.5, omega, phase, n)
+        assert tone.shape == (3, n)
+        npt.assert_allclose(tone, direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(np.float64).eps, reason="long double is float64"
+    )
+    @pytest.mark.parametrize("n", [8, 256, 1024])
+    def test_error_within_that_of_one_exponential_per_sample(self, n):
+        # Against a long-double reference of the same float64 omega and
+        # phase, the coarse x fine product is as accurate as exp(1j * x):
+        # both are bounded by the rounding of x, up to about 2 pi n rad.
+        rng = np.random.default_rng(33)
+        freq = rng.integers(n, size=(2000, 1)) + rng.uniform(-0.5, 0.5, (2000, 1))
+        omega, phase = 2.0 * np.pi * freq, rng.uniform(0.0, 2.0 * np.pi, (2000, 1))
+        k = np.arange(n)
+        x = omega.astype(np.longdouble) * k / n + phase.astype(np.longdouble)
+        exact_re, exact_im = np.cos(x), np.sin(x)
+
+        def max_error(tone):
+            return float(np.max(np.hypot(tone.real - exact_re, tone.imag - exact_im)))
+
+        direct = max_error(np.exp(1j * (omega * k / n + phase)))
+        assert max_error(_tone(None, omega, phase, n)) <= 1.1 * direct
 
 
 class TestTrainConfig:

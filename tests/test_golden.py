@@ -41,6 +41,11 @@ GRID_CELLS_SHA256 = "409a3c76ceac46e3c96edcf6553877657fd03765acd721f05a46f0c8d07
 DEFAULT_SNR_GRID_SHA256 = "6ec8a727eda33419f4d762c8f48c3a492e36118eaccd2b8de2082b448a70a277"
 DEFAULT_SNR_GRID_CELLS_SHA256 = "dfa9c26c2835726718e1ec1d36dfef7e1143902288afdb1a349bc4aea03bf18b"
 
+# The acceptance gates' and the benchmark's campaign grid, the session
+# fixture `campaign_grid`: TrainConfig(n_symbols=20_000, seed=7, snr_db=10.0).
+CAMPAIGN_GRID_SHA256 = "aaa5e1c719a6354f0dd35bf68bd5446a37817269e7d2390f580518652aa01816"
+CAMPAIGN_GRID_CELLS_SHA256 = "63d8615a78ab23933dfb58bb8a50ceca693135372d6933e1b45e307558cbaa06"
+
 EVALUATE_SHA256 = {
     (7, "baseline"): "a64339498749058a510a720b9820d60aad02e631ea19d48dcf9a5828fcebd1a8",
     (7, "cora"): "59681c273cf1357280b257a5b68ed65f5bf709c6d55b47178f0e62f382339467",
@@ -134,6 +139,14 @@ def test_default_snr_grid_bytes(tmp_path):
     data = path.read_bytes()
     assert sha256(cell_bytes(data)) == DEFAULT_SNR_GRID_CELLS_SHA256
     assert sha256(data) == DEFAULT_SNR_GRID_SHA256
+
+
+def test_campaign_grid_bytes(campaign_grid, tmp_path):
+    path = tmp_path / "campaign.grid"
+    save_grid(campaign_grid, path)
+    data = path.read_bytes()
+    assert sha256(cell_bytes(data)) == CAMPAIGN_GRID_CELLS_SHA256
+    assert sha256(data) == CAMPAIGN_GRID_SHA256
 
 
 def evaluate_csv(cfg_text, detector, tmp_path, grid_file) -> bytes:
