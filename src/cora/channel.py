@@ -12,6 +12,7 @@ and `write_file` writes each file.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import inspect
 import math
 import os
@@ -129,8 +130,10 @@ class TrainConfig:
             raise ValueError(f"n_bins must be a power of two in [2, 2**32], got {self.n_bins}")
         if self.n_symbols < 1:
             raise ValueError(f"n_symbols must be >= 1, got {self.n_symbols}")
-        if self.max_interferers < 0:
-            raise ValueError(f"max_interferers must be >= 0, got {self.max_interferers}")
+        # gen_training_symbol draws the count as numpy's integers(max_interferers + 1)
+        # does up to 2**32 choices: Lemire's loop on 32-bit draws
+        if not 0 <= self.max_interferers < 2**32:
+            raise ValueError(f"max_interferers must be in [0, 2**32), got {self.max_interferers}")
         if not 0 <= self.frac_freq_range <= 0.5:
             raise ValueError(f"frac_freq_range must be in [0, 0.5], got {self.frac_freq_range}")
         if not 1 <= self.interference_samples_per_symbol <= self.n_bins - 1:
@@ -519,22 +522,21 @@ def clipped_tone(
     return out
 
 
-def _slot_words(n_slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where interferer slots' draws sit among the raw PCG64 words after a window's header.
+class _BitGen(ctypes.Structure):
+    """The head of numpy's `bitgen_t` (numpy/random/bitgen.h): state and draw functions."""
 
-    A slot draws power, boundary, deviation, two bins and two phases. A
-    double takes a fresh 64-bit word; a 32-bit integer draw takes the
-    buffered high half if there is one, else the low half of a fresh word,
-    whose high half it buffers. From an empty buffer slots take 6, 5, 6, 5,
-    ... words. Returns per slot its doubles' words (S, 4) and its integers'
-    32-bit halves (S, 3), half 2i + 1 being word i's high half, and the
-    words that c slots take, for c in 0..S.
-    """
-    pair, odd = np.divmod(np.arange(n_slots + 1), 2)
-    ends = 11 * pair + 6 * odd
-    w, odd = 11 * pair[:-1, None], odd[:-1, None] == 1
-    doubles = w + np.where(odd, [6, 7, 9, 10], [0, 2, 4, 5])
-    return doubles, 2 * w + np.where(odd, [7, 16, 17], [2, 3, 6]), ends
+    _fields_ = [(f, ctypes.c_void_p) for f in "state next_uint64 next_uint32 next_double".split()]
+
+
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+@cache
+def _c_draw(address: int, restype):
+    """The C draw function at `address`, called on a state pointer without releasing the GIL."""
+    return ctypes.PYFUNCTYPE(restype, ctypes.c_void_p)(address)
 
 
 def gen_training_symbol(
@@ -554,17 +556,20 @@ def gen_training_symbol(
     Window k draws only from `streams[k]`, in this order: true bin, true
     deviation, true phase, interferer count; per interferer its power,
     boundary, deviation, bin before and after the boundary, and phase
-    before and after; then the I and Q noise. The interferers' draws come
-    from raw PCG64 words (`_slot_words`), decoded for all windows at once:
-    Generator.random() of a word w is (w >> 11) * 2**-53, and integers(n)
-    of a 32-bit draw u is Lemire's (u * n) >> 32 = u >> (32 - log2 n),
-    which never rejects for a power of two. The last word that fills the
-    buffer goes through integers(n), so each stream's whole
-    `bit_generator.state` ends as the scalar calls leave it. The K windows
-    are then built together from `_tone`s: the wanted tones, per interferer
-    slot its tones before and after each row's boundary over the windows
-    that have that interferer, each sample kept from one of them, the
-    noise, and one (K, N) FFT.
+    before and after; then the I and Q noise. All but the noise are drawn
+    through the stream's own C functions (`bitgen_t`'s next_uint32 and
+    next_double, read from `bit_generator.capsule`), which are what
+    Generator.random() and Generator.integers(n) call: a uniform is
+    low + (high - low) * next_double, integers(n) for a power-of-two n is
+    next_uint32 >> (32 - log2 n), and the count is numpy's Lemire loop for
+    integers(max_interferers + 1), with no draw when max_interferers is 0.
+    So every draw, and each stream's whole `bit_generator.state`, is that
+    of the scalar calls, for any bit generator. These draws bypass the bit
+    generator's lock: a stream must not be drawn from by another thread
+    meanwhile. The K windows are then built together from `_tone`s: the
+    wanted tones, per interferer slot its tones before and after each row's
+    boundary over the windows that have that interferer, each sample kept
+    from one of them, the noise, and one (K, N) FFT.
 
     Returns the windows as one (K, N) SymbolWindow, the true bins (K,),
     and the draws (true, counts, slots): true[k] = (bin, deviation,
@@ -576,51 +581,46 @@ def gen_training_symbol(
     n = cfg.n_bins
     f = cfg.frac_freq_range
     low_db, high_db = cfg.power_range_db
-    # Generator.uniform(low, high) is low + (high - low) * rng.random(): the
-    # same doubles, and several of them per call
     two_pi = 2.0 * np.pi
-    true = np.empty((len(streams), 3))
-    counts = np.empty(len(streams), dtype=np.int64)
-    slots = np.empty((len(streams), cfg.max_interferers, 8))
-    noise = np.empty((len(streams), 2, n))
-    doubles, halves, ends = _slot_words(cfg.max_interferers + 1)
-    words = np.zeros((len(streams), ends[-1]), "<u8")
-    skipped = np.zeros(len(streams), dtype=np.int64)
     shift = 33 - n.bit_length()  # 32 - log2 n
+    choices = cfg.max_interferers + 1
+    reject_below = (2**32 - choices) % choices  # Lemire's threshold, as numpy computes it
+    header, counts, drawn = [], [], []
+    noise = np.empty((len(streams), 2, n))
     for row, rng in enumerate(streams):
-        true_bin = rng.integers(n)
-        dev_u, phase_u = rng.random(2).tolist()
-        true[row] = true_bin, -f + 2.0 * f * dev_u, two_pi * phase_u
-        count = counts[row] = rng.integers(cfg.max_interferers + 1)
-        if count:
-            # A half that the header left buffered (one the stream came in
-            # with, or a rejected count draw) is the first boundary, as word
-            # 3's high half would be, and the slots take slots 1..count's
-            # words. integers(n) draws the third-last, the last to buffer.
-            bits = rng.bit_generator
-            skip = skipped[row] = bits.state["has_uint32"]
-            if skip:
-                words[row, 3] = int(rng.integers(n)) << (32 + shift)
-            start, stop = 6 * skip, ends[count + skip]
-            words[row, start : stop - 3] = bits.random_raw(stop - 3 - start)
-            low, high = int(rng.integers(n)), int(rng.integers(n)) if (count + skip) % 2 == 0 else 0
-            words[row, stop - 3] = (low | high << 32) << shift
-            words[row, stop - 2 : stop] = bits.random_raw(2)
+        bitgen = _BitGen.from_address(_capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"))
+        state = bitgen.state
+        uint32 = _c_draw(bitgen.next_uint32, ctypes.c_uint32)
+        double = _c_draw(bitgen.next_double, ctypes.c_double)
+        header += uint32(state) >> shift, double(state), double(state)
+        m = uint32(state) * choices if choices > 1 else 0
+        while m & 0xFFFFFFFF < reject_below:
+            m = uint32(state) * choices
+        counts.append(m >> 32)
+        for _ in range(m >> 32):  # power, boundary, deviation, bin a, bin b, phase a, phase b
+            drawn += double(state), uint32(state) >> shift, double(state), uint32(state) >> shift
+            drawn += uint32(state) >> shift, double(state), double(state)
         rng.standard_normal(out=noise[row])
 
+    true = np.array(header).reshape(-1, 3)
+    true[:, 1] = -f + 2.0 * f * true[:, 1]
+    true[:, 2] *= two_pi
+    drawn = np.array(drawn, dtype=np.float64).reshape(-1, 7)
+    drawn[:, 0] = low_db + (high_db - low_db) * drawn[:, 0]
+    drawn[:, 2] = -f + 2.0 * f * drawn[:, 2]
+    drawn[:, 5:] *= two_pi
+    # Python's float power, as one window alone computes it: numpy's
+    # vectorised power rounds about 5% of these amplitudes differently.
+    amp = [10.0 ** (p / 20.0) for p in drawn[:, 0].tolist()]
+    counts = np.array(counts, dtype=np.int64)
+    rows = np.repeat(np.arange(len(streams)), counts)
+    slots = np.empty((len(streams), cfg.max_interferers, 8))
+    nth = np.arange(rows.size) - (counts.cumsum() - counts)[rows]  # each draw row's slot
+    slots[rows, nth] = np.insert(drawn, 1, amp, axis=1)
     k = np.arange(n)
     window = _tone(None, 2.0 * np.pi * (true[:, :1] + true[:, 1:2]), true[:, 2:], n)
     for slot in range(cfg.max_interferers):
         rows = np.flatnonzero(counts > slot)
-        layout = slot + skipped[rows]
-        u = (words[rows[:, None], doubles[layout]] >> 11) * 2.0**-53  # Generator.random()
-        power_db = low_db + (high_db - low_db) * u[:, 0]
-        # Python's float power, as one window alone computes it: numpy's
-        # vectorised power rounds about 5% of these amplitudes differently.
-        amp = [10.0 ** (p / 20.0) for p in power_db.tolist()]
-        boundary, bin_a, bin_b = (words.view("<u4")[rows[:, None], halves[layout]] >> shift).T
-        dev, phases = -f + 2.0 * f * u[:, 1], two_pi * u[:, 2:]
-        slots[rows, slot] = np.column_stack((power_db, amp, boundary, dev, bin_a, bin_b, phases))
         _, amp, boundary, dev, bin_a, bin_b, phase_a, phase_b = slots[rows, slot].T[..., None]
         tone = _tone(amp, 2.0 * np.pi * (bin_b + dev), phase_b, n)
         np.copyto(tone, _tone(amp, 2.0 * np.pi * (bin_a + dev), phase_a, n), where=k < boundary)

@@ -376,8 +376,7 @@ def classify(p: np.ndarray, h: np.ndarray, grid: PosteriorGrid) -> tuple[np.ndar
     window (N,), arrays of shape (K,) or (F, K) for more.
     """
     scores = score_bins(p, h, grid)
-    best = scores.argmax(axis=-1)
-    return best, np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
+    return scores.argmax(axis=-1), scores.max(axis=-1)  # the max is the argmax bin's score
 
 
 def detect_symbol(

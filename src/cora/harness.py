@@ -252,8 +252,7 @@ def receive(
         windows = samples[..., starts[:, None] + np.arange(n)]
     window = dechirp(windows, cfg.phy)
     if cfg.detector == "baseline":
-        bins = baseline_detect(window.magnitudes)
-        return bins, np.take_along_axis(window.magnitudes, bins[..., None], axis=-1)[..., 0]
+        return baseline_detect(window.magnitudes), window.magnitudes.max(axis=-1)
     expected_peak = np.reshape(expected_peak_from_preamble(samples, cfg), lead + (1, 1))
     h, p = hpd(window), pmd(window.magnitudes, expected_peak)
     del window

@@ -867,6 +867,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(smooth_floor=0.0)
 
+    def test_max_interferers_above_one_32_bit_count_draw_rejected(self):
+        # gen_training_symbol draws the count integers(max_interferers + 1)
+        # with Lemire's loop on 32-bit draws, as numpy does up to 2**32
+        assert TrainConfig(max_interferers=2**32 - 1).max_interferers == 2**32 - 1
+        with pytest.raises(ValueError, match=r"max_interferers must be in \[0, 2\*\*32\)"):
+            TrainConfig(max_interferers=2**32)
+        with pytest.raises(ValueError, match="max_interferers must be in"):
+            TrainConfig(max_interferers=-1)
+
     def test_n_bins_above_one_32_bit_draw_rejected(self):
         # gen_training_symbol decodes integers(n_bins) from one 32-bit draw
         assert TrainConfig(n_bins=2**32).n_bins == 2**32
@@ -917,7 +926,18 @@ def assert_matches_reference(cfg, streams, ref_streams):
                  for itf in meta["interferers"]]
         assert slots[row, : counts[row]][:, [0, 2, 3, 4, 5]].tolist() == drawn
     for stream, ref in zip(streams, ref_streams):
-        assert stream.bit_generator.state == ref.bit_generator.state
+        assert_same_state(stream.bit_generator.state, ref.bit_generator.state)
+
+
+def assert_same_state(state, ref):
+    """Two bit generator states are equal, nested dicts and arrays (MT19937's key,
+    Philox's counter and buffer) included."""
+    if isinstance(ref, dict):
+        assert state.keys() == ref.keys()
+        for key in ref:
+            assert_same_state(state[key], ref[key])
+    else:
+        npt.assert_array_equal(state, ref)
 
 
 # PCG64's 128-bit LCG multiplier: state' = state * PCG64_MULTIPLIER + inc, mod 2**128.
@@ -1030,6 +1050,26 @@ class TestTrainingWindows:
         rest = np.random.default_rng(14).spawn(20)
         twins = np.random.default_rng(14).spawn(20)
         assert_matches_reference(cfg, [gens[2], *rest], [twin, *twins])
+
+    @pytest.mark.parametrize(
+        "overrides", TRAINING_OVERRIDES.values(), ids=TRAINING_OVERRIDES.keys()
+    )
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
+    )
+    def test_other_bit_generators_match_reference(self, bit_generator, overrides):
+        # The draws go through each bit generator's own C functions, so any
+        # generator's windows and end states are those of the scalar calls:
+        # spawned streams, half of them entering with a buffered 32-bit half,
+        # then one generator passed 30 times.
+        cfg = TrainConfig(n_symbols=1, **overrides)
+        seeds = np.random.SeedSequence(15).spawn(40)
+        streams, twins = ([np.random.Generator(bit_generator(s)) for s in seeds] for _ in range(2))
+        for stream in streams[::2] + twins[::2]:
+            stream.integers(5)
+        assert_matches_reference(cfg, streams, twins)
+        rng, twin = (np.random.Generator(bit_generator(16)) for _ in range(2))
+        assert_matches_reference(cfg, [rng] * 30, [twin] * 30)
 
     def test_empty_stream_list_rejected(self):
         with pytest.raises(ValueError, match="at least one stream"):

@@ -282,6 +282,22 @@ class TestClassify:
         best, _ = classify(np.full(5, 0.2), np.full(5, 0.2), grid)
         assert best == 0
 
+    @pytest.mark.parametrize("shape", [(16,), (5, 16), (3, 5, 16)], ids=["N", "KN", "FKN"])
+    def test_score_is_the_best_bins_score(self, shape):
+        # numpy scalars for one window, (K,) or (F, K) arrays for more; the
+        # score holds the bytes of the argmax bin's score
+        grid = tiny_grid(np.random.default_rng(3).random((8, 8)))
+        p, h = np.random.default_rng(4).random((2, *shape))
+        best, score = classify(p, h, grid)
+        scores = score_bins(p, h, grid)
+        gathered = np.take_along_axis(scores, np.asarray(best)[..., None], axis=-1)[..., 0]
+        if len(shape) == 1:
+            assert isinstance(best, np.integer) and isinstance(score, np.float64)
+        else:
+            assert best.shape == score.shape == shape[:-1]
+        npt.assert_array_equal(best, scores.argmax(axis=-1))
+        assert np.asarray(score).tobytes() == gathered.tobytes()
+
 
 class TestGainInvariance:
     def test_features_and_argmax_survive_scaling(self):
