@@ -224,11 +224,11 @@ def write_file(path, data: bytes) -> None:
         fh.write(data)
 
 
-def parse_tokens(tokens: list[str], kinds: Mapping[str, str], required: bool = True) -> dict:
+def parse_tokens(tokens: list[str], kinds: Mapping[str, str]) -> dict:
     """Typed values of `key=value` tokens whose keys are among `kinds` (name -> annotation).
 
     ValueError for a token without '=', an unknown or repeated key, a
-    value `parse_value` rejects, or, if `required`, a key no token sets.
+    value `parse_value` rejects, or a key no token sets.
     """
     out = {}
     for token in tokens:
@@ -240,7 +240,7 @@ def parse_tokens(tokens: list[str], kinds: Mapping[str, str], required: bool = T
         if key in out:
             raise ValueError(f"duplicate key {key!r}")
         out[key] = parse_value(kinds[key], key, text)
-    if required and len(out) < len(kinds):
+    if len(out) < len(kinds):
         raise ValueError(f"missing key {next(k for k in kinds if k not in out)!r}")
     return out
 
@@ -357,12 +357,14 @@ def _power_table(width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _fading_plan(profile: FadingProfile, fs: float, n: int) -> tuple[np.ndarray, tuple]:
+def _fading_plan(profile: FadingProfile, fs: float, n: int) -> tuple[np.ndarray, tuple, int]:
     """`apply_fading`'s view of `profile` at `fs` Hz over n samples, read-only.
 
     Returns the tone amplitudes, one per angle drawn, normalised so the
-    expected channel gain is one, and per rounded tap delay below n, in
-    order of first tap: (delay, the flat indices of its taps' tones).
+    expected channel gain is one; per rounded tap delay below n, in order
+    of first tap, (delay, the flat indices of its taps' tones); and the
+    Taylor block width B: the largest power of two with
+    2 pi max_doppler_hz * B / fs <= 1/2, capped at n and at MAX_TAYLOR_BLOCK.
     """
     # relative to the strongest tap, so no finite dB value overflows
     powers_db = np.asarray(profile.tap_powers_db)
@@ -378,7 +380,12 @@ def _fading_plan(profile: FadingProfile, fs: float, n: int) -> tuple[np.ndarray,
     groups = tuple((d, tones[taps].ravel()) for d, taps in delays.items() if d < n)
     for array in (amps, *(group_tones for _, group_tones in groups)):
         array.setflags(write=False)
-    return amps, groups
+    # every realised |omega| is at most 2 pi max_doppler_hz
+    top = 2.0 * np.pi * profile.max_doppler_hz / fs
+    width = 1
+    while width < min(n, MAX_TAYLOR_BLOCK) and top * 2 * width <= 0.5:
+        width *= 2
+    return amps, groups, min(width, n)
 
 
 def apply_fading(
@@ -404,8 +411,8 @@ def apply_fading(
     and taps that share a delay act as one group: at 125 kHz the ETU-like
     profile's first eight taps land on delay 0 and its 5 us tap on delay 1.
     The tone amplitudes, normalised so the expected channel gain is one,
-    and the groups come from a cached plan (`_fading_plan`); groups delayed
-    by n samples or more contribute nothing.
+    the groups and the Taylor block width B come from a cached plan
+    (`_fading_plan`); groups delayed by n samples or more contribute nothing.
 
     A group's gain, sum_i amps[i] * exp(1j * (omegas[i] * k / fs + phases[i]))
     for k < n, is evaluated with k = b * B + j, j < B: each tone is a coarse
@@ -414,18 +421,18 @@ def apply_fading(
     series over TAYLOR_TERMS terms. The gain is then the (ceil(n / B), M)
     coarse exponentials times the (M, TAYLOR_TERMS) Taylor weights of the M
     tones, followed by two real products with the cached power table. B is
-    the largest power of two with max|omegas| * B / fs <= 1/2 over the
-    group's realised Dopplers in its stream, capped at n and at
-    MAX_TAYLOR_BLOCK, which bounds the truncation error by 0.5**16 / 16!;
-    once max|omegas| > fs / 4, B = 1, the table is [1, 0, ...], and every
-    value is an exact exponential.
+    the largest power of two with 2 pi max_doppler_hz * B / fs <= 1/2,
+    capped at n and at MAX_TAYLOR_BLOCK; every realised |omegas[i]| is at
+    most 2 pi max_doppler_hz, so |x_i| <= 1/2 and the truncation error is
+    below 0.5**16 / 16!. Once 2 pi max_doppler_hz > fs / 4, B = 1, the
+    table is [1, 0, ...], and every value is an exact exponential.
 
-    Group by group in plan order, the streams that get the same B share
-    one pass: one exponential over their coarse times, one Vandermonde
-    matrix and one stacked Taylor-weight product. Each stream's gain is
-    then two real products with the table into one reused buffer, applied
-    at the group's delay and added to the stream at once, so one gain of
-    n samples is held at a time. Stream by stream that is the arithmetic
+    Group by group in plan order, all k streams share one pass: one
+    exponential over the coarse times, one Vandermonde matrix and one
+    stacked Taylor-weight product. Each stream's gain is then two real
+    products with the table into one reused buffer, applied at the
+    group's delay and added to the stream at once, so one gain of n
+    samples is held at a time. Stream by stream that is the arithmetic
     of summing each group alone: a channel is bit for bit that of a
     group-by-group evaluation wherever every group leaves two samples or
     more (delay < n - 1), may differ from it by an ulp where a group leaves
@@ -447,37 +454,29 @@ def apply_fading(
         )
     k, n = len(rngs), x.size // len(rngs)
     x = x.reshape(k, n)
-    amps, groups = _fading_plan(profile, fs, n)
+    amps, groups, width = _fading_plan(profile, fs, n)
 
     shape = (len(profile.tap_delays_s), 2, JAKES_OSCILLATORS)
     draws = np.stack([r.uniform(0.0, 2.0 * np.pi, shape) for r in rngs])
     omegas = (2.0 * np.pi * (profile.max_doppler_hz * np.cos(draws[:, :, 0]))).reshape(k, -1)
     phases = draws[:, :, 1].reshape(k, -1)
-    cap = min(n, MAX_TAYLOR_BLOCK)
-    candidates = 1 << np.arange((cap - 1).bit_length() + 1)
+    rows = -(-n // width)
+    coarse = np.arange(rows) * (width / fs)
+    table = _power_table(width)
 
     out = np.zeros((k, n), dtype=np.complex128)
     for delay, tones in groups:
-        # B per stream: the first power of two that reaches the cap or fails the test
-        top = np.abs(omegas[:, tones]).max(axis=1) / fs
-        fails = (candidates >= cap) | (top[:, None] * 2 * candidates > 0.5)
-        widths = np.minimum(candidates[fails.argmax(axis=1)], n)
-        for width in set(widths.tolist()):
-            streams = np.flatnonzero(widths == width)
-            rows = -(-n // width)
-            coarse = np.arange(rows) * (width / fs)
-            om, phase = omegas[streams[:, None], tones], phases[streams[:, None], tones]
-            left = amps[tones] * np.exp(1j * (coarse[:, None] * om[:, None] + phase[:, None]))
-            powers = np.vander(om.ravel() * (width / fs), TAYLOR_TERMS, increasing=True)
-            weights = np.matmul(left, powers.reshape(*om.shape, -1)) * _TAYLOR_COEFFS
-            # each stream's gain in turn, in one reused buffer
-            table = _power_table(width)
-            gain = np.empty((rows, width), dtype=np.complex128)
-            tail = gain.reshape(-1)[delay:n]
-            for stream, weight in zip(streams.tolist(), weights):
-                np.matmul(weight.real, table, out=gain.real)
-                np.matmul(weight.imag, table, out=gain.imag)
-                out[stream, delay:] += np.multiply(tail, x[stream, : n - delay], out=tail)
+        om, phase = omegas[:, tones], phases[:, tones]
+        left = amps[tones] * np.exp(1j * (coarse[:, None] * om[:, None] + phase[:, None]))
+        powers = np.vander(om.ravel() * (width / fs), TAYLOR_TERMS, increasing=True)
+        weights = np.matmul(left, powers.reshape(*om.shape, -1)) * _TAYLOR_COEFFS
+        # each stream's gain in turn, in one reused buffer
+        gain = np.empty((rows, width), dtype=np.complex128)
+        tail = gain.reshape(-1)[delay:n]
+        for stream, weight in enumerate(weights):
+            np.matmul(weight.real, table, out=gain.real)
+            np.matmul(weight.imag, table, out=gain.imag)
+            out[stream, delay:] += np.multiply(tail, x[stream, : n - delay], out=tail)
     return out.reshape(-1)
 
 
@@ -489,13 +488,12 @@ def _tone(amplitude, omega, phase, n: int) -> np.ndarray:
     product of coarse factors exp(1j * (omega * B * a / n + phase)) and fine
     factors exp(1j * omega * b / n): about 2 * sqrt(n) exponentials, not n,
     and an error still set by rounding the argument. `amplitude` scales the
-    coarse factors; None skips the product, which for 1.0 changes no byte.
+    coarse factors: 1.0 changes no byte.
     """
     width = 1 << (n.bit_length() - 1) // 2
     coarse = np.exp(1j * (omega * np.arange(0, n, width) / n + phase))
+    coarse *= amplitude
     fine = np.exp(1j * (omega * np.arange(width) / n))
-    if amplitude is not None:
-        coarse *= amplitude
     tone = np.multiply(coarse[..., None], fine[..., None, :])
     return tone.reshape(*tone.shape[:-2], tone.shape[-2] * width)[..., :n]
 
@@ -618,7 +616,7 @@ def gen_training_symbol(
     nth = np.arange(rows.size) - (counts.cumsum() - counts)[rows]  # each draw row's slot
     slots[rows, nth] = np.insert(drawn, 1, amp, axis=1)
     k = np.arange(n)
-    window = _tone(None, 2.0 * np.pi * (true[:, :1] + true[:, 1:2]), true[:, 2:], n)
+    window = _tone(1.0, 2.0 * np.pi * (true[:, :1] + true[:, 1:2]), true[:, 2:], n)
     for slot in range(cfg.max_interferers):
         rows = np.flatnonzero(counts > slot)
         _, amp, boundary, dev, bin_a, bin_b, phase_a, phase_b = slots[rows, slot].T[..., None]

@@ -202,7 +202,6 @@ def map_chunks(
     if workers < 2 or (fork and not _can_fork()):
         return list(map(run, firsts, rows)), 0
     if fork:
-        import numpy.random  # noqa: F401  loaded once here, for the forked workers to share
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
@@ -559,9 +558,10 @@ def save_grid(grid: PosteriorGrid, destination: str | Path) -> None:
 def load_grid(source: str | Path) -> PosteriorGrid:
     """Read a `save_grid` file, rejecting wrong versions and malformed content.
 
-    Only the three header lines are decoded, as UTF-8. The cell bytes are
-    counted against the header's resolution before any array is built,
-    and `PosteriorGrid` rejects cells that are not probabilities.
+    Only the three header lines are decoded, as UTF-8. Line 3, the grid's
+    recipe, must set every `TrainConfig` key. The cell bytes are counted
+    against the header's resolution before any array is built, and
+    `PosteriorGrid` rejects cells that are not probabilities.
     """
     *lines, body = Path(source).read_bytes().split(b"\n", 3)
     if len(lines) < 3:
@@ -577,7 +577,7 @@ def load_grid(source: str | Path) -> PosteriorGrid:
     except ValueError as exc:
         raise GridFormatError(f"{source}:2: {exc}") from None
     try:
-        cfg = TrainConfig(**parse_tokens(config.split(), text_keys(TrainConfig), required=False))
+        cfg = TrainConfig(**parse_tokens(config.split(), text_keys(TrainConfig)))
     except ValueError as exc:
         raise GridFormatError(f"{source}:3: {exc}") from None
     # a negative resolution reads as an empty grid, which PosteriorGrid rejects by its value

@@ -46,24 +46,23 @@ def hpd_identity_error(window: SymbolWindow) -> float:
     return float(np.max(np.abs(masked - folded)))
 
 
-def taylor_width(omegas: np.ndarray, n: int, fs: float) -> int:
-    """Taylor block width B of one delay group: the largest power of two with
-    max|omegas| * B / fs <= 1/2, capped at n and at MAX_TAYLOR_BLOCK."""
-    top = float(np.max(np.abs(omegas))) / fs
+def taylor_width(max_doppler_hz: float, n: int, fs: float) -> int:
+    """Taylor block width B of a fading profile: the largest power of two with
+    2 pi max_doppler_hz * B / fs <= 1/2, capped at n and at MAX_TAYLOR_BLOCK."""
+    top = 2.0 * np.pi * max_doppler_hz / fs
     width = 1
     while width < min(n, MAX_TAYLOR_BLOCK) and top * 2 * width <= 0.5:
         width *= 2
     return min(width, n)
 
 
-def tone_sum(amps, omegas, phases, n: int, fs: float) -> np.ndarray:
+def tone_sum(amps, omegas, phases, n: int, fs: float, width: int) -> np.ndarray:
     """sum_i amps[i] * exp(1j * (omegas[i] * k / fs + phases[i])) for k < n, one group alone.
 
-    The coarse exponentials at every B-th sample times the Taylor weights
-    of the tones, then two real products with the power table, as
-    `apply_fading` documents.
+    The coarse exponentials at every B-th sample (B = `width`) times the
+    Taylor weights of the tones, then two real products with the power
+    table, as `apply_fading` documents.
     """
-    width = taylor_width(omegas, n, fs)
     rows = -(-n // width)
     coarse = np.arange(rows) * (width / fs)
     left = amps * np.exp(1j * (np.outer(coarse, omegas) + phases))
@@ -76,12 +75,12 @@ def tone_sum(amps, omegas, phases, n: int, fs: float) -> np.ndarray:
     return gain.ravel()[:n]
 
 
-def grouped_fading(x, fs, profile, rng) -> tuple[np.ndarray, list[int]]:
+def grouped_fading(x, fs, profile, rng) -> np.ndarray:
     """`apply_fading` evaluated delay group by delay group, each with its own `tone_sum`.
 
-    Same draws, same normalisation and same order of accumulation, with
-    nothing cached and no two groups sharing a pass. Returns the faded
-    stream and the Taylor block width of each group that was evaluated.
+    Same draws, same normalisation, same Taylor block width (the profile's
+    `taylor_width`) and same order of accumulation, with nothing cached
+    and no two groups sharing a pass.
     """
     n = x.size
     powers_db = np.asarray(profile.tap_powers_db)
@@ -90,21 +89,21 @@ def grouped_fading(x, fs, profile, rng) -> tuple[np.ndarray, list[int]]:
     draws = rng.uniform(0.0, 2.0 * np.pi, (len(powers_lin), 2, JAKES_OSCILLATORS))
     omegas = 2.0 * np.pi * (profile.max_doppler_hz * np.cos(draws[:, 0]))
     amps = np.sqrt(powers_lin / JAKES_OSCILLATORS)[:, None].repeat(JAKES_OSCILLATORS, axis=1)
+    width = taylor_width(profile.max_doppler_hz, n, fs)
     groups: dict[int, list[int]] = {}
     for tap, delay_s in enumerate(profile.tap_delays_s):
         groups.setdefault(int(round(delay_s * fs)), []).append(tap)
     out = np.zeros(n, dtype=np.complex128)
-    widths = []
     for delay, taps in groups.items():
         if delay >= n:
             continue
-        widths.append(taylor_width(omegas[taps], n, fs))
-        gain = tone_sum(amps[taps].ravel(), omegas[taps].ravel(), draws[taps, 1].ravel(), n, fs)
+        phases = draws[taps, 1].ravel()
+        gain = tone_sum(amps[taps].ravel(), omegas[taps].ravel(), phases, n, fs, width)
         if delay == 0:
             out += gain * x
         else:
             out[delay:] += gain[delay:] * x[: n - delay]
-    return out, widths
+    return out
 
 
 def per_frame_samples(cfg, rng):

@@ -45,7 +45,7 @@ from cora.channel import (
 )
 from cora import channel as channel_module
 from cora.detector import hpd
-from oracles import grouped_fading
+from oracles import grouped_fading, taylor_width
 
 FS = 125e3
 
@@ -425,6 +425,20 @@ def assert_streams_fade_alone(signals, fs, profile, seeds):
         assert rng.bit_generator.state == alone.bit_generator.state
 
 
+@pytest.fixture
+def table_widths(monkeypatch):
+    """The widths `apply_fading` asks `_power_table` for, in call order."""
+    widths = []
+    table = channel_module._power_table
+
+    def recording_table(width):
+        widths.append(width)
+        return table(width)
+
+    monkeypatch.setattr(channel_module, "_power_table", recording_table)
+    return widths
+
+
 class TestFading:
     @pytest.mark.parametrize(
         "signal, fs, profile",
@@ -475,36 +489,30 @@ class TestFading:
         out = apply_fading(signal, fs, profile, rng_new)
         npt.assert_allclose(out, expected, rtol=0, atol=1e-12)
         assert rng_new.random() == rng_ref.random()
-        grouped, _ = grouped_fading(signal, fs, profile, np.random.default_rng(99))
+        grouped = grouped_fading(signal, fs, profile, np.random.default_rng(99))
         assert out.tobytes() == grouped.tobytes()
 
     @pytest.mark.parametrize(
-        "signal, profile, some_widths_differ",
+        "signal, profile",
         [
-            pytest.param(random_frame(7, 20, 1), etu_like_profile(), True, id="etu-sf7"),
-            pytest.param(random_frame(8, 20, 2), etu_like_profile(), True, id="etu-sf8"),
-            pytest.param(random_frame(12, 2, 3), etu_like_profile(), True, id="etu-sf12"),
-            # at 100 Hz both groups take B = 64 in practically every frame
+            pytest.param(random_frame(7, 20, 1), etu_like_profile(), id="etu-sf7"),
+            pytest.param(random_frame(8, 20, 2), etu_like_profile(), id="etu-sf8"),
+            pytest.param(random_frame(12, 2, 3), etu_like_profile(), id="etu-sf12"),
             pytest.param(
                 random_frame(8, 20, 5),
                 replace(etu_like_profile(), max_doppler_hz=100.0),
-                False,
                 id="etu-sf8-100hz",
             ),
         ],
     )
-    def test_bit_identical_to_group_by_group_sums(self, signal, profile, some_widths_differ):
-        # Evaluating the groups that share a Taylor block width in one pass
-        # changes no bit of the channel. At 5 Hz the realised Dopplers give
-        # the two ETU groups different widths in some 7% of frames.
-        split = 0
+    def test_bit_identical_to_group_by_group_sums(self, signal, profile):
+        # Evaluating the delay groups with the plan's one Taylor block
+        # width, each in one pass, changes no bit of the channel.
         for seed in range(200):
             rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
-            expected, widths = grouped_fading(signal, FS, profile, rng_ref)
+            expected = grouped_fading(signal, FS, profile, rng_ref)
             assert apply_fading(signal, FS, profile, rng_new).tobytes() == expected.tobytes()
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-            split += len(set(widths)) > 1
-        assert split > 0 or not some_widths_differ
 
     @pytest.mark.parametrize(
         "sf, n_payload, profile",
@@ -515,7 +523,7 @@ class TestFading:
             pytest.param(
                 8, 20, replace(etu_like_profile(), max_doppler_hz=100.0), id="etu-sf8-100hz"
             ),
-            # three delay groups of 16 tones each: their B differ in some streams
+            # three delay groups of 16 tones each
             pytest.param(
                 8,
                 20,
@@ -528,17 +536,6 @@ class TestFading:
         signals = [random_frame(sf, n_payload, seed) for seed in range(5)]
         assert_streams_fade_alone(signals, FS, profile, seeds=range(10, 15))
 
-    def test_group_with_different_widths_across_streams(self):
-        # At 5 Hz the delay-1 ETU group takes B = 2,048 in some 7% of SF8
-        # frames and B = 1,024 in the rest; 40 streams hold both.
-        signals = [random_frame(8, 20, seed) for seed in range(40)]
-        widths = [
-            grouped_fading(x, FS, etu_like_profile(), np.random.default_rng(seed))[1]
-            for x, seed in zip(signals, range(40))
-        ]
-        assert len({w[1] for w in widths}) > 1
-        assert_streams_fade_alone(signals, FS, etu_like_profile(), seeds=range(40))
-
     def test_group_delayed_past_the_stream_in_every_stream(self):
         # delays of 0, 1 and 125 samples over 100-sample streams
         profile = FadingProfile((0.0, 8e-6, 1e-3), (0.0, -1.0, -2.0), 20.0)
@@ -549,7 +546,7 @@ class TestFading:
     @settings(max_examples=150, deadline=None, database=None)
     @given(case=fading_cases())
     def test_random_streams_fade_alone_and_group_by_group(self, case):
-        # At 1 kHz a Doppler above about 20 Hz gives B = 1. A group delayed
+        # At 1 kHz a Doppler above about 40 Hz gives B = 1. A group delayed
         # by n - 1 samples (every group when n = 1) leaves one sample, and
         # numpy rounds an in-place product of one complex sample differently
         # from the oracle's out-of-place one, by an ulp: the oracle is held
@@ -559,7 +556,7 @@ class TestFading:
         n = signals[0].size
         if all(delay < n - 1 for delay, _ in _fading_plan(profile, fs, n)[1]):
             for x, seed in zip(signals, seeds):
-                grouped, _ = grouped_fading(x, fs, profile, np.random.default_rng(seed))
+                grouped = grouped_fading(x, fs, profile, np.random.default_rng(seed))
                 out = apply_fading(x, fs, profile, np.random.default_rng(seed))
                 assert out.tobytes() == grouped.tobytes()
 
@@ -567,7 +564,7 @@ class TestFading:
         signal = random_frame(8, 20, 2)
         listed = apply_fading(signal, FS, etu_like_profile(), [np.random.default_rng(4)])
         bare = apply_fading(signal, FS, etu_like_profile(), np.random.default_rng(4))
-        grouped, _ = grouped_fading(signal, FS, etu_like_profile(), np.random.default_rng(4))
+        grouped = grouped_fading(signal, FS, etu_like_profile(), np.random.default_rng(4))
         assert listed.tobytes() == bare.tobytes() == grouped.tobytes()
 
     @pytest.mark.parametrize("n_rngs", [3, 0], ids=["uneven", "no-generators"])
@@ -580,15 +577,25 @@ class TestFading:
         assert [rng.bit_generator.state for rng in rngs] == states
 
     def test_plan_is_cached_read_only(self):
-        amps, groups = plan = _fading_plan(etu_like_profile(), FS, 100)
+        amps, groups, width = plan = _fading_plan(etu_like_profile(), FS, 100)
         assert _fading_plan(etu_like_profile(), FS, 100) is plan
         assert [delay for delay, _ in groups] == [0, 1]
         npt.assert_array_equal(groups[0][1], np.arange(8 * JAKES_OSCILLATORS))
         npt.assert_array_equal(groups[1][1], np.arange(8 * JAKES_OSCILLATORS, amps.size))
+        assert width == 100
         assert [delay for delay, _ in _fading_plan(etu_like_profile(), FS, 1)[1]] == [0]
         for array in (amps, *(tones for _, tones in groups)):
             with pytest.raises(ValueError):
                 array[0] = 0
+        # at SF8, 2 pi * 5 Hz * B / 125 kHz <= 1/2 up to B = 994
+        n = random_frame(8, 20, 0).size
+        assert _fading_plan(etu_like_profile(), FS, n)[2] == taylor_width(5.0, n, FS) == 1024
+
+    def test_one_width_for_every_stream_of_a_call(self, table_widths):
+        signals = [random_frame(8, 20, seed) for seed in range(40)]
+        rngs = [np.random.default_rng(seed) for seed in range(40)]
+        apply_fading(np.concatenate(signals), FS, etu_like_profile(), rngs)
+        assert set(table_widths) == {1024}
 
     def test_power_table_is_cached_read_only(self):
         table = _power_table(8)
@@ -597,15 +604,7 @@ class TestFading:
         with pytest.raises(ValueError):
             table[1, 1] = 0.0
 
-    def test_power_table_width_is_capped(self, monkeypatch):
-        widths = []
-        table = channel_module._power_table
-
-        def recording_table(width):
-            widths.append(width)
-            return table(width)
-
-        monkeypatch.setattr(channel_module, "_power_table", recording_table)
+    def test_power_table_width_is_capped(self, table_widths):
         frame = random_frame(12, 20, 8)
         for signal, profile in [
             (frame, replace(etu_like_profile(), max_doppler_hz=0.0)),
@@ -613,7 +612,7 @@ class TestFading:
             (np.ones(3 * MAX_TAYLOR_BLOCK + 5, dtype=complex), FadingProfile((0.0,), (0.0,), 0.1)),
         ]:
             apply_fading(signal, FS, profile, np.random.default_rng(1))
-        assert max(widths) == MAX_TAYLOR_BLOCK
+        assert max(table_widths) == MAX_TAYLOR_BLOCK
 
     def test_jakes_autocorrelation_is_bessel_j0(self):
         # One tap, unit input: the output is the tap gain g(t). Over many
@@ -764,7 +763,6 @@ class TestTextCodec:
     def test_tokens_are_typed_in_any_order(self):
         kinds = {"fs": "float", "n": "int"}
         assert parse_tokens(["n=3", "fs=1e3"], kinds) == {"fs": 1000.0, "n": 3}
-        assert parse_tokens(["n=3"], kinds, required=False) == {"n": 3}
 
     @pytest.mark.parametrize(
         "tokens, message",
@@ -837,7 +835,7 @@ class TestTone:
             return float(np.max(np.hypot(tone.real - exact_re, tone.imag - exact_im)))
 
         direct = max_error(np.exp(1j * (omega * k / n + phase)))
-        assert max_error(_tone(None, omega, phase, n)) <= 1.1 * direct
+        assert max_error(_tone(1.0, omega, phase, n)) <= 1.1 * direct
 
 
 class TestTrainConfig:

@@ -19,6 +19,10 @@ The frame-synthesis hashes pin the float64 samples themselves, which
 captures (float32) and CSVs (error counts) do not show. They were
 recorded when `channel.collide` summed every frame of a chunk at once
 from one (2, F, L) noise buffer, before it became one frame at a time.
+The faded frame-synthesis hash was re-recorded when `apply_fading` took
+its Taylor block width from the profile's maximum Doppler, not from each
+stream's realised Dopplers: one of the nine frames had drawn B = 2,048
+and moved by at most 1e-15. Every faded CSV, capture and demod hash held.
 """
 
 import hashlib
@@ -98,7 +102,7 @@ FIXED_OFFSET_EVALUATE_SHA256 = {
 FRAMES_SHA256 = {
     "two-interferers": "b6c1258fc6b54e057170c81469f4373490db29dbeba742e85f9ff632145951eb",
     "fixed-offset-noiseless": "6aaa4d90acc2cf9f69dafc775d40baf7506ac03e65222198a727e25e2cc64c1e",
-    "faded": "e084ea2a7da4f36b6bb822ec37a6368a24e03fc12f5f571ea7de1c5fb79f3742",
+    "faded": "8297d844a2e84304f7ec2cf73d835ba13387507417b18e9441fb543baeb69aeb",
 }
 FRAMES_SCENARIOS = {
     "two-interferers": ScenarioSpec(snr_db=10.0, n_interferers=2, sir_db=(-6.0, 0.0)),

@@ -581,6 +581,18 @@ class TestGridFile:
         with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(path)
 
+    def test_missing_config_key_rejected(self, tmp_path, detector_grid):
+        # line 3 is the grid's recipe: a key left out would load as its default
+        path = self._with_header_line(
+            tmp_path,
+            detector_grid,
+            2,
+            lambda line: " ".join(t for t in line.split() if not t.startswith("seed=")),
+        )
+        message = f"{path}:3: missing key 'seed'"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+            load_grid(path)
+
     def test_duplicate_config_token_rejected(self, tmp_path, detector_grid):
         # as in a config file, a repeated key is an error, not an override
         path = self._with_header_line(
