@@ -427,20 +427,19 @@ def apply_fading(
     below 0.5**16 / 16!. Once 2 pi max_doppler_hz > fs / 4, B = 1, the
     table is [1, 0, ...], and every value is an exact exponential.
 
-    Group by group in plan order, all k streams share one pass: one
-    exponential over the coarse times, one Vandermonde matrix and one
-    stacked Taylor-weight product. Each stream's gain is then two real
-    products with the table into one reused buffer, applied at the
-    group's delay and added to the stream at once, so one gain of n
-    samples is held at a time. Stream by stream that is the arithmetic
-    of summing each group alone: a channel is bit for bit that of a
-    group-by-group evaluation wherever every group leaves two samples or
-    more (delay < n - 1), may differ from it by an ulp where a group leaves
-    one, as numpy rounds an in-place product of one complex sample its own
-    way, and is that of a tap-by-tap, tone-by-tone evaluation up to
-    rounding. `samples` that are not 1-D, an `fs` that is not finite
-    and positive, no generators, or a length that k does not divide raises
-    ValueError before any draw.
+    All tones of all k streams share one exponential over the coarse times
+    and one running product for their Taylor powers, and each group one
+    stacked product for its Taylor weights. Stream by stream, each gain is
+    two real products with the table into one reused buffer, times the
+    stream at the group's delay: the first group writes 0 + that product,
+    the others add theirs. That is the arithmetic of summing each group
+    alone: a channel is bit for bit that of a group-by-group evaluation
+    wherever every group leaves two samples or more (delay < n - 1), may
+    differ from it by an ulp where a group leaves one, as numpy rounds an
+    in-place product of one complex sample its own way, and is that of a
+    tap-by-tap, tone-by-tone evaluation up to rounding. `samples` that are
+    not 1-D, an `fs` that is not finite and positive, no generators, or a
+    length that k does not divide raises ValueError before any draw.
     """
     if not 0 < fs < math.inf:
         raise ValueError(f"fs must be finite and > 0, got {fs}")
@@ -463,20 +462,21 @@ def apply_fading(
     rows = -(-n // width)
     coarse = np.arange(rows) * (width / fs)
     table = _power_table(width)
-
-    out = np.zeros((k, n), dtype=np.complex128)
-    for delay, tones in groups:
-        om, phase = omegas[:, tones], phases[:, tones]
-        left = amps[tones] * np.exp(1j * (coarse[:, None] * om[:, None] + phase[:, None]))
-        powers = np.vander(om.ravel() * (width / fs), TAYLOR_TERMS, increasing=True)
-        weights = np.matmul(left, powers.reshape(*om.shape, -1)) * _TAYLOR_COEFFS
-        # each stream's gain in turn, in one reused buffer
-        gain = np.empty((rows, width), dtype=np.complex128)
+    left = amps * np.exp(1j * (coarse[:, None] * omegas[:, None] + phases[:, None]))
+    powers = np.empty((TAYLOR_TERMS, k, amps.size))
+    powers[0], powers[1:] = 1.0, omegas * (width / fs)
+    powers = np.multiply.accumulate(powers, out=powers).transpose(1, 2, 0)
+    weights = [np.matmul(left[..., tones], powers[:, tones]) * _TAYLOR_COEFFS for _, tones in groups]
+    del left, powers  # freed before the output is made, which bounds the call's peak
+    out = (np.empty if groups and groups[0][0] == 0 else np.zeros)((k, n), dtype=np.complex128)
+    gain = np.empty((rows, width), dtype=np.complex128)  # each stream's gain in turn
+    for g, (delay, _) in enumerate(groups):
         tail = gain.reshape(-1)[delay:n]
-        for stream, weight in enumerate(weights):
+        for stream, weight in enumerate(weights[g]):
             np.matmul(weight.real, table, out=gain.real)
             np.matmul(weight.imag, table, out=gain.imag)
-            out[stream, delay:] += np.multiply(tail, x[stream, : n - delay], out=tail)
+            product = np.multiply(tail, x[stream, : n - delay], out=tail)
+            np.add(out[stream, delay:] if g else 0.0, product, out=out[stream, delay:])
     return out.reshape(-1)
 
 

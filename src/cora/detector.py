@@ -106,25 +106,25 @@ def _worker_init(parent: int) -> None:
 def _seed_words(seed: int, n_items: int) -> np.ndarray:
     """Row k: `SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)`, for k < n_items.
 
-    numpy's algorithm on uint32 arrays, which wrap as its words do, and of
-    which only k's has one entry per item: the seed's little-endian words,
-    zero-padded to the pool size of 4, then k (one word: a run that fits in
-    memory has fewer than 2**32 items), are hashed and mixed into the pool,
-    hashed into the state.
+    numpy's algorithm on 32-bit words, the seed's as Python ints masked to 32
+    bits and k's as a uint32 array, which wraps as numpy's words do: the seed's
+    little-endian words, zero-padded to the pool size of 4, then k (one word: a
+    run that fits in memory has fewer than 2**32 items), are hashed and mixed
+    into the pool, hashed into the state.
     """
     seed = int(np.random.SeedSequence(seed).entropy)  # numpy's check: an integer >= 0
     mask = 0xFFFFFFFF
-    words = [np.array([seed >> s & mask], np.uint32) for s in range(0, seed.bit_length() or 1, 32)]
-    words += [np.zeros(1, np.uint32)] * (4 - len(words)) + [np.arange(n_items, dtype=np.uint32)]
+    words = [seed >> s & mask for s in range(0, seed.bit_length() or 1, 32)]
+    words += [0] * (4 - len(words)) + [np.arange(n_items, dtype=np.uint32)]
 
     def hashmix(value, chain):  # chain: [hash constant, its multiplier], advanced in place
         value = value ^ chain[0]
         chain[0] = chain[0] * chain[1] & mask
-        value *= chain[0]
+        value = value * chain[0] & mask
         return value ^ value >> 16
 
     def mix_in(dst, word):  # numpy's mix of pool word dst with the hash of `word`
-        out = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(word, chain)
+        out = (0xCA01F9DD * pool[dst] & mask) - 0x4973F715 * hashmix(word, chain) & mask
         pool[dst] = out ^ out >> 16
 
     chain = [0x43B0D7E5, 0x931E8875]
@@ -186,12 +186,12 @@ def map_chunks(
     `SeedSequence(seed)`, which is `SeedSequence(seed, spawn_key=(k,))`.
     One `_seed_words` pass here hashes every item's PCG64 words, and a
     chunk of max(1, CHUNK_SAMPLES // item_samples) items gets its rows and
-    builds its streams where it runs. Chunks run on `_worker_count` threads, or with
-    `fork` on forked processes that keep their heap and exit if this one dies; with one
-    worker, or where `_can_fork` refuses, in this process. The first chunk
-    to fail, in chunk order, raises here and cancels the chunks not yet
-    started; every worker is joined before this returns or raises.
-    Returns the results in chunk order and the workers, 0 for this process.
+    builds its streams where it runs. With `fork`, forked processes that keep their heap
+    and exit if this one dies run the chunks; else this thread takes them in turn with
+    `_worker_count` - 1 helper threads, started before it takes its first. With one
+    worker, or where `_can_fork` refuses, this thread runs them alone. The first chunk to
+    fail, in chunk order, raises once every worker is joined; after a failure no chunk
+    starts. Returns the results in chunk order and the workers, 0 if this thread ran alone.
     """
     per_chunk = max(1, CHUNK_SAMPLES // item_samples)
     firsts = range(0, n_items, per_chunk)
@@ -205,13 +205,29 @@ def map_chunks(
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        pool = ProcessPoolExecutor(workers, get_context("fork"), _worker_init, (os.getpid(),))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        with ProcessPoolExecutor(workers, get_context("fork"), _worker_init, (os.getpid(),)) as pool:
+            return list(pool.map(run, firsts, rows)), workers
+    results, errors, lock, todo = [None] * len(rows), {}, threading.Lock(), iter(range(len(rows)))
 
-        pool = ThreadPoolExecutor(workers)
-    with pool:
-        return list(pool.map(run, firsts, rows)), workers
+    def work():  # chunks in order, while any is left and none has failed
+        while True:
+            with lock:
+                if errors or (i := next(todo, None)) is None:
+                    return
+            try:
+                results[i] = run(firsts[i], rows[i])
+            except BaseException as exc:  # raised below, in chunk order
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results, workers
 
 
 class TrainingError(RuntimeError):

@@ -277,14 +277,13 @@ def _chunk_errors(cfg: ExperimentConfig, streams: list[np.random.Generator]) -> 
 def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
     """Run a seeded campaign and aggregate SER, PRR, and throughput.
 
-    Frame k is item k of a `map_chunks` run seeded with `cfg.seed`. The
-    chunks run on threads: on two, numpy calls on whole chunks and each
-    frame's full-length noise draw overlap, per-frame calls on L-sample
-    arrays do not. `simulate_frame` builds a chunk as one (F, L) array in
-    whole-chunk calls and `demodulate_frame` decodes it as one (F, K, N)
-    array, so results depend neither on the chunk size nor on the thread.
-    Each frame still costs its own generator and its full-length normal
-    draw of I and Q, which no batching removes.
+    Frame k is item k of a `map_chunks` run seeded with `cfg.seed`, whose
+    chunks this thread and its helpers take in turn: on two threads, numpy
+    calls on whole chunks and each frame's full-length noise draw overlap.
+    `simulate_frame` builds a chunk as one (F, L) array in whole-chunk calls
+    and `demodulate_frame` decodes it as one (F, K, N) array, so results
+    depend neither on the chunk size nor on the thread. Each frame still
+    costs its own generator and its full-length I and Q normal draw.
 
     Stage timings are reported as 0.0 here so result files are
     byte-stable across machines; `bench_stages` is the timing path.

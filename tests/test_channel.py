@@ -567,6 +567,37 @@ class TestFading:
         grouped = grouped_fading(signal, FS, etu_like_profile(), np.random.default_rng(4))
         assert listed.tobytes() == bare.tobytes() == grouped.tobytes()
 
+    def test_first_group_past_delay_zero_leaves_leading_zeros(self):
+        # groups at delays of 2 and 5 samples: the first one writes from sample 2 on
+        profile = FadingProfile((16e-6, 40e-6, 40e-6), (0.0, -2.0, -3.0), 5.0)
+        assert [d for d, _ in _fading_plan(profile, FS, 1000)[1]] == [2, 5]
+        signals = [random_frame(8, 20, seed) for seed in range(3)]
+        for seed, x in enumerate(signals):
+            out = apply_fading(x, FS, profile, np.random.default_rng(seed))
+            grouped = grouped_fading(x, FS, profile, np.random.default_rng(seed))
+            assert out.tobytes() == grouped.tobytes()
+            assert out[:2].tobytes() == bytes(32)
+        assert_streams_fade_alone(signals, FS, profile, seeds=range(3))
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            pytest.param(etu_like_profile(), id="etu"),
+            # a silent first group: its gain is zero, of either sign
+            pytest.param(FadingProfile((0.0, 8e-6), (-math.inf, 0.0), 5.0), id="silent-first"),
+        ],
+    )
+    def test_zero_samples_fade_to_plus_zero(self, profile):
+        # The oracle adds the first group's product to 0, and 0 + (-0.0) is
+        # +0.0, where the product alone can be -0.0.
+        signal = random_frame(8, 20, 3)
+        signal[::7] = 0
+        signal[3::7] = complex(-0.0, -0.0)
+        for seed in range(20):
+            out = apply_fading(signal, FS, profile, np.random.default_rng(seed))
+            grouped = grouped_fading(signal, FS, profile, np.random.default_rng(seed))
+            assert out.tobytes() == grouped.tobytes()
+
     @pytest.mark.parametrize("n_rngs", [3, 0], ids=["uneven", "no-generators"])
     def test_bad_stream_split_rejected_before_any_draw(self, n_rngs):
         rngs = [np.random.default_rng(seed) for seed in range(n_rngs)]

@@ -533,6 +533,19 @@ class TestCampaignPool:
             run_experiment(cfg)
         assert set(threading.enumerate()) <= before
 
+    def test_calling_thread_runs_chunks(self, monkeypatch):
+        cfg = quick_cfg()
+        cfg.n_frames = 3 * _chunk_frames(cfg)
+        monkeypatch.setattr(detector_module, "_worker_count", lambda n_chunks: 2)
+        # the first two chunks wait for each other, so two threads take one each
+        _, threads = track_chunks(monkeypatch, hold=2)
+        before = set(threading.enumerate())
+        run_experiment(cfg)
+        assert len(threads) == 3
+        assert threading.get_ident() in threads
+        assert len(set(threads)) <= 2
+        assert set(threading.enumerate()) == before
+
     def test_worker_count_rule(self, monkeypatch):
         count, os = detector_module._worker_count, detector_module.os
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
